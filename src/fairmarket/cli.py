@@ -76,7 +76,8 @@ def _resolved_brute_cap(cfg: RunConfig) -> int:
     return DEFAULT_BRUTE_CAP
 
 
-def load_instance(path: str) -> Instance:
+def load_json(path: str, parse):
+    """Read a JSON file and parse it, e.g. with `Instance.from_json_dict`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -84,18 +85,7 @@ def load_instance(path: str) -> Instance:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
-    return Instance.from_json_dict(obj)
-
-
-def load_solution(path: str) -> Solution:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
-    return Solution.from_json_dict(obj)
+    return parse(obj)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -133,7 +123,7 @@ def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
 
 def cmd_solve(cfg: RunConfig) -> int:
     try:
-        inst = load_instance(cfg.input_path)
+        inst = load_json(cfg.input_path, Instance.from_json_dict)
         if cfg.order is not None and sorted(cfg.order) != list(range(inst.n)):
             raise InvalidInputError(f"--order must be a permutation of 0..{inst.n - 1}")
     except InvalidInputError as exc:
@@ -172,8 +162,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     try:
-        inst = load_instance(cfg.input_path)
-        solution = load_solution(cfg.solution_path)
+        inst = load_json(cfg.input_path, Instance.from_json_dict)
+        solution = load_json(cfg.solution_path, Solution.from_json_dict)
         cap = _resolved_brute_cap(cfg)
         report = verify(inst, solution, brute_cap=cap)
     except InvalidInputError as exc:
@@ -239,7 +229,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                     inst = generate_instance(n, m, max_value, seed)
                     rows.append(_bench_one(inst, {"seed": seed}, cap))
         for path in spec.get("instances", []):
-            inst = load_instance(path)
+            inst = load_json(path, Instance.from_json_dict)
             rows.append(_bench_one(inst, {"path": path}, cap))
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))

@@ -80,7 +80,7 @@ class Instance:
             for g, v in enumerate(row):
                 if not isinstance(v, Fraction):
                     raise InvalidInputError(f"valuation ({i},{g}) is not a Fraction")
-                if v < 0:
+                if v.numerator < 0:
                     raise InvalidInputError(f"valuation ({i},{g}) is negative: {v}")
 
     @property
@@ -114,6 +114,9 @@ class Instance:
         for key in ("agents", "goods", "valuations"):
             if key not in obj:
                 raise InvalidInputError(f"instance JSON is missing {key!r}")
+        for key in ("agents", "goods"):
+            if not isinstance(obj[key], int) or isinstance(obj[key], bool):
+                raise InvalidInputError(f"{key!r} must be an integer, got {obj[key]!r}")
         rows = obj["valuations"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InvalidInputError("'valuations' must be a list of rows")
@@ -377,22 +380,30 @@ def check_hall(inst: Instance) -> bool:
 
     Uses augmenting-path maximum bipartite matching on the positive-value
     graph; a matching saturating all agents is equivalent to every agent
-    subset valuing at least as many goods as its size.
+    subset valuing at least as many goods as its size.  The depth-first
+    search for an augmenting path keeps an explicit stack, so long chains
+    need no recursion.
     """
-    adjacency = [
-        [g for g in range(inst.m) if inst.valuations[i][g] > 0] for i in range(inst.n)
-    ]
+    adjacency = [[g for g, v in enumerate(row) if v] for row in inst.valuations]
     matched_agent: dict[int, int] = {}
-
-    def augment(i: int, visited: set[int]) -> bool:
-        for g in adjacency[i]:
-            if g in visited:
+    for root in range(inst.n):
+        visited: set[int] = set()
+        stack = [(root, iter(adjacency[root]))]  # agents on the current path
+        via: list[int] = []  # via[d]: the good leading from stack[d] to stack[d + 1]
+        while stack:
+            g = next((g for g in stack[-1][1] if g not in visited), None)
+            if g is None:
+                stack.pop()
+                del via[-1:]
                 continue
             visited.add(g)
             holder = matched_agent.get(g)
-            if holder is None or augment(holder, visited):
-                matched_agent[g] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(inst.n))
+            if holder is None:
+                for (agent, _), good in zip(stack, via + [g]):
+                    matched_agent[good] = agent
+                break
+            stack.append((holder, iter(adjacency[holder])))
+            via.append(g)
+        else:
+            return False
+    return True

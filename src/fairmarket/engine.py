@@ -29,8 +29,10 @@ from .core import (
     InvalidInputError,
     NormalizationRecord,
     Solution,
+    bundle_price,
     check_hall,
     denormalize,
+    hat_price,
     hat_profile,
     normalize_instance,
     spending_profile,
@@ -38,7 +40,7 @@ from .core import (
 from .market import (
     MbbGraph,
     Reachability,
-    compute_alphas,
+    best_ratio,
     reach_from,
     shortest_violator_path,
 )
@@ -73,6 +75,8 @@ class BetaBreakdown:
     b3: Fraction | None
     beta: Fraction
     chosen: str
+    # (agent, good) pairs whose best-ratio edge appears when prices rise by b1.
+    b1_edges: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -180,8 +184,11 @@ class EngineState:
     """Mutable solver state: the grown sub-instance and its current solution.
 
     Agents 0..num_agents-1 of `inst` are active; `goods` lists the active
-    good ids (a subset of the instance's columns).  A single state is
-    strictly sequential; run separate states for parallel solves.
+    good ids (a subset of the instance's columns).  Per active agent, every
+    event updates the best ratio (`alphas`), the goods attaining it (`mbb`),
+    the bundle price (`spends`) and the drop-one bundle price (`hats`) in
+    place.  A single state is strictly sequential; run separate states for
+    parallel solves.
     """
 
     inst: Instance
@@ -192,6 +199,10 @@ class EngineState:
     prices: dict[int, Fraction] = field(default_factory=dict)
     bundles: list[set[int]] = field(default_factory=list)
     owner: dict[int, int] = field(default_factory=dict)
+    alphas: list[Fraction] = field(default_factory=list)
+    mbb: list[set[int]] = field(default_factory=list)
+    spends: list[Fraction] = field(default_factory=list)
+    hats: list[Fraction] = field(default_factory=list)
     _prev_potential: tuple[int, ...] | None = None
     _current_call: CallStats | None = None
 
@@ -242,12 +253,24 @@ class EngineState:
                 state.owner[g] = i
         if covered != set(goods):
             raise InvalidInputError("bundles must partition the priced goods")
+        state.track_new_agents()
         return state
 
     def graph(self) -> MbbGraph:
-        return MbbGraph.from_state(
-            self.inst, self.bundles, self.prices, range(self.num_agents), self.goods
-        )
+        """Snapshot of the maintained best-ratio graph."""
+        mbb = {i: tuple(sorted(edges)) for i, edges in enumerate(self.mbb)}
+        agents, alphas = tuple(range(self.num_agents)), dict(enumerate(self.alphas))
+        return MbbGraph(agents, tuple(self.goods), mbb, dict(self.owner), alphas)
+
+    def track_new_agents(self) -> None:
+        """Derive the market quantities of the active agents not tracked yet."""
+        cost = [self.prices[g] for g in self.goods]
+        for i in range(len(self.alphas), self.num_agents):
+            alpha, edges = best_ratio(self.inst.valuations[i], self.goods, cost)
+            self.alphas.append(alpha)
+            self.mbb.append(set(edges))
+            self.spends.append(bundle_price(self.prices, self.bundles[i]))
+            self.hats.append(hat_price(self.prices, self.bundles[i]))
 
     def to_solution(self) -> Solution:
         if set(self.goods) != set(range(self.inst.m)):
@@ -302,6 +325,7 @@ def add_agent(state: EngineState) -> None:
     for g in new_goods:
         state.owner[g] = agent
     state.num_agents += 1
+    state.track_new_agents()
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +335,25 @@ def add_agent(state: EngineState) -> None:
 def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     """Candidate uniform price-rise rates for the reachable goods."""
     k = state.k
-    spends = spending_profile(state.bundles, state.prices)
-    hats = hat_profile(state.bundles, state.prices)
+    spends, hats = state.spends, state.hats
     max_hat = max(hats)
 
-    alphas = compute_alphas(state.inst, state.prices, sorted(reach.agents), state.goods)
+    # An agent's b1 rate is its alpha over its best ratio outside the reach.
     b1: Fraction | None = None
+    b1_edges: list[tuple[int, int]] = []
     outside = [g for g in state.goods if g not in reach.goods]
+    cost = [state.prices[g] for g in outside]
     for j in sorted(reach.agents):
-        row = state.inst.valuations[j]
-        alpha = alphas[j]
-        for g in outside:
-            if row[g] > 0:
-                rate = state.prices[g] * alpha / row[g]
-                if b1 is None or rate < b1:
-                    b1 = rate
+        out_ratio, attaining = best_ratio(state.inst.valuations[j], outside, cost)
+        if out_ratio > 0:
+            rate = state.alphas[j] / out_ratio
+            if b1 is None or rate < b1:
+                b1, b1_edges = rate, []
+            if rate == b1:
+                b1_edges.extend((j, g) for g in attaining)
 
-    b2: Fraction | None = None
-    for j in sorted(reach.agents):
-        if hats[j] > 0:
-            rate = max_hat / hats[j]
-            if b2 is None or rate < b2:
-                b2 = rate
-
+    reach_hat = max((hats[j] for j in reach.agents), default=Fraction(0))
+    b2: Fraction | None = max_hat / reach_hat if reach_hat > 0 else None
     b3: Fraction | None = max_hat / spends[k] if spends[k] > 0 else None
 
     finite = [x for x in (b1, b2, b3) if x is not None]
@@ -348,7 +368,7 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
         chosen = "b2"
     else:
         chosen = "b1"
-    return BetaBreakdown(b1, b2, b3, beta, chosen)
+    return BetaBreakdown(b1, b2, b3, beta, chosen, tuple(b1_edges))
 
 
 def apply_price_rise(
@@ -357,8 +377,11 @@ def apply_price_rise(
     """Multiply the prices of exactly the reachable goods by the chosen rate.
 
     The allocation is untouched; the maximum drop-one bundle price must not
-    move.  Called with an empty reachable good set this is a no-op (the
-    live loop can never produce one).
+    move.  Reachable agents own and point only into reachable goods, so their
+    alphas divide by the rate and their spends and hats grow by it; at rate
+    b1 they gain the edges attaining it.  Unreachable agents lose their
+    edges into the reachable goods.  Called with an empty reachable good set
+    this is a no-op (the live loop can never produce one).
     """
     beta = betas.beta
     if not 1 < beta:
@@ -366,16 +389,29 @@ def apply_price_rise(
     outcome = StepOutcome(kind="price_rise", betas=betas)
     if not reach.goods:
         return outcome
-    old_max_hat = max(hat_profile(state.bundles, state.prices)) if state.check else None
-    for g in sorted(reach.goods):
+    old_max_hat = max(state.hats)
+    for g in reach.goods:
         state.prices[g] = state.prices[g] * beta
+    for i in range(state.num_agents):
+        if i in reach.agents:
+            state.alphas[i] /= beta
+            state.spends[i] *= beta
+            state.hats[i] *= beta
+        elif state.mbb[i] <= reach.goods:
+            cost = [state.prices[g] for g in state.goods]
+            state.alphas[i], edges = best_ratio(state.inst.valuations[i], state.goods, cost)
+            state.mbb[i] = set(edges)
+        else:
+            state.mbb[i] -= reach.goods
+    if betas.b1 == beta:
+        for j, g in betas.b1_edges:
+            state.mbb[j].add(g)
     if state.check:
-        new_max_hat = max(hat_profile(state.bundles, state.prices))
-        if new_max_hat != old_max_hat:
-            raise InternalInvariantError(
-                f"price rise moved the violation level: {old_max_hat} -> {new_max_hat}"
-            )
         _check_state(state, old_max_hat)
+        if max(state.hats) != old_max_hat:
+            raise InternalInvariantError(
+                f"price rise moved the violation level: {old_max_hat} -> {max(state.hats)}"
+            )
     return outcome
 
 
@@ -398,9 +434,8 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> StepOutcome:
         if state.owner.get(goods_on[c - 1]) != agents_on[c]:
             raise InvalidInputError("path ownership edges do not match the allocation")
 
-    spends = spending_profile(state.bundles, state.prices)
-    hats = hat_profile(state.bundles, state.prices)
-    max_hat = max(hats)
+    spends = state.spends
+    max_hat = max(state.hats)
 
     a = next(
         (
@@ -429,11 +464,14 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> StepOutcome:
         state.bundles[giver].discard(g)
         state.bundles[taker].add(g)
         state.owner[g] = taker
+        spends[giver] -= state.prices[g]
+        spends[taker] += state.prices[g]
+    for i in agents_on[b : a + 1]:
+        state.hats[i] = spends[i] - max((state.prices[g] for g in state.bundles[i]), default=0)
 
     if state.check:
         _check_state(state, max_hat)
-        new_max_hat = max(hat_profile(state.bundles, state.prices))
-        if new_max_hat > max_hat:
+        if max(state.hats) > max_hat:
             raise InternalInvariantError("transfer raised the violation level")
     return StepOutcome(kind="transfer", path=tuple(path), a=a, b=b)
 
@@ -446,14 +484,16 @@ def compute_potential(state: EngineState, reach: Reachability) -> PotentialVecto
         counts[reach.levels[i]] += len(state.bundles[i])
     if sum(counts) != len(state.goods):
         raise InternalInvariantError("level counts do not partition the goods")
-    hats = hat_profile(state.bundles, state.prices)
-    max_hat = max(hats)
-    violators = sum(1 for h in hats if h == max_hat)
+    max_hat = max(state.hats)
+    violators = state.hats.count(max_hat)
     return PotentialVector(tuple(counts), violators)
 
 
 def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> None:
-    """Post-step audit: partition, positive prices, ratio containment, fairness."""
+    """Post-step audit: partition, positive prices, ratio containment, fairness.
+
+    Also holds the maintained alphas, edges, spends and hats to a rebuild.
+    """
     covered: set[int] = set()
     for bundle in state.bundles:
         if covered & bundle:
@@ -464,15 +504,19 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
     for g in state.goods:
         if state.prices[g] <= 0:
             raise InternalInvariantError(f"price of good {g} is not positive")
-    graph = state.graph()
+    graph = MbbGraph.from_state(
+        state.inst, state.bundles, state.prices, range(state.num_agents), state.goods
+    )
     for i in range(state.num_agents):
         for g in state.bundles[i]:
             if g not in graph.mbb[i]:
                 raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
     spends = spending_profile(state.bundles, state.prices)
-    level = floor_max_hat
-    if level is None:
-        level = max(hat_profile(state.bundles, state.prices))
+    hats = hat_profile(state.bundles, state.prices)
+    rebuilt = ([graph.alphas[i] for i in graph.agents], [set(graph.mbb[i]) for i in graph.agents])
+    if rebuilt + (spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
+        raise InternalInvariantError("maintained market state differs from a rebuild")
+    level = max(hats) if floor_max_hat is None else floor_max_hat
     for i in range(state.num_agents):
         if i != state.k and spends[i] < level:
             raise InternalInvariantError(f"agent {i} fell below the violation level")
@@ -482,8 +526,7 @@ def step(state: EngineState) -> StepOutcome:
     """Run one rebalancing iteration; report `terminated` when already fair."""
     na = state.num_agents
     k = state.k
-    spends = spending_profile(state.bundles, state.prices)
-    hats = hat_profile(state.bundles, state.prices)
+    spends, hats = state.spends, state.hats
     min_spend = min(spends)
     max_hat = max(hats)
     if min_spend >= max_hat:

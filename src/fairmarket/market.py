@@ -32,6 +32,29 @@ def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
     return value / price
 
 
+def best_ratio(
+    row: Sequence[Fraction], goods: Sequence[int], cost: Sequence[Fraction]
+) -> tuple[Fraction, list[int]]:
+    """Best value/price ratio over `goods` priced `cost`, and the goods attaining it.
+
+    Compares by integer cross-multiplication, with `bang_per_buck`'s conventions.
+    """
+    best_num, best_den, attaining = 0, 1, []
+    for g, p in zip(goods, cost):
+        v = row[g]
+        num, den = v.numerator * p.denominator, v.denominator * p.numerator
+        if not den:
+            if num:
+                raise InternalInvariantError("positive value over zero price")
+            num, den = 0, 1
+        lhs, rhs = num * best_den, best_num * den
+        if lhs > rhs:
+            best_num, best_den, attaining = num, den, [g]
+        elif lhs == rhs:
+            attaining.append(g)
+    return Fraction(best_num, best_den), attaining
+
+
 def compute_alphas(
     inst: Instance,
     prices: Prices,
@@ -39,18 +62,10 @@ def compute_alphas(
     goods: Sequence[int] | None = None,
 ) -> dict[int, Fraction]:
     """Best value-per-price ratio per agent over the given goods (default: all)."""
-    agent_ids = range(inst.n) if agents is None else agents
     good_ids = range(inst.m) if goods is None else goods
-    alphas: dict[int, Fraction] = {}
-    for i in agent_ids:
-        row = inst.valuations[i]
-        best = Fraction(0)
-        for g in good_ids:
-            ratio = bang_per_buck(row[g], price_at(prices, g))
-            if ratio > best:
-                best = ratio
-        alphas[i] = best
-    return alphas
+    cost = [price_at(prices, g) for g in good_ids]
+    agent_ids = range(inst.n) if agents is None else agents
+    return {i: best_ratio(inst.valuations[i], good_ids, cost)[0] for i in agent_ids}
 
 
 @dataclass(frozen=True)
@@ -79,14 +94,11 @@ class MbbGraph:
     ) -> "MbbGraph":
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        alphas = compute_alphas(inst, prices, agents, goods)
-        mbb: dict[int, tuple[int, ...]] = {}
+        cost = [price_at(prices, g) for g in goods]
+        alphas, mbb = {}, {}
         for i in agents:
-            row = inst.valuations[i]
-            alpha = alphas[i]
-            mbb[i] = tuple(
-                g for g in goods if bang_per_buck(row[g], price_at(prices, g)) == alpha
-            )
+            alphas[i], attaining = best_ratio(inst.valuations[i], goods, cost)
+            mbb[i] = tuple(attaining)
         owner: dict[int, int] = {}
         for i in agents:
             for g in bundles[i]:

@@ -25,7 +25,7 @@ from .core import (
     normalize_instance,
 )
 from .engine import TraceEvent, iteration_bound
-from .market import bang_per_buck, compute_alphas
+from .market import best_ratio
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -88,13 +88,10 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
     """
     if any(p <= 0 for p in sol.prices):
         raise InvalidInputError("ratio certificate needs strictly positive prices")
-    alphas = compute_alphas(inst, sol.prices)
-    for i, bundle in enumerate(sol.allocation):
-        row = inst.valuations[i]
-        for g in bundle:
-            if bang_per_buck(row[g], sol.prices[g]) != alphas[i]:
-                return False
-    return True
+    return all(
+        bundle <= set(best_ratio(inst.valuations[i], range(inst.m), sol.prices)[1])
+        for i, bundle in enumerate(sol.allocation)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +117,8 @@ def brute_force_po(
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
+    if n == 1:  # the only allocation
+        return inst.value_of(0, alloc[0]) >= inst.value_of(0, range(m))
     vals = _int_valuations(inst)
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
 
@@ -175,6 +174,9 @@ def brute_force_mnw(
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
+    if n == 1:  # the only allocation maximizes
+        winner = Allocation((frozenset(range(m)),))
+        return nash_product(inst, winner), winner
     vals = _int_valuations(inst)
     suffix = [[0] * (m + 1) for _ in range(n)]
     for i in range(n):

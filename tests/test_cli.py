@@ -66,6 +66,13 @@ def test_solve_rejects_negative_value(tmp_path):
     obj = {"agents": 1, "goods": 2, "valuations": [[1, -3]]}
     assert main(["solve", write_demo(tmp_path, obj=obj)]) == 1
 
+def test_solve_rejects_boolean_counts(tmp_path, capsys):
+    for key in ("agents", "goods"):
+        obj = {"agents": 1, "goods": 1, "valuations": [[1]], key: True}  # True == 1
+        assert main(["solve", write_demo(tmp_path, obj=obj)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
+
 def test_solve_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -122,6 +129,17 @@ def test_verify_brute_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     assert main(["verify", inst_path, str(sol_path)]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["brute_po"] == "skipped"
+
+def test_verify_single_agent_many_goods(tmp_path, capsys):
+    # one agent: a single allocation, settled without a per-good search
+    obj = {"agents": 1, "goods": 1500, "valuations": [[g % 7 + 1 for g in range(1500)]]}
+    inst_path = write_demo(tmp_path, obj=obj)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "-o", str(sol_path)]) == 0
+    assert main(["verify", inst_path, str(sol_path)]) == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["ok"] is True and report["brute_po"] is True
+    assert report["mnw_product"] == report["nsw_product"]
 
 def test_verify_rejects_mismatched_solution(tmp_path):
     inst_path = write_demo(tmp_path)

@@ -319,3 +319,32 @@ def _hall_by_enumeration(inst) -> bool:
 def test_hall_matches_subset_enumeration(rows):
     inst = Instance.from_values(rows)
     assert check_hall(inst) == _hall_by_enumeration(inst)
+
+
+def _chain_instance(n: int, closed: bool) -> Instance:
+    """Agent i < n-2 values goods i and i+1, agent n-1 only good 0.
+
+    Agent n-2 also values the last good unless `closed`; the last agent's
+    augmenting path then runs along the whole chain, to a free good or to
+    a dead end.
+    """
+    rows = []
+    for i in range(n):
+        row = [F(0)] * n
+        for g in [0] if i == n - 1 else [i] if closed and i == n - 2 else [i, i + 1]:
+            row[g] = F(1)
+        rows.append(tuple(row))
+    return Instance(tuple(rows))
+
+
+def test_hall_long_augmenting_chain():
+    assert check_hall(_chain_instance(1200, closed=False))
+    assert not check_hall(_chain_instance(1200, closed=True))
+
+
+@pytest.mark.parametrize("key", ["agents", "goods"])
+@pytest.mark.parametrize("count", [True, 1.0, "1"])
+def test_instance_json_rejects_non_integer_counts(key, count):
+    obj = {"agents": 1, "goods": 1, "valuations": [[1]], key: count}
+    with pytest.raises(InvalidInputError):
+        Instance.from_json_dict(obj)

@@ -8,6 +8,7 @@ from fairmarket import (
     HallViolationError,
     Instance,
     InternalInvariantError,
+    MbbGraph,
     Solution,
     check_ef1,
     check_mbb_consistency,
@@ -451,3 +452,79 @@ def test_engine_invariants_hold_after_every_event():
         final = state.to_solution()
         assert is_pef1(final)
         assert check_ef1(inst, final.allocation)
+
+
+# ---------------------------------------------------------------------------
+# maintained market state
+
+
+def rebuilt_market(state: EngineState) -> tuple:
+    graph = MbbGraph.from_state(
+        state.inst, state.bundles, state.prices, range(state.num_agents), state.goods
+    )
+    return (
+        [graph.alphas[i] for i in graph.agents],
+        [set(graph.mbb[i]) for i in graph.agents],
+        spending_profile(state.bundles, state.prices),
+        hat_profile(state.bundles, state.prices),
+    )
+
+
+def stepped_states(seed: int, count: int, check: bool):
+    """Seeded states, yielded after every event of a solve driven step by step."""
+    from fairmarket.engine import step
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        m = rng.randint(n, 3 * n + 2)
+        rows = [[rng.randint(0, rng.choice([2, 9, 100])) for _ in range(m)] for _ in range(n)]
+        for i, g in enumerate(rng.sample(range(m), n)):
+            rows[i][g] = max(1, rows[i][g])
+        state = EngineState.fresh(Instance.from_values(rows), check=check)
+        for _ in range(n):
+            add_agent(state)
+            yield state
+            state._current_call = state.trace.start_call(
+                state.num_agents, iteration_bound(state.num_agents, m)
+            )
+            state._prev_potential = None
+            while step(state).kind != "terminated":
+                yield state
+            state._current_call = None
+
+
+def test_maintained_market_state_matches_rebuild_after_every_event():
+    kinds = set()
+    for state in stepped_states(seed=31, count=60, check=False):
+        maintained = (state.alphas, state.mbb, state.spends, state.hats)
+        assert maintained == rebuilt_market(state)
+        if state.trace.events:
+            kinds.add(state.trace.events[-1].kind)
+            beta = state.trace.events[-1].beta
+            kinds.add(beta and beta.chosen)
+    assert {"transfer", "price_rise", "b1", "b2", "b3"} <= kinds
+
+
+@pytest.mark.parametrize("target", ["alpha", "edge", "spend", "hat"])
+def test_online_checks_catch_a_corrupted_maintained_state(target):
+    from fairmarket.engine import step
+
+    state = next(
+        s for s in stepped_states(seed=7, count=20, check=True) if s.num_agents == 3
+    )
+    i = 0
+    if target == "alpha":
+        state.alphas[i] *= 2
+    elif target == "edge":
+        state.mbb[i] ^= {state.goods[-1]}
+    elif target == "spend":
+        state.spends[i] += 1
+    else:
+        state.hats[i] += 1
+    with pytest.raises(InternalInvariantError):
+        find_solution(state)
+    with pytest.raises(InternalInvariantError):
+        state._current_call = state.trace.start_call(3, iteration_bound(3, state.inst.m))
+        while step(state).kind != "terminated":
+            pass
