@@ -20,7 +20,6 @@ from .core import (
     denormalize,
     hat_price,
     is_pef1,
-    is_pef1_except,
     max_violators,
     min_spenders,
     normalize_instance,
@@ -69,7 +68,6 @@ __all__ = [
     "find_solution",
     "hat_price",
     "is_pef1",
-    "is_pef1_except",
     "max_violators",
     "min_spenders",
     "nash_product",

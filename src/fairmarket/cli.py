@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -40,33 +39,14 @@ EXIT_VERIFY_FAILED = 4
 BRUTE_CAP_ENV = "FAIRMARKET_BRUTE_CAP"
 
 
-@dataclass
-class RunConfig:
-    """Parsed command-line invocation."""
-
-    command: str
-    input_path: str | None = None
-    solution_path: str | None = None
-    output_path: str | None = None
-    trace_path: str | None = None
-    graph_path: str | None = None
-    order: list[int] | None = None
-    seed: int = 0
-    n: int = 0
-    m: int = 0
-    max_value: int = 10
-    brute_cap: int | None = None
-    bench_spec: str | None = None
-
-
 def _fail(code: int, kind: str, detail: str) -> int:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
     return code
 
 
-def _resolved_brute_cap(cfg: RunConfig) -> int:
-    if cfg.brute_cap is not None:
-        return cfg.brute_cap
+def _resolved_brute_cap(brute_cap: int | None) -> int:
+    if brute_cap is not None:
+        return brute_cap
     env = os.environ.get(BRUTE_CAP_ENV)
     if env is not None:
         try:
@@ -85,6 +65,8 @@ def load_json(path: str, parse):
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{path} nests too deeply to parse") from None
     return parse(obj)
 
 
@@ -121,15 +103,21 @@ def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
 # commands
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
+    order = None
     try:
-        inst = load_json(cfg.input_path, Instance.from_json_dict)
-        if cfg.order is not None and sorted(cfg.order) != list(range(inst.n)):
+        if args.order is not None:
+            try:
+                order = [int(x) for x in args.order.split(",")]
+            except ValueError:
+                raise InvalidInputError(f"cannot parse --order {args.order!r}") from None
+        inst = load_json(args.input, Instance.from_json_dict)
+        if order is not None and sorted(order) != list(range(inst.n)):
             raise InvalidInputError(f"--order must be a permutation of 0..{inst.n - 1}")
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
     try:
-        solution, trace = solve(inst, order=cfg.order)
+        solution, trace = solve(inst, order=order)
     except HallViolationError as exc:
         return _fail(EXIT_HALL_VIOLATION, "hall-violation", str(exc))
     except InternalInvariantError as exc:
@@ -142,11 +130,11 @@ def cmd_solve(cfg: RunConfig) -> int:
     except InternalInvariantError as exc:
         return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
 
-    _write_text(cfg.output_path, json.dumps(solution.to_json_dict(), sort_keys=True))
-    if cfg.trace_path is not None:
+    _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
+    if args.trace is not None:
         lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
-        Path(cfg.trace_path).write_text(lines, encoding="utf-8")
-    if cfg.graph_path is not None:
+        Path(args.trace).write_text(lines, encoding="utf-8")
+    if args.dump_graph is not None:
         from .market import build_graph, reach_from
 
         if all(p > 0 for p in solution.prices):
@@ -156,30 +144,34 @@ def cmd_solve(cfg: RunConfig) -> int:
             dump["levels"] = {str(i): levels[i] for i in graph.agents}
         else:
             dump = {"note": "zero-priced goods present; graph restricted to none"}
-        Path(cfg.graph_path).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
+        Path(args.dump_graph).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
-        inst = load_json(cfg.input_path, Instance.from_json_dict)
-        solution = load_json(cfg.solution_path, Solution.from_json_dict)
-        cap = _resolved_brute_cap(cfg)
+        inst = load_json(args.instance, Instance.from_json_dict)
+        solution = load_json(args.solution, Solution.from_json_dict)
+        cap = _resolved_brute_cap(args.brute_cap)
         report = verify(inst, solution, brute_cap=cap)
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
     except InternalInvariantError as exc:
         return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
-    print(json.dumps(report.to_json_dict(), sort_keys=True))
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    checks = report.to_json_dict()
+    print(json.dumps(checks, sort_keys=True))
+    if not report.ok:
+        failed = [c for c, passed in checks.items() if passed is False and c != "ok"]
+        return _fail(EXIT_VERIFY_FAILED, "verification-failed", ", ".join(failed))
+    return EXIT_OK
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     try:
-        inst = generate_instance(cfg.n, cfg.m, cfg.max_value, cfg.seed)
+        inst = generate_instance(args.n, args.m, args.max, args.seed)
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    _write_text(cfg.output_path, json.dumps(inst.to_json_dict(), sort_keys=True))
+    _write_text(args.output, json.dumps(inst.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
 
@@ -210,14 +202,14 @@ def _bench_one(inst: Instance, label: dict, cap: int) -> dict:
     return row
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        with open(cfg.bench_spec, "r", encoding="utf-8") as fh:
+        with open(args.spec, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", f"cannot read bench spec: {exc}")
     try:
-        cap = _resolved_brute_cap(cfg)
+        cap = _resolved_brute_cap(args.brute_cap)
         rows = []
         for sweep in spec.get("runs", []):
             n = sweep["n"]
@@ -238,12 +230,12 @@ def cmd_bench(cfg: RunConfig) -> int:
     except InternalInvariantError as exc:
         return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
 
-    if cfg.output_path is not None and cfg.output_path.endswith(".csv"):
+    if args.output is not None and args.output.endswith(".csv"):
         fields = [
             "n", "m", "seed", "path", "iterations_per_call", "total_iterations",
             "bound_ratio_max", "wall_time_s", "nsw_ratio",
         ]
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=fields)
             writer.writeheader()
             for row in rows:
@@ -251,7 +243,7 @@ def cmd_bench(cfg: RunConfig) -> int:
                 flat["iterations_per_call"] = ";".join(map(str, row["iterations_per_call"]))
                 writer.writerow({f: flat.get(f, "") for f in fields})
     else:
-        _write_text(cfg.output_path, json.dumps({"rows": rows}, sort_keys=True))
+        _write_text(args.output, json.dumps({"rows": rows}, sort_keys=True))
     return EXIT_OK
 
 
@@ -275,11 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         help="agent insertion order as comma-separated original indices, e.g. 2,0,1",
     )
+    p_solve.set_defaults(run=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="verify a solution against an instance")
     p_verify.add_argument("instance", help="instance JSON path")
     p_verify.add_argument("solution", help="solution JSON path")
     p_verify.add_argument("--brute-cap", type=int, help="state cap for brute-force checks")
+    p_verify.set_defaults(run=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="generate a random solvable instance")
     p_gen.add_argument("-n", type=int, required=True, help="agent count")
@@ -287,58 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--max", type=int, default=10, help="largest integer value")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--output", help="instance JSON path (default: stdout)")
+    p_gen.set_defaults(run=cmd_gen)
 
     p_bench = sub.add_parser("bench", help="benchmark iteration counts and welfare ratios")
     p_bench.add_argument("--spec", required=True, help="bench specification JSON path")
     p_bench.add_argument("-o", "--output", help="report path (.json or .csv; default stdout)")
     p_bench.add_argument("--brute-cap", type=int, help="state cap for the welfare oracle")
+    p_bench.set_defaults(run=cmd_bench)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if args.command == "solve":
-        cfg.input_path = args.input
-        cfg.output_path = args.output
-        cfg.trace_path = args.trace
-        cfg.graph_path = args.dump_graph
-        if args.order is not None:
-            try:
-                cfg.order = [int(x) for x in args.order.split(",")]
-            except ValueError:
-                raise InvalidInputError(f"cannot parse --order {args.order!r}")
-    elif args.command == "verify":
-        cfg.input_path = args.instance
-        cfg.solution_path = args.solution
-        cfg.brute_cap = args.brute_cap
-    elif args.command == "gen":
-        cfg.n = args.n
-        cfg.m = args.m
-        cfg.max_value = args.max
-        cfg.seed = args.seed
-        cfg.output_path = args.output
-    elif args.command == "bench":
-        cfg.bench_spec = args.spec
-        cfg.output_path = args.output
-        cfg.brute_cap = args.brute_cap
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-    except InvalidInputError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    dispatch = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "gen": cmd_gen,
-        "bench": cmd_bench,
-    }
-    return dispatch[cfg.command](cfg)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 def entry() -> None:

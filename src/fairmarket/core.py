@@ -161,9 +161,6 @@ class Allocation:
             missing = sorted(set(range(m)) - seen)
             raise InvalidInputError(f"goods {missing} are not allocated")
 
-    def owner_map(self) -> dict[int, int]:
-        return {g: i for i, bundle in enumerate(self.bundles) for g in bundle}
-
     def as_sorted_lists(self) -> list[list[int]]:
         return [sorted(b) for b in self.bundles]
 
@@ -205,6 +202,10 @@ class Solution:
         bundles = obj["bundles"]
         if not isinstance(bundles, list) or not all(isinstance(b, list) for b in bundles):
             raise InvalidInputError("'bundles' must be a list of lists")
+        if not all(isinstance(g, int) for b in bundles for g in b):
+            raise InvalidInputError("bundle entries must be integer good indices")
+        if not isinstance(obj["prices"], list):
+            raise InvalidInputError("'prices' must be a list")
         prices = tuple(parse_rational(p) for p in obj["prices"])
         return cls(Allocation.from_lists(bundles), prices)
 
@@ -241,24 +242,32 @@ def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     return sum(costs, Fraction(0)) - max(costs)
 
 
-def spending_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:
-    return [bundle_price(prices, b) for b in bundles]
+def spending_profile(
+    bundles: Sequence[Iterable[int]], prices: Prices
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Each bundle's price and drop-one price (as `bundle_price`, `hat_price`).
 
-
-def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:
-    return [hat_price(prices, b) for b in bundles]
+    Looks up each good's price once and sums each bundle once.
+    """
+    spends, hats = [], []
+    for bundle in bundles:
+        costs = [price_at(prices, g) for g in bundle]
+        spend = sum(costs, Fraction(0))
+        spends.append(spend)
+        hats.append(spend - max(costs, default=0))
+    return spends, hats
 
 
 def min_spenders(sol: Solution) -> tuple[int, ...]:
     """Agents with the lowest bundle price, in ascending index order."""
-    spends = spending_profile(sol.allocation.bundles, sol.prices)
+    spends, _ = spending_profile(sol.allocation.bundles, sol.prices)
     low = min(spends)
     return tuple(i for i, s in enumerate(spends) if s == low)
 
 
 def max_violators(sol: Solution) -> tuple[int, ...]:
     """Agents with the highest drop-one bundle price, in ascending index order."""
-    hats = hat_profile(sol.allocation.bundles, sol.prices)
+    _, hats = spending_profile(sol.allocation.bundles, sol.prices)
     high = max(hats)
     return tuple(i for i, h in enumerate(hats) if h == high)
 
@@ -272,20 +281,8 @@ def is_pef1(sol: Solution) -> bool:
     bundles = sol.allocation.bundles
     if not bundles:
         return True
-    spends = spending_profile(bundles, sol.prices)
-    hats = hat_profile(bundles, sol.prices)
+    spends, hats = spending_profile(bundles, sol.prices)
     return min(spends) >= max(hats)
-
-
-def is_pef1_except(sol: Solution, k: int) -> bool:
-    """Like is_pef1 but the spending condition is waived for agent k."""
-    bundles = sol.allocation.bundles
-    if not 0 <= k < len(bundles):
-        raise InvalidInputError(f"agent index {k} out of range")
-    spends = spending_profile(bundles, sol.prices)
-    hats = hat_profile(bundles, sol.prices)
-    high = max(hats)
-    return all(spends[i] >= high for i in range(len(bundles)) if i != k)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .core import (
     check_hall,
     denormalize,
     hat_price,
-    hat_profile,
     normalize_instance,
     spending_profile,
 )
@@ -85,28 +84,6 @@ class BetaBreakdown:
             "b3": None if self.b3 is None else str(self.b3),
             "chosen": self.chosen,
         }
-
-
-@dataclass(frozen=True)
-class PotentialVector:
-    """Good counts per owner level plus the violator count, ordered lexicographically."""
-
-    good_counts_by_level: tuple[int, ...]
-    violator_count: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self.good_counts_by_level + (self.violator_count,)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What one rebalancing iteration did."""
-
-    kind: str  # "transfer" | "price_rise" | "terminated"
-    betas: BetaBreakdown | None = None
-    path: tuple[int, ...] | None = None
-    a: int | None = None
-    b: int | None = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +188,11 @@ class EngineState:
         """Index of the most recently added agent."""
         return self.num_agents - 1
 
+    @property
+    def agents(self) -> range:
+        """The active agents, so the state can be searched like an `MbbGraph`."""
+        return range(self.num_agents)
+
     @classmethod
     def fresh(
         cls, inst: Instance, *, check: bool = True, trace_cap: int | None = DEFAULT_TRACE_CAP
@@ -222,18 +204,18 @@ class EngineState:
         cls,
         inst: Instance,
         bundles: Sequence[Iterable[int]],
-        prices: dict[int, Fraction] | Sequence[Fraction],
+        prices: Sequence[Fraction],
         *,
         check: bool = True,
         trace_cap: int | None = DEFAULT_TRACE_CAP,
     ) -> "EngineState":
-        """State with every agent active, for driving the rebalancer directly."""
+        """State with every agent active, for driving the rebalancer directly.
+
+        `prices` holds one price per good, indexed by good.
+        """
         if len(bundles) != inst.n:
             raise InvalidInputError(f"need {inst.n} bundles, got {len(bundles)}")
-        if isinstance(prices, dict):
-            price_map = {g: Fraction(p) for g, p in prices.items()}
-        else:
-            price_map = {g: Fraction(p) for g, p in enumerate(prices)}
+        price_map = {g: Fraction(p) for g, p in enumerate(prices)}
         goods = sorted(price_map)
         if any(p <= 0 for p in price_map.values()):
             raise InvalidInputError("active goods must have positive prices")
@@ -255,12 +237,6 @@ class EngineState:
             raise InvalidInputError("bundles must partition the priced goods")
         state.track_new_agents()
         return state
-
-    def graph(self) -> MbbGraph:
-        """Snapshot of the maintained best-ratio graph."""
-        mbb = {i: tuple(sorted(edges)) for i, edges in enumerate(self.mbb)}
-        agents, alphas = tuple(range(self.num_agents)), dict(enumerate(self.alphas))
-        return MbbGraph(agents, tuple(self.goods), mbb, dict(self.owner), alphas)
 
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
@@ -373,22 +349,18 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
 
 def apply_price_rise(
     state: EngineState, reach: Reachability, betas: BetaBreakdown
-) -> StepOutcome:
+) -> None:
     """Multiply the prices of exactly the reachable goods by the chosen rate.
 
     The allocation is untouched; the maximum drop-one bundle price must not
     move.  Reachable agents own and point only into reachable goods, so their
     alphas divide by the rate and their spends and hats grow by it; at rate
     b1 they gain the edges attaining it.  Unreachable agents lose their
-    edges into the reachable goods.  Called with an empty reachable good set
-    this is a no-op (the live loop can never produce one).
+    edges into the reachable goods.
     """
     beta = betas.beta
     if not 1 < beta:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {beta}")
-    outcome = StepOutcome(kind="price_rise", betas=betas)
-    if not reach.goods:
-        return outcome
     old_max_hat = max(state.hats)
     for g in reach.goods:
         state.prices[g] = state.prices[g] * beta
@@ -412,10 +384,9 @@ def apply_price_rise(
             raise InternalInvariantError(
                 f"price rise moved the violation level: {old_max_hat} -> {max(state.hats)}"
             )
-    return outcome
 
 
-def transfer(state: EngineState, path: tuple[int, ...]) -> StepOutcome:
+def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     """Shift goods one hop back along an alternating path.
 
     With path (i0, g1, i1, ..., gl, il): the cut index `a` is the smallest
@@ -423,7 +394,7 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> StepOutcome:
     least the violation level; `b` is the largest earlier position whose
     agent can absorb the next path good without crossing that level (0,
     meaning the path's first agent, when none qualifies).  Goods g_{b+1}..g_a
-    then each move one agent towards the start of the path.
+    then each move one agent towards the start of the path.  Returns (a, b).
     """
     if len(path) < 3 or len(path) % 2 == 0:
         raise InvalidInputError("path must alternate agent, good, ..., agent")
@@ -473,11 +444,14 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> StepOutcome:
         _check_state(state, max_hat)
         if max(state.hats) > max_hat:
             raise InternalInvariantError("transfer raised the violation level")
-    return StepOutcome(kind="transfer", path=tuple(path), a=a, b=b)
+    return a, b
 
 
-def compute_potential(state: EngineState, reach: Reachability) -> PotentialVector:
-    """Count goods by their owner's level and append the violator count."""
+def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...]:
+    """Count goods by their owner's level and append the violator count.
+
+    Potentials compare lexicographically.
+    """
     na = state.num_agents
     counts = [0] * (na + 1)
     for i in range(na):
@@ -485,8 +459,7 @@ def compute_potential(state: EngineState, reach: Reachability) -> PotentialVecto
     if sum(counts) != len(state.goods):
         raise InternalInvariantError("level counts do not partition the goods")
     max_hat = max(state.hats)
-    violators = state.hats.count(max_hat)
-    return PotentialVector(tuple(counts), violators)
+    return (*counts, state.hats.count(max_hat))
 
 
 def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> None:
@@ -511,8 +484,7 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
         for g in state.bundles[i]:
             if g not in graph.mbb[i]:
                 raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
-    spends = spending_profile(state.bundles, state.prices)
-    hats = hat_profile(state.bundles, state.prices)
+    spends, hats = spending_profile(state.bundles, state.prices)
     rebuilt = ([graph.alphas[i] for i in graph.agents], [set(graph.mbb[i]) for i in graph.agents])
     if rebuilt + (spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
         raise InternalInvariantError("maintained market state differs from a rebuild")
@@ -522,15 +494,15 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
             raise InternalInvariantError(f"agent {i} fell below the violation level")
 
 
-def step(state: EngineState) -> StepOutcome:
-    """Run one rebalancing iteration; report `terminated` when already fair."""
+def step(state: EngineState) -> TraceEvent | None:
+    """Run one rebalancing iteration and return its event; None when already fair."""
     na = state.num_agents
     k = state.k
     spends, hats = state.spends, state.hats
     min_spend = min(spends)
     max_hat = max(hats)
     if min_spend >= max_hat:
-        return StepOutcome(kind="terminated")
+        return None
 
     stats = state._current_call
     if stats is None:
@@ -546,15 +518,13 @@ def step(state: EngineState) -> StepOutcome:
         if not 1 <= len(violators) <= na - 1:
             raise InternalInvariantError(f"violator count {len(violators)} out of range")
 
-    graph = state.graph()
-    reach = reach_from(graph, [k], na)
+    reach = reach_from(state, [k], na)
     potential = compute_potential(state, reach)
-    pot_tuple = potential.as_tuple()
-    if state.check and state._prev_potential is not None and not state._prev_potential < pot_tuple:
+    if state.check and state._prev_potential is not None and not state._prev_potential < potential:
         raise InternalInvariantError(
-            f"potential did not increase: {state._prev_potential} -> {pot_tuple}"
+            f"potential did not increase: {state._prev_potential} -> {potential}"
         )
-    state._prev_potential = pot_tuple
+    state._prev_potential = potential
 
     stats.iterations += 1
     if Fraction(stats.iterations) > stats.bound:
@@ -563,33 +533,31 @@ def step(state: EngineState) -> StepOutcome:
         )
 
     min_price = min(state.prices[g] for g in state.goods)
+    betas = path = a = b = None
     if set(violators) & reach.agents:
-        path = shortest_violator_path(graph, k, violators)
-        if path is None:
-            raise InternalInvariantError("reachable violator vanished during path search")
-        outcome = transfer(state, path)
+        path = shortest_violator_path(state, reach, violators)
+        a, b = transfer(state, path)
         stats.transfers += 1
     else:
         betas = compute_betas(state, reach)
-        outcome = apply_price_rise(state, reach, betas)
+        apply_price_rise(state, reach, betas)
         stats.price_rises += 1
 
-    state.trace.add_event(
-        TraceEvent(
-            k=na,
-            step=stats.iterations,
-            kind=outcome.kind,
-            beta=outcome.betas,
-            path=outcome.path,
-            a=outcome.a,
-            b=outcome.b,
-            potential=pot_tuple,
-            min_spend=min_spend,
-            max_hat=max_hat,
-            min_price=min_price,
-        )
+    event = TraceEvent(
+        k=na,
+        step=stats.iterations,
+        kind="price_rise" if path is None else "transfer",
+        beta=betas,
+        path=path,
+        a=a,
+        b=b,
+        potential=potential,
+        min_spend=min_spend,
+        max_hat=max_hat,
+        min_price=min_price,
     )
-    return outcome
+    state.trace.add_event(event)
+    return event
 
 
 def find_solution(state: EngineState) -> EngineState:
@@ -603,10 +571,8 @@ def find_solution(state: EngineState) -> EngineState:
     )
     state._current_call = stats
     state._prev_potential = None
-    while True:
-        outcome = step(state)
-        if outcome.kind == "terminated":
-            break
+    while step(state) is not None:
+        pass
     state._current_call = None
     return state
 

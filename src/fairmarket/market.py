@@ -146,8 +146,10 @@ def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Rea
     """Breadth-first reachability from `sources`, scanning indices ascending.
 
     Alternates best-ratio edges (agent to good) with ownership edges (good
-    to owning agent).  `agent_count` is the level assigned to unreachable
-    agents.
+    to owning agent).  Besides an `MbbGraph`, `graph` may be any object with
+    the same `agents`, agent-indexed `mbb` and `owner`, such as the engine's
+    maintained state; the order of each edge set does not matter.
+    `agent_count` is the level assigned to unreachable agents.
     """
     source_list = sorted(set(sources))
     if not source_list:
@@ -164,7 +166,7 @@ def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Rea
     while frontier:
         new_goods: list[int] = []
         for i in frontier:
-            for g in graph.mbb.get(i, ()):
+            for g in graph.mbb[i]:
                 if g not in seen_goods:
                     seen_goods.add(g)
                     parent_good[g] = i
@@ -183,47 +185,32 @@ def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Rea
 
 
 def shortest_violator_path(
-    graph: MbbGraph, source: int, violators: Iterable[int]
+    graph: MbbGraph, reach: Reachability, violators: Iterable[int]
 ) -> tuple[int, ...] | None:
-    """Shortest alternating path from `source` to any violator, or None.
+    """Shortest alternating path from the sources of `reach` to any violator, or None.
 
+    `reach` is `reach_from` over the same graph, whose levels give the
+    forward distances: agent j lies 2·level(j) edges from the sources.
     Ties are broken deterministically: the nearest violator with the
     smallest index is targeted, and among equal-length paths the
     lexicographically smallest node sequence is returned.  The result is a
     flat tuple (agent, good, agent, ..., good, agent).
     """
-    targets = sorted(set(violators))
-    if source in targets:
+    levels = reach.levels
+    targets = sorted(set(violators) & reach.agents)
+    if any(levels[v] == 0 for v in targets):
         raise InvalidInputError("source agent must not itself be a violator")
-
-    # Forward edge-hop distances from the source.
-    dist_agent: dict[int, int] = {source: 0}
-    dist_good: dict[int, int] = {}
-    frontier = [source]
-    while frontier:
-        new_goods: list[int] = []
-        for i in frontier:
-            for g in graph.mbb.get(i, ()):
-                if g not in dist_good:
-                    dist_good[g] = dist_agent[i] + 1
-                    new_goods.append(g)
-        frontier = []
-        for g in new_goods:
-            j = graph.owner.get(g)
-            if j is not None and j not in dist_agent:
-                dist_agent[j] = dist_good[g] + 1
-                frontier.append(j)
-
-    reachable = [v for v in targets if v in dist_agent]
-    if not reachable:
+    if not targets:
         return None
-    total = min(dist_agent[v] for v in reachable)
-    target = min(v for v in reachable if dist_agent[v] == total)
+    depth = min(levels[v] for v in targets)
+    target = min(v for v in targets if levels[v] == depth)
 
-    # Backward edge-hop distances from the target over reversed edges.
+    # Backward edge-hop distances from the target over reversed edges.  Every
+    # path out of a reachable agent stays reachable, so only the reachable
+    # agents' edges can lie on a path.
     rev_mbb: dict[int, list[int]] = {}
-    for i in graph.agents:
-        for g in graph.mbb.get(i, ()):
+    for i in reach.agents:
+        for g in graph.mbb[i]:
             rev_mbb.setdefault(g, []).append(i)
     owned: dict[int, list[int]] = {}
     for g, i in graph.owner.items():
@@ -246,21 +233,15 @@ def shortest_violator_path(
                     frontier.append(i)
 
     # Greedy walk: at each step take the smallest good that still lies on
-    # some shortest path; the ownership edge then fixes the next agent.
-    path: list[int] = [source]
-    current = source
-    travelled = 0
+    # some shortest path; the ownership edge then fixes the next agent.  The
+    # target is `remaining` edges away, so a good one edge nearer to it than
+    # the current agent is also one edge further from the sources.
+    remaining = 2 * depth
+    current = min(s for s in reach.agents if levels[s] == 0 and back_agent.get(s) == remaining)
+    path: list[int] = [current]
     while current != target:
-        candidates = [
-            g
-            for g in graph.mbb.get(current, ())
-            if dist_good.get(g) == travelled + 1
-            and back_good.get(g) == total - travelled - 1
-        ]
-        if not candidates:
-            raise InternalInvariantError("shortest-path walk lost the trail")
-        g = min(candidates)
+        g = min(g for g in graph.mbb[current] if back_good.get(g) == remaining - 1)
         current = graph.owner[g]
         path.extend((g, current))
-        travelled += 2
+        remaining -= 2
     return tuple(path)

@@ -132,26 +132,35 @@ def brute_force_po(
         for j in range(m - 1, -1, -1):
             suffix[i][j] = suffix[i][j + 1] + vals[i][order[j]]
 
+    # Depth-first over the goods in `order` with an explicit stack; the empty
+    # assignment dominates nothing, so the search starts at the first good.
     current = [0] * n
-
-    def dominator_exists(j: int) -> bool:
-        if all(current[i] >= target[i] for i in range(n)) and any(
-            current[i] > target[i] for i in range(n)
-        ):
-            return True  # remaining goods only add value
-        if j == m:
-            return False
-        g = order[j]
-        for i in choices[j]:
+    held = [0] * m  # held[j]: the agent given good order[j] on this branch
+    untried: list = [None] * m  # untried[j]: the agents left for order[j], once entered
+    j = 0 if m else -1
+    while j >= 0:
+        g, agents = order[j], untried[j]
+        if agents is None:
+            agents = untried[j] = iter(choices[j])
+        else:  # take good g back before trying its next agent
+            current[held[j]] -= vals[held[j]][g]
+        for i in agents:
+            held[j] = i
             current[i] += vals[i][g]
-            feasible = all(current[t] + suffix[t][j + 1] >= target[t] for t in range(n))
-            if feasible and dominator_exists(j + 1):
-                current[i] -= vals[i][g]
-                return True
-            current[i] -= vals[i][g]
-        return False
-
-    return not dominator_exists(0)
+            break
+        else:
+            untried[j] = None
+            j -= 1
+            continue
+        if not all(current[t] + suffix[t][j + 1] >= target[t] for t in range(n)):
+            continue
+        if all(current[t] >= target[t] for t in range(n)) and any(
+            current[t] > target[t] for t in range(n)
+        ):
+            return False  # remaining goods only add value
+        if j + 1 < m:
+            j += 1
+    return True
 
 
 def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
@@ -187,33 +196,42 @@ def brute_force_mnw(
         for g in range(m)
     ]
 
+    # Depth-first with an explicit stack: g is the next good to assign.
     current = [0] * n
     assignment = [0] * m
+    untried: list = [None] * m  # untried[g]: the agents left for good g, once entered
     best_product = -1
     best_assignment: list[int] | None = None
-
-    def search(g: int) -> None:
-        nonlocal best_product, best_assignment
+    g = 0
+    while g >= 0:
         if g == m:
             product = 1
             for c in current:
                 product *= c
             if product > best_product:
                 best_product = product
-                best_assignment = assignment[:m].copy()
-            return
-        ceiling = 1
-        for i in range(n):
-            ceiling *= current[i] + suffix[i][g]
-        if ceiling <= best_product:
-            return  # cannot strictly beat the incumbent
-        for i in choices[g]:
+                best_assignment = assignment.copy()
+            g -= 1
+            continue
+        agents = untried[g]
+        if agents is None:
+            ceiling = 1
+            for i in range(n):
+                ceiling *= current[i] + suffix[i][g]
+            if ceiling <= best_product:
+                g -= 1  # cannot strictly beat the incumbent
+                continue
+            agents = untried[g] = iter(choices[g])
+        else:  # take good g back before trying its next agent
+            current[assignment[g]] -= vals[assignment[g]][g]
+        for i in agents:
             assignment[g] = i
             current[i] += vals[i][g]
-            search(g + 1)
-            current[i] -= vals[i][g]
-
-    search(0)
+            g += 1
+            break
+        else:
+            untried[g] = None
+            g -= 1
     assert best_assignment is not None
     bundles: list[set[int]] = [set() for _ in range(n)]
     for g, i in enumerate(best_assignment):

@@ -1,6 +1,14 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from fairmarket import Instance, Solution, check_hall, normalize_instance
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairmarket import Instance, Solution, check_hall, normalize_instance, solve
 from fairmarket.cli import generate_instance, main
 
 DEMO = {
@@ -75,8 +83,9 @@ def test_solve_rejects_boolean_counts(tmp_path, capsys):
 
 def test_solve_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{nope")
-    assert main(["solve", str(path)]) == 1
+    for text in ("{nope", "[" * 100_000 + "]" * 100_000):
+        path.write_text(text)
+        assert main(["solve", str(path)]) == 1
 
 def test_solve_exit_two_on_matching_failure(tmp_path):
     obj = {"agents": 2, "goods": 1, "valuations": [[1], [1]]}
@@ -87,6 +96,7 @@ def test_solve_with_order_flag(tmp_path):
     out = tmp_path / "sol.json"
     assert main(["solve", inst_path, "--order", "2,1,0", "-o", str(out)]) == 0
     assert main(["solve", inst_path, "--order", "2,2,0", "-o", str(out)]) == 1
+    assert main(["solve", inst_path, "--order", "2,x,0", "-o", str(out)]) == 1
 
 def test_solve_graph_dump(tmp_path):
     inst_path = write_demo(tmp_path)
@@ -113,8 +123,11 @@ def test_verify_flags_bad_solution(tmp_path, capsys):
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(bad))
     assert main(["verify", inst_path, str(bad_path)]) == 4
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out.strip().splitlines()[-1])
     assert report["ok"] is False
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "verification-failed"
 
 def test_verify_brute_cap_flag_and_env(tmp_path, capsys, monkeypatch):
     inst_path = write_demo(tmp_path)
@@ -140,6 +153,31 @@ def test_verify_single_agent_many_goods(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["ok"] is True and report["brute_po"] is True
     assert report["mnw_product"] == report["nsw_product"]
+
+def test_verify_two_agents_past_the_recursion_limit(tmp_path, capsys):
+    # 1100 goods: a search that recursed once per good would overflow the stack
+    obj = {"agents": 2, "goods": 1100, "valuations": [[1] * 1100, [1] + [0] * 1099]}
+    inst_path = write_demo(tmp_path, obj=obj)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", inst_path, "-o", str(sol_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", inst_path, str(sol_path), "--brute-cap", str(2**1101)]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1 and json.loads(out[0])["brute_po"] is True
+
+def test_verify_rejects_malformed_solution_fields(tmp_path, capsys):
+    inst_path = write_demo(tmp_path)
+    bad_path = tmp_path / "bad.json"
+    ok_bundles = [[0, 1], [2, 3], [4]]
+    for bad in (
+        {"bundles": ok_bundles, "prices": 5},
+        {"bundles": [[[0]], [1]], "prices": ["1", "1"]},
+        {"bundles": [[{"g": 0}], [1]], "prices": ["1", "1"]},
+    ):
+        bad_path.write_text(json.dumps(bad))
+        assert main(["verify", inst_path, str(bad_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
 
 def test_verify_rejects_mismatched_solution(tmp_path):
     inst_path = write_demo(tmp_path)
@@ -182,3 +220,76 @@ def test_bench_csv_and_instance_paths(tmp_path):
     text = report_path.read_text().splitlines()
     assert text[0].startswith("n,m,")
     assert len(text) == 2
+
+# ---------------------------------------------------------------------------
+# fuzzing solve and verify with mutated documents
+
+DEMO_SOLUTION = solve(Instance.from_json_dict(DEMO))[0].to_json_dict()
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.builds("{}/{}".format, st.integers(-3, 12), st.integers(-1, 5))
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    if isinstance(node, dict):
+        keys = list(node)
+    else:
+        keys = range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield node, key
+        yield from _slots(node[key])
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with up to three values replaced, deleted or duplicated, or replaced whole."""
+    root = [copy.deepcopy(doc)]
+    for _ in range(draw(st.integers(1, 3))):
+        # deepest slots first: Hypothesis favours early choices, and shrinks towards them
+        container, key = draw(st.sampled_from(list(_slots(root))[::-1]))
+        action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace" or container is root:
+            container[key] = draw(st.integers(0, 12) | json_values)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        else:
+            container[draw(st.text(max_size=3))] = copy.deepcopy(container[key])
+    return root[0]
+
+def _run(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+@settings(max_examples=60)
+@given(mutated(DEMO), mutated(DEMO_SOLUTION))
+def test_cli_exits_cleanly_on_mutated_documents(instance, solution):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, sol_path = Path(tmp, "inst.json"), Path(tmp, "sol.json")
+        inst_path.write_text(json.dumps(instance))
+        sol_path.write_text(json.dumps(solution))
+        for argv in (
+            ["solve", str(inst_path), "-o", str(Path(tmp, "out.json"))],
+            ["verify", str(inst_path), str(sol_path)],
+        ):
+            code, err = _run(argv)
+            assert 0 <= code <= 4
+            assert "Traceback" not in err
+            if code:
+                lines = err.splitlines()
+                assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

@@ -16,12 +16,11 @@ from fairmarket import (
     denormalize,
     hat_price,
     is_pef1,
-    is_pef1_except,
     max_violators,
     min_spenders,
     normalize_instance,
 )
-from fairmarket.core import hat_profile, parse_rational, rational_to_json, spending_profile
+from fairmarket.core import parse_rational, rational_to_json, spending_profile
 
 F = Fraction
 PRICES = tuple(F(p) for p in (6, 5, 7, 3, 4))
@@ -147,16 +146,6 @@ def test_all_singletons_are_pef1():
     assert is_pef1(sol)
 
 
-def test_is_pef1_except(demo_state_solution):
-    assert is_pef1_except(demo_state_solution, 2)
-    assert not is_pef1_except(demo_state_solution, 0)
-
-
-def test_is_pef1_except_single_agent():
-    sol = Solution(Allocation.from_lists([[0, 1]]), (F(2), F(3)))
-    assert is_pef1_except(sol, 0)
-
-
 def test_is_pef1_matches_spender_violator_comparison():
     rng = random.Random(7)
     for _ in range(200):
@@ -167,8 +156,9 @@ def test_is_pef1_matches_spender_violator_comparison():
         for g in range(m):
             bundles[rng.randrange(n)].append(g)
         sol = Solution(Allocation.from_lists(bundles), prices)
-        spends = spending_profile(sol.allocation.bundles, prices)
-        hats = hat_profile(sol.allocation.bundles, prices)
+        spends, hats = spending_profile(sol.allocation.bundles, prices)
+        assert spends == [bundle_price(prices, b) for b in bundles]
+        assert hats == [hat_price(prices, b) for b in bundles]
         via_sets = spends[min_spenders(sol)[0]] >= hats[max_violators(sol)[0]]
         assert is_pef1(sol) == via_sets
 

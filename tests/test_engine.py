@@ -15,7 +15,7 @@ from fairmarket import (
     is_pef1,
     solve,
 )
-from fairmarket.core import hat_profile, spending_profile
+from fairmarket.core import spending_profile
 from fairmarket.engine import (
     EngineState,
     add_agent,
@@ -91,7 +91,7 @@ def test_new_batch_cheaper_than_any_existing_good():
 
 def test_rates_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state.graph(), [2], 3)
+    reach = reach_from(state, [2], 3)
     rates = compute_betas(state, reach)
     assert (rates.b1, rates.b2, rates.b3) == (F(5, 3), F(5, 3), F(5, 4))
     assert rates.beta == F(5, 4) and rates.chosen == "b3"
@@ -101,7 +101,7 @@ def test_rate_three_alone_when_others_infinite():
     # newcomer owns the only reachable good; nothing outside is valued by it
     inst = Instance.from_values([[1, 1, 0], [0, 0, 1]])
     state = EngineState.from_solution(inst, [[0, 1], [2]], [F(1), F(1), F(1, 100)])
-    reach = reach_from(state.graph(), [1], 2)
+    reach = reach_from(state, [1], 2)
     rates = compute_betas(state, reach)
     assert rates.b1 is None and rates.b2 is None
     assert rates.beta == rates.b3 == F(100)
@@ -110,49 +110,37 @@ def test_rate_three_alone_when_others_infinite():
 
 def test_rate_one_invariant_under_uniform_price_scaling(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state.graph(), [2], 3)
+    reach = reach_from(state, [2], 3)
     base = compute_betas(state, reach)
     scaled = EngineState.from_solution(
         demo_instance,
         [[0, 1], [2, 3], [4]],
         [p * 3 for p in (F(6), F(5), F(7), F(3), F(4))],
     )
-    r2 = reach_from(scaled.graph(), [2], 3)
+    r2 = reach_from(scaled, [2], 3)
     assert compute_betas(scaled, r2).b1 == base.b1
 
 
 def test_price_rise_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state.graph(), [2], 3)
+    reach = reach_from(state, [2], 3)
     rates = compute_betas(state, reach)
     apply_price_rise(state, reach, rates)
     assert [state.prices[g] for g in range(5)] == [F(6), F(5), F(35, 4), F(15, 4), F(5)]
     assert is_pef1(state.to_solution())
     # afterwards nobody outside the reachable set has a best-ratio edge into it
-    graph = state.graph()
     for i in range(3):
         if i not in reach.agents:
-            assert not set(graph.mbb[i]) & reach.goods
+            assert not state.mbb[i] & reach.goods
 
 
 def test_price_rise_rejects_rate_at_most_one(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state.graph(), [2], 3)
+    reach = reach_from(state, [2], 3)
     rates = compute_betas(state, reach)
     bogus = type(rates)(rates.b1, rates.b2, rates.b3, F(1), "b3")
     with pytest.raises(InternalInvariantError):
         apply_price_rise(state, reach, bogus)
-
-
-def test_price_rise_on_empty_reach_is_a_noop(demo_instance):
-    from fairmarket import Reachability
-
-    state = demo_engine_state(demo_instance)
-    before = dict(state.prices)
-    rates = compute_betas(state, reach_from(state.graph(), [2], 3))
-    empty = Reachability(frozenset(), frozenset(), {}, {}, {})
-    apply_price_rise(state, empty, rates)
-    assert state.prices == before
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +154,16 @@ def hoard_state() -> EngineState:
 
 def test_transfer_two_agent_hoard():
     state = hoard_state()
-    path = shortest_violator_path(state.graph(), 1, [0])
-    outcome = transfer(state, path)
-    assert (outcome.a, outcome.b) == (1, 0)
+    path = shortest_violator_path(state, reach_from(state, [1], 2), [0])
+    assert transfer(state, path) == (1, 0)
     assert state.bundles == [{1, 2}, {0}]
 
 
 def test_transfer_cut_at_one_only_touches_endpoints():
     state = hoard_state()
     before = [set(b) for b in state.bundles]
-    outcome = transfer(state, (1, 0, 0))
-    assert outcome.a == 1
+    a, _ = transfer(state, (1, 0, 0))
+    assert a == 1
     changed = [i for i in range(2) if state.bundles[i] != before[i]]
     assert changed == [0, 1]
 
@@ -204,9 +191,9 @@ def test_transfer_bundle_size_deltas():
             while True:
                 sizes = [len(b) for b in state.bundles]
                 na = state.num_agents
-                levels = reach_from(state.graph(), [state.k], na).levels
+                levels = reach_from(state, [state.k], na).levels
                 outcome = step(state)
-                if outcome.kind == "terminated":
+                if outcome is None:
                     break
                 if outcome.kind != "transfer":
                     continue
@@ -221,7 +208,7 @@ def test_transfer_bundle_size_deltas():
                 untouched = set(range(na)) - {absorber, releaser}
                 assert all(after[i] == sizes[i] for i in untouched)
                 # agents at or below the absorb position keep their level
-                new_levels = reach_from(state.graph(), [state.k], na).levels
+                new_levels = reach_from(state, [state.k], na).levels
                 for i in range(na):
                     if levels[i] <= outcome.b:
                         assert new_levels[i] == levels[i]
@@ -265,11 +252,11 @@ def test_rebalance_single_agent_never_iterates():
 
 def test_potential_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state.graph(), [2], 3)
+    reach = reach_from(state, [2], 3)
     pot = compute_potential(state, reach)
-    assert pot.good_counts_by_level == (1, 2, 0, 2)
-    assert pot.violator_count == 1
-    assert sum(pot.good_counts_by_level) == 5
+    assert pot[:-1] == (1, 2, 0, 2)
+    assert pot[-1] == 1
+    assert sum(pot[:-1]) == 5
 
 
 def test_potential_counts_sum_to_goods():
@@ -289,19 +276,19 @@ def test_potential_counts_sum_to_goods():
             state = EngineState.from_solution(inst, bundles, prices)
         except Exception:
             continue
-        reach = reach_from(state.graph(), [n - 1], n)
+        reach = reach_from(state, [n - 1], n)
         pot = compute_potential(state, reach)
-        assert sum(pot.good_counts_by_level) == m
+        assert sum(pot[:-1]) == m
 
 
 def test_potential_all_goods_at_level_zero():
     inst = Instance.from_values([[1, 1], [2, 2]])
     # the newest agent holds everything, so every good sits at level 0
     state = EngineState.from_solution(inst, [[], [0, 1]], [F(1), F(1)])
-    reach = reach_from(state.graph(), [1], 2)
+    reach = reach_from(state, [1], 2)
     pot = compute_potential(state, reach)
-    assert pot.good_counts_by_level[0] == 2
-    assert sum(pot.good_counts_by_level) == 2
+    assert pot[0] == 2
+    assert sum(pot[:-1]) == 2
 
 
 def test_iteration_bound_values():
@@ -430,16 +417,14 @@ def test_engine_invariants_hold_after_every_event():
             )
             state._prev_potential = None
             while True:
-                spends = spending_profile(state.bundles, state.prices)
-                hats = hat_profile(state.bundles, state.prices)
+                spends, hats = spending_profile(state.bundles, state.prices)
                 if state.num_agents > 1:
                     level = max(hats)
                     assert all(
                         spends[i] >= level
                         for i in range(state.num_agents - 1)
                     ) or min(spends) >= level
-                outcome = step(state)
-                if outcome.kind == "terminated":
+                if step(state) is None:
                     break
                 alphas = compute_alphas(
                     inst, state.prices, range(state.num_agents), state.goods
@@ -465,8 +450,7 @@ def rebuilt_market(state: EngineState) -> tuple:
     return (
         [graph.alphas[i] for i in graph.agents],
         [set(graph.mbb[i]) for i in graph.agents],
-        spending_profile(state.bundles, state.prices),
-        hat_profile(state.bundles, state.prices),
+        *spending_profile(state.bundles, state.prices),
     )
 
 
@@ -489,7 +473,7 @@ def stepped_states(seed: int, count: int, check: bool):
                 state.num_agents, iteration_bound(state.num_agents, m)
             )
             state._prev_potential = None
-            while step(state).kind != "terminated":
+            while step(state) is not None:
                 yield state
             state._current_call = None
 
@@ -499,6 +483,16 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
     for state in stepped_states(seed=31, count=60, check=False):
         maintained = (state.alphas, state.mbb, state.spends, state.hats)
         assert maintained == rebuilt_market(state)
+        # searching the maintained state finds what searching a rebuilt graph finds
+        graph = MbbGraph.from_state(
+            state.inst, state.bundles, state.prices, state.agents, state.goods
+        )
+        reach = reach_from(state, [state.k], state.num_agents)
+        assert reach == reach_from(graph, [state.k], state.num_agents)
+        others = [i for i in state.agents if i != state.k]
+        assert shortest_violator_path(state, reach, others) == shortest_violator_path(
+            graph, reach, others
+        )
         if state.trace.events:
             kinds.add(state.trace.events[-1].kind)
             beta = state.trace.events[-1].beta
@@ -526,5 +520,5 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
         find_solution(state)
     with pytest.raises(InternalInvariantError):
         state._current_call = state.trace.start_call(3, iteration_bound(3, state.inst.m))
-        while step(state).kind != "terminated":
+        while step(state) is not None:
             pass

@@ -142,19 +142,19 @@ def _two_agent_hoard_graph():
 
 def test_shortest_path_two_agents():
     g = _two_agent_hoard_graph()
-    assert shortest_violator_path(g, 1, [0]) == (1, 0, 0)
+    assert shortest_violator_path(g, reach_from(g, [1], 2), [0]) == (1, 0, 0)
 
 
 def test_shortest_path_unreachable_target():
     inst = Instance.from_values([[1, 0], [0, 1]])
     g = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
-    assert shortest_violator_path(g, 0, [1]) is None
+    assert shortest_violator_path(g, reach_from(g, [0], 2), [1]) is None
 
 
 def test_shortest_path_adjacent_is_length_two(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
     # agent 2's best goods include good 3, owned by agent 1
-    path = shortest_violator_path(g, 2, [1])
+    path = shortest_violator_path(g, reach_from(g, [2], 3), [1])
     assert path == (2, 3, 1)
     assert len(path) == 3
 
@@ -175,13 +175,13 @@ def test_path_alternates_and_respects_edges():
         graph = build_graph(inst, sol)
         source = 0
         targets = [i for i in range(1, n)]
-        path = shortest_violator_path(graph, source, targets)
+        reach = reach_from(graph, [source], n)
+        path = shortest_violator_path(graph, reach, targets)
         if path is None:
             continue
         assert path[0] == source and path[-1] in targets
         assert len(path) % 2 == 1
         agents, goods = path[0::2], path[1::2]
-        reach = reach_from(graph, [source], n)
         for idx, g in enumerate(goods):
             assert g in graph.mbb[agents[idx]]      # ratio edge out of the agent
             assert graph.owner[g] == agents[idx + 1]  # ownership edge into the next

@@ -1,0 +1,46 @@
+"""Input transformations whose effect on `solve` is known in advance."""
+
+import itertools
+import json
+import random
+from fractions import Fraction
+
+from fairmarket import Instance, audit_trace, solve, verify
+
+
+def random_instance(rng: random.Random, n: int, m: int) -> Instance:
+    rows = [[rng.randint(0, rng.choice([3, 9, 100])) for _ in range(m)] for _ in range(n)]
+    for i, g in enumerate(rng.sample(range(m), n)):
+        rows[i][g] = max(1, rows[i][g])
+    return Instance.from_values(rows)
+
+
+def output_bytes(inst: Instance, **kwargs) -> tuple[str, str]:
+    """The solution JSON and the trace JSONL that `fairmarket solve` writes."""
+    solution, trace = solve(inst, **kwargs)
+    lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
+    return json.dumps(solution.to_json_dict(), sort_keys=True), lines
+
+
+def test_scaling_one_valuation_row_changes_nothing():
+    # Introduction prices and all three rise rates are ratios within one agent's row.
+    rng = random.Random(41)
+    for _ in range(120):
+        n = rng.randint(2, 5)
+        inst = random_instance(rng, n, rng.randint(n, 3 * n))
+        rows = list(inst.valuations)
+        agent = rng.randrange(n)
+        factor = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        rows[agent] = tuple(v * factor for v in rows[agent])
+        assert output_bytes(Instance(tuple(rows))) == output_bytes(inst)
+
+
+def test_every_insertion_order_is_certified():
+    rng = random.Random(43)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            inst = random_instance(rng, n, rng.randint(n, n + 3))
+            for order in itertools.permutations(range(n)):
+                solution, trace = solve(inst, order=order)
+                assert verify(inst, solution).ok
+                assert audit_trace(trace.events, inst.m) == []
