@@ -236,10 +236,14 @@ def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     Equals bundle_price minus the maximum price in the set; 0 for the
     empty set (and hence for singletons).
     """
+    return _spend_and_hat(prices, goods)[1]
+
+
+def _spend_and_hat(prices: Prices, goods: Iterable[int]) -> tuple[Fraction, Fraction]:
+    """`bundle_price` and `hat_price` of one set of goods, from one pass over it."""
     costs = [price_at(prices, g) for g in goods]
-    if not costs:
-        return Fraction(0)
-    return sum(costs, Fraction(0)) - max(costs)
+    spend = sum(costs, Fraction(0))
+    return spend, spend - max(costs, default=0)
 
 
 def spending_profile(
@@ -249,13 +253,13 @@ def spending_profile(
 
     Looks up each good's price once and sums each bundle once.
     """
-    spends, hats = [], []
-    for bundle in bundles:
-        costs = [price_at(prices, g) for g in bundle]
-        spend = sum(costs, Fraction(0))
-        spends.append(spend)
-        hats.append(spend - max(costs, default=0))
-    return spends, hats
+    pairs = [_spend_and_hat(prices, bundle) for bundle in bundles]
+    return [spend for spend, _ in pairs], [hat for _, hat in pairs]
+
+
+def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:
+    """Each bundle's drop-one price: the second half of `spending_profile`."""
+    return spending_profile(bundles, prices)[1]
 
 
 def min_spenders(sol: Solution) -> tuple[int, ...]:
@@ -267,7 +271,7 @@ def min_spenders(sol: Solution) -> tuple[int, ...]:
 
 def max_violators(sol: Solution) -> tuple[int, ...]:
     """Agents with the highest drop-one bundle price, in ascending index order."""
-    _, hats = spending_profile(sol.allocation.bundles, sol.prices)
+    hats = hat_profile(sol.allocation.bundles, sol.prices)
     high = max(hats)
     return tuple(i for i, h in enumerate(hats) if h == high)
 

@@ -33,6 +33,7 @@ from .core import (
     check_hall,
     denormalize,
     hat_price,
+    hat_profile,  # unused here; perfbench's span table still names engine.hat_profile
     normalize_instance,
     spending_profile,
 )

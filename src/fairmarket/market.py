@@ -236,12 +236,16 @@ def shortest_violator_path(
     # some shortest path; the ownership edge then fixes the next agent.  The
     # target is `remaining` edges away, so a good one edge nearer to it than
     # the current agent is also one edge further from the sources.
+    # An empty candidate set means `reach` does not describe `graph`.
     remaining = 2 * depth
-    current = min(s for s in reach.agents if levels[s] == 0 and back_agent.get(s) == remaining)
-    path: list[int] = [current]
-    while current != target:
-        g = min(g for g in graph.mbb[current] if back_good.get(g) == remaining - 1)
-        current = graph.owner[g]
-        path.extend((g, current))
-        remaining -= 2
+    try:
+        current = min(s for s in reach.agents if levels[s] == 0 and back_agent.get(s) == remaining)
+        path: list[int] = [current]
+        while current != target:
+            g = min(g for g in graph.mbb[current] if back_good.get(g) == remaining - 1)
+            current = graph.owner[g]
+            path.extend((g, current))
+            remaining -= 2
+    except ValueError:
+        raise InternalInvariantError("shortest-path walk lost the trail") from None
     return tuple(path)

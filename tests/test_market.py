@@ -151,6 +151,14 @@ def test_shortest_path_unreachable_target():
     assert shortest_violator_path(g, reach_from(g, [0], 2), [1]) is None
 
 
+def test_shortest_path_rejects_reach_of_another_graph():
+    hoard = _two_agent_hoard_graph()
+    inst = Instance.from_values([[1, 0], [0, 1]])
+    apart = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
+    with pytest.raises(InternalInvariantError, match="lost the trail"):
+        shortest_violator_path(apart, reach_from(hoard, [1], 2), [0])
+
+
 def test_shortest_path_adjacent_is_length_two(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
     # agent 2's best goods include good 3, owned by agent 1
