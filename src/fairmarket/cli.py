@@ -194,33 +194,38 @@ def _bench_one(inst: Instance, label: dict, cap: int) -> dict:
         }
     )
     mnw = brute_force_mnw(inst, cap)
-    if mnw is not None and mnw[0] > 0:
-        ratio = nash_product(inst, solution.allocation) / mnw[0]
-        row["nsw_ratio"] = float(ratio)
-    else:
-        row["nsw_ratio"] = None
+    optimum = None if mnw is None else mnw[0]
+    row["nsw_ratio"] = float(nash_product(inst, solution.allocation) / optimum) if optimum else None
     return row
+
+
+def _bench_cells(spec: object) -> tuple[list[tuple[int, int, int, int]], list[str]]:
+    """A bench spec's (n, m, max_value, seed) cells, in run order, and its instance paths."""
+    try:
+        cells = [
+            (run["n"], m, run.get("max_value", 10), seed)
+            for run in spec.get("runs", [])
+            for m in (run["m"] if isinstance(run["m"], list) else [run["m"]])
+            for seed in run.get("seeds", [0])
+        ]
+        paths = spec.get("instances", [])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InvalidInputError(f"malformed bench spec: {exc!r}") from None
+    if not all(type(x) is int for cell in cells for x in cell):
+        raise InvalidInputError("bench spec 'n', 'm', 'max_value' and 'seeds' must be integers")
+    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+        raise InvalidInputError("bench spec 'instances' must be a list of file paths")
+    return cells, paths
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", f"cannot read bench spec: {exc}")
-    try:
+        cells, paths = load_json(args.spec, _bench_cells)
         cap = _resolved_brute_cap(args.brute_cap)
         rows = []
-        for sweep in spec.get("runs", []):
-            n = sweep["n"]
-            ms = sweep["m"] if isinstance(sweep["m"], list) else [sweep["m"]]
-            max_value = sweep.get("max_value", 10)
-            seeds = sweep.get("seeds", [0])
-            for m in ms:
-                for seed in seeds:
-                    inst = generate_instance(n, m, max_value, seed)
-                    rows.append(_bench_one(inst, {"seed": seed}, cap))
-        for path in spec.get("instances", []):
+        for n, m, max_value, seed in cells:
+            rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, cap))
+        for path in paths:
             inst = load_json(path, Instance.from_json_dict)
             rows.append(_bench_one(inst, {"path": path}, cap))
     except InvalidInputError as exc:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -90,6 +92,12 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.valuations[0])
+
+    @cached_property
+    def int_valuations(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The valuations times one common scale (exact integers), and that scale."""
+        scale = reduce(lcm, {v.denominator for row in self.valuations for v in row}, 1)
+        return tuple(tuple(int(v * scale) for v in row) for row in self.valuations), scale
 
     @classmethod
     def from_values(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -225,9 +233,17 @@ def price_at(prices: Prices, g: int) -> Fraction:
         raise InvalidInputError(f"good index {g} is outside the price vector") from None
 
 
+def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
+    """The prices as integer numerators over one common denominator, their lcm."""
+    pairs = [p.as_integer_ratio() for p in prices]
+    # Distinct denominators are few; `lcm(*...)` would pile tuples on CPython's free lists.
+    den = reduce(lcm, {d for _, d in pairs}, 1)
+    return [n * (den // d) for n, d in pairs], den
+
+
 def bundle_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     """Total price of a set of goods; 0 for the empty set."""
-    return sum((price_at(prices, g) for g in goods), Fraction(0))
+    return _spend_and_hat(prices, goods)[0]
 
 
 def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
@@ -241,9 +257,9 @@ def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
 
 def _spend_and_hat(prices: Prices, goods: Iterable[int]) -> tuple[Fraction, Fraction]:
     """`bundle_price` and `hat_price` of one set of goods, from one pass over it."""
-    costs = [price_at(prices, g) for g in goods]
-    spend = sum(costs, Fraction(0))
-    return spend, spend - max(costs, default=0)
+    costs, den = _common_denominator(price_at(prices, g) for g in goods)
+    spend = sum(costs)
+    return Fraction(spend, den), Fraction(spend - max(costs, default=0), den)
 
 
 def spending_profile(

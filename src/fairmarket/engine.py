@@ -29,6 +29,8 @@ from .core import (
     InvalidInputError,
     NormalizationRecord,
     Solution,
+    _common_denominator,
+    _spend_and_hat,
     bundle_price,
     check_hall,
     denormalize,
@@ -41,6 +43,7 @@ from .market import (
     MbbGraph,
     Reachability,
     best_ratio,
+    ratio_inputs,
     reach_from,
     shortest_violator_path,
 )
@@ -241,9 +244,9 @@ class EngineState:
 
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
-        cost = [self.prices[g] for g in self.goods]
+        rows, cost, unit = ratio_inputs(self.inst, (self.prices[g] for g in self.goods))
         for i in range(len(self.alphas), self.num_agents):
-            alpha, edges = best_ratio(self.inst.valuations[i], self.goods, cost)
+            alpha, edges = best_ratio(rows[i], self.goods, cost, unit)
             self.alphas.append(alpha)
             self.mbb.append(set(edges))
             self.spends.append(bundle_price(self.prices, self.bundles[i]))
@@ -319,9 +322,9 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     b1: Fraction | None = None
     b1_edges: list[tuple[int, int]] = []
     outside = [g for g in state.goods if g not in reach.goods]
-    cost = [state.prices[g] for g in outside]
+    rows, cost, unit = ratio_inputs(state.inst, (state.prices[g] for g in outside))
     for j in sorted(reach.agents):
-        out_ratio, attaining = best_ratio(state.inst.valuations[j], outside, cost)
+        out_ratio, attaining = best_ratio(rows[j], outside, cost, unit)
         if out_ratio > 0:
             rate = state.alphas[j] / out_ratio
             if b1 is None or rate < b1:
@@ -371,8 +374,8 @@ def apply_price_rise(
             state.spends[i] *= beta
             state.hats[i] *= beta
         elif state.mbb[i] <= reach.goods:
-            cost = [state.prices[g] for g in state.goods]
-            state.alphas[i], edges = best_ratio(state.inst.valuations[i], state.goods, cost)
+            rows, cost, unit = ratio_inputs(state.inst, (state.prices[g] for g in state.goods))
+            state.alphas[i], edges = best_ratio(rows[i], state.goods, cost, unit)
             state.mbb[i] = set(edges)
         else:
             state.mbb[i] -= reach.goods
@@ -436,10 +439,8 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         state.bundles[giver].discard(g)
         state.bundles[taker].add(g)
         state.owner[g] = taker
-        spends[giver] -= state.prices[g]
-        spends[taker] += state.prices[g]
     for i in agents_on[b : a + 1]:
-        state.hats[i] = spends[i] - max((state.prices[g] for g in state.bundles[i]), default=0)
+        spends[i], state.hats[i] = _spend_and_hat(state.prices, state.bundles[i])
 
     if state.check:
         _check_state(state, max_hat)
@@ -476,18 +477,18 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
     if covered != set(state.goods):
         raise InternalInvariantError("bundles do not partition the active goods")
     for g in state.goods:
-        if state.prices[g] <= 0:
+        if state.prices[g].numerator <= 0:
             raise InternalInvariantError(f"price of good {g} is not positive")
     graph = MbbGraph.from_state(
         state.inst, state.bundles, state.prices, range(state.num_agents), state.goods
     )
-    for i in range(state.num_agents):
-        for g in state.bundles[i]:
-            if g not in graph.mbb[i]:
-                raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
+    mbb = [set(graph.mbb[i]) for i in graph.agents]
+    for i, bundle in enumerate(state.bundles):
+        for g in bundle - mbb[i]:
+            raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
     spends, hats = spending_profile(state.bundles, state.prices)
-    rebuilt = ([graph.alphas[i] for i in graph.agents], [set(graph.mbb[i]) for i in graph.agents])
-    if rebuilt + (spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
+    alphas = [graph.alphas[i] for i in graph.agents]
+    if (alphas, mbb, spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
         raise InternalInvariantError("maintained market state differs from a rebuild")
     level = max(hats) if floor_max_hat is None else floor_max_hat
     for i in range(state.num_agents):
@@ -533,7 +534,8 @@ def step(state: EngineState) -> TraceEvent | None:
             f"rebalancing exceeded its iteration ceiling {stats.bound}"
         )
 
-    min_price = min(state.prices[g] for g in state.goods)
+    scaled, den = _common_denominator(state.prices.values())
+    min_price = Fraction(min(scaled), den)
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)

@@ -19,6 +19,7 @@ from .core import (
     InvalidInputError,
     Prices,
     Solution,
+    _common_denominator,
     price_at,
 )
 
@@ -33,26 +34,35 @@ def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
 
 
 def best_ratio(
-    row: Sequence[Fraction], goods: Sequence[int], cost: Sequence[Fraction]
+    row: Sequence[int], goods: Sequence[int], cost: Sequence[int], unit: Fraction
 ) -> tuple[Fraction, list[int]]:
     """Best value/price ratio over `goods` priced `cost`, and the goods attaining it.
 
-    Compares by integer cross-multiplication, with `bang_per_buck`'s conventions.
+    Values and prices are integers, and `unit` is the ratio that 1/1 stands for.
+    Compares by cross-multiplication, with `bang_per_buck`'s conventions.
     """
-    best_num, best_den, attaining = 0, 1, []
+    best_v, best_p, attaining = 0, 1, []
     for g, p in zip(goods, cost):
         v = row[g]
-        num, den = v.numerator * p.denominator, v.denominator * p.numerator
-        if not den:
-            if num:
+        if not p:
+            if v:
                 raise InternalInvariantError("positive value over zero price")
-            num, den = 0, 1
-        lhs, rhs = num * best_den, best_num * den
+            p = 1  # 0/0 counts as a zero ratio
+        lhs, rhs = v * best_p, best_v * p
         if lhs > rhs:
-            best_num, best_den, attaining = num, den, [g]
+            best_v, best_p, attaining = v, p, [g]
         elif lhs == rhs:
             attaining.append(g)
-    return Fraction(best_num, best_den), attaining
+    return Fraction(best_v * unit.numerator, best_p * unit.denominator), attaining
+
+
+def ratio_inputs(
+    inst: Instance, prices: Iterable[Fraction]
+) -> tuple[tuple[tuple[int, ...], ...], list[int], Fraction]:
+    """`best_ratio`'s integer rows, integer `cost` and `unit` for `prices`."""
+    rows, scale = inst.int_valuations
+    cost, den = _common_denominator(prices)
+    return rows, cost, Fraction(den, scale)
 
 
 def compute_alphas(
@@ -63,9 +73,9 @@ def compute_alphas(
 ) -> dict[int, Fraction]:
     """Best value-per-price ratio per agent over the given goods (default: all)."""
     good_ids = range(inst.m) if goods is None else goods
-    cost = [price_at(prices, g) for g in good_ids]
+    rows, cost, unit = ratio_inputs(inst, (price_at(prices, g) for g in good_ids))
     agent_ids = range(inst.n) if agents is None else agents
-    return {i: best_ratio(inst.valuations[i], good_ids, cost)[0] for i in agent_ids}
+    return {i: best_ratio(rows[i], good_ids, cost, unit)[0] for i in agent_ids}
 
 
 @dataclass(frozen=True)
@@ -94,10 +104,10 @@ class MbbGraph:
     ) -> "MbbGraph":
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        cost = [price_at(prices, g) for g in goods]
+        rows, cost, unit = ratio_inputs(inst, (price_at(prices, g) for g in goods))
         alphas, mbb = {}, {}
         for i in agents:
-            alphas[i], attaining = best_ratio(inst.valuations[i], goods, cost)
+            alphas[i], attaining = best_ratio(rows[i], goods, cost, unit)
             mbb[i] = tuple(attaining)
         owner: dict[int, int] = {}
         for i in agents:

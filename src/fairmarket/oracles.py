@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .core import (
@@ -25,7 +24,7 @@ from .core import (
     normalize_instance,
 )
 from .engine import TraceEvent, iteration_bound
-from .market import best_ratio
+from .market import best_ratio, ratio_inputs
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -86,22 +85,17 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
     Pareto optimality: the prices support a market equilibrium with each
     agent's spending as its budget.  Prices must be strictly positive.
     """
-    if any(p <= 0 for p in sol.prices):
+    rows, cost, unit = ratio_inputs(inst, sol.prices)
+    if any(c <= 0 for c in cost):
         raise InvalidInputError("ratio certificate needs strictly positive prices")
     return all(
-        bundle <= set(best_ratio(inst.valuations[i], range(inst.m), sol.prices)[1])
+        bundle <= set(best_ratio(rows[i], range(inst.m), cost, unit)[1])
         for i, bundle in enumerate(sol.allocation)
     )
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
-
-
-def _int_valuations(inst: Instance) -> list[list[int]]:
-    """Valuations rescaled to integers by the common denominator (exact)."""
-    scale = lcm(*(v.denominator for row in inst.valuations for v in row)) if inst.m else 1
-    return [[int(v * scale) for v in row] for row in inst.valuations]
 
 
 def brute_force_po(
@@ -119,7 +113,7 @@ def brute_force_po(
         return None
     if n == 1:  # the only allocation
         return inst.value_of(0, alloc[0]) >= inst.value_of(0, range(m))
-    vals = _int_valuations(inst)
+    vals, _ = inst.int_valuations
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
 
     # Assign high-impact goods first; goods worthless to everyone need no branching.
@@ -186,7 +180,7 @@ def brute_force_mnw(
     if n == 1:  # the only allocation maximizes
         winner = Allocation((frozenset(range(m)),))
         return nash_product(inst, winner), winner
-    vals = _int_valuations(inst)
+    vals, _ = inst.int_valuations
     suffix = [[0] * (m + 1) for _ in range(n)]
     for i in range(n):
         for g in range(m - 1, -1, -1):
@@ -240,6 +234,20 @@ def brute_force_mnw(
     return nash_product(inst, winner), winner
 
 
+def _nsw_bound(
+    inst: Instance, product: Fraction, cap: int | None
+) -> tuple[Fraction | None, bool | None]:
+    """The optimal value product, and whether `product` lies within NSW_FLOOR^n of it.
+
+    (None, None) when the brute-force optimum is size-gated away.
+    """
+    result = brute_force_mnw(inst, cap)
+    if result is None:
+        return None, None
+    optimum, _ = result
+    return optimum, product >= NSW_FLOOR**inst.n * optimum
+
+
 def check_nsw_ratio(
     inst: Instance, alloc: Allocation, cap: int | None = None
 ) -> bool | None:
@@ -247,11 +255,7 @@ def check_nsw_ratio(
 
     None when the brute-force optimum is size-gated away.
     """
-    result = brute_force_mnw(inst, cap)
-    if result is None:
-        return None
-    optimum, _ = result
-    return nash_product(inst, alloc) >= NSW_FLOOR**inst.n * optimum
+    return _nsw_bound(inst, nash_product(inst, alloc), cap)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +362,7 @@ def verify(
         )
     po = brute_force_po(inst, sol.allocation, brute_cap)
     product = nash_product(inst, sol.allocation)
-    mnw_product: Fraction | None = None
-    ratio_ok: bool | None = None
-    if nsw:
-        mnw = brute_force_mnw(inst, brute_cap)
-        if mnw is not None:
-            mnw_product, _ = mnw
-            ratio_ok = product >= NSW_FLOOR**inst.n * mnw_product
+    mnw_product, ratio_ok = _nsw_bound(inst, product, brute_cap) if nsw else (None, None)
     return VerificationReport(
         ef1=ef1,
         pef1=pef1,
@@ -448,7 +446,7 @@ def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[s
             path = ev["path"]
             if path is None or len(path) < 3 or len(path) % 2 == 0:
                 problems.append(f"{tag}: malformed transfer path")
-            if ev["a"] is None or ev["a"] < 1:
+            if ev["a"] is None or not 1 <= ev["a"] <= len(path or ()) // 2:
                 problems.append(f"{tag}: bad release index")
             elif ev["b"] is None or not 0 <= ev["b"] < ev["a"]:
                 problems.append(f"{tag}: bad absorb index")

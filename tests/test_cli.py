@@ -221,26 +221,51 @@ def test_bench_csv_and_instance_paths(tmp_path):
     assert text[0].startswith("n,m,")
     assert len(text) == 2
 
+def test_bench_rejects_malformed_specs(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    for spec in (
+        {"runs": [{}]},
+        {"runs": [{"n": "x", "m": 5}]},
+        [1],
+        {"runs": [{"n": 2, "m": 5, "seeds": 3}]},
+        {"runs": [{"n": True, "m": 5}]},
+        {"runs": [{"n": 2, "m": [3, 4.5]}]},
+        {"runs": "n=2"},
+        {"instances": [5]},
+        {"instances": [0]},  # not a file descriptor: stdin stays open
+        {"instances": "inst.json"},
+    ):
+        spec_path.write_text(json.dumps(spec))
+        assert main(["bench", "--spec", str(spec_path)]) == 1, spec
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input", spec
+        assert captured.out == ""
+
 # ---------------------------------------------------------------------------
-# fuzzing solve and verify with mutated documents
+# fuzzing solve, verify and bench with mutated documents
 
 DEMO_SOLUTION = solve(Instance.from_json_dict(DEMO))[0].to_json_dict()
 
-json_leaves = (
+small_leaves = (
     st.none()
     | st.booleans()
     | st.integers(-3, 12)
-    | st.integers()
     | st.floats()
     | st.text(max_size=4)
     | st.builds("{}/{}".format, st.integers(-3, 12), st.integers(-1, 5))
 )
-json_values = st.recursive(
-    json_leaves,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=8,
-)
+
+def nested(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    )
+
+json_values = nested(small_leaves | st.integers())
+small_values = nested(small_leaves)  # bench builds instances as large as its integers ask
 
 def _slots(node):
     """(container, key) for every value nested in a JSON document."""
@@ -253,7 +278,7 @@ def _slots(node):
         yield from _slots(node[key])
 
 @st.composite
-def mutated(draw, doc):
+def mutated(draw, doc, values=json_values):
     """`doc` with up to three values replaced, deleted or duplicated, or replaced whole."""
     root = [copy.deepcopy(doc)]
     for _ in range(draw(st.integers(1, 3))):
@@ -261,7 +286,7 @@ def mutated(draw, doc):
         container, key = draw(st.sampled_from(list(_slots(root))[::-1]))
         action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
         if action == "replace" or container is root:
-            container[key] = draw(st.integers(0, 12) | json_values)
+            container[key] = draw(st.integers(0, 12) | values)
         elif action == "delete":
             del container[key]
         elif isinstance(container, list):
@@ -293,3 +318,20 @@ def test_cli_exits_cleanly_on_mutated_documents(instance, solution):
             if code:
                 lines = err.splitlines()
                 assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+BENCH_SPEC = {"runs": [{"n": 2, "m": [2, 3], "max_value": 4, "seeds": [0, 1]}], "instances": []}
+
+@settings(max_examples=40, deadline=None)
+@given(mutated(BENCH_SPEC, small_values), st.booleans())
+def test_bench_exits_cleanly_on_mutated_specs(spec, with_instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = Path(tmp, "spec.json")
+        if with_instance and isinstance(spec, dict) and isinstance(spec.get("instances"), list):
+            spec["instances"].append(write_demo(Path(tmp)))
+        spec_path.write_text(json.dumps(spec))
+        code, err = _run(["bench", "--spec", str(spec_path), "--brute-cap", "10000"])
+        assert 0 <= code <= 4
+        assert "Traceback" not in err
+        if code:
+            lines = err.splitlines()
+            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

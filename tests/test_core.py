@@ -103,6 +103,40 @@ def test_hat_never_exceeds_bundle_price(prices, data):
         assert hat == total == 0
 
 
+@given(
+    prices=st.lists(
+        st.fractions(min_value=0, max_value=50, max_denominator=10**6), min_size=1, max_size=8
+    ),
+    data=st.data(),
+)
+def test_aggregates_match_their_fraction_definitions(prices, data):
+    """The integer kernels against plain `Fraction` sums and maxima, mixed denominators."""
+    some_goods = st.sets(st.integers(0, len(prices) - 1), max_size=4)
+    bundles = [set(), {0}] + data.draw(st.lists(some_goods, max_size=4))
+    spends, hats = spending_profile(bundles, prices)
+    for bundle, spend, hat in zip(bundles, spends, hats):
+        costs = [prices[g] for g in bundle]
+        expected = sum(costs, F(0))
+        assert bundle_price(prices, bundle) == spend == expected
+        assert hat_price(prices, bundle) == hat == expected - max(costs, default=0)
+        assert type(spend) is type(hat) is F
+
+
+@given(
+    st.lists(
+        st.lists(st.fractions(min_value=0, max_value=20, max_denominator=500), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_integer_valuations_divided_by_their_scale_give_back_the_rows(rows):
+    inst = Instance(tuple(tuple(row) for row in rows))
+    int_rows, scale = inst.int_valuations
+    assert all(type(v) is int for row in int_rows for v in row)
+    assert [[F(v, scale) for v in row] for row in int_rows] == rows
+    assert inst.int_valuations is inst.int_valuations  # computed once per instance
+
+
 # ---------------------------------------------------------------------------
 # spender / violator sets and the fairness predicate
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmarket import (
     Allocation,
@@ -12,7 +14,7 @@ from fairmarket import (
     compute_alphas,
     reach_from,
 )
-from fairmarket.market import bang_per_buck, shortest_violator_path
+from fairmarket.market import bang_per_buck, best_ratio, ratio_inputs, shortest_violator_path
 
 F = Fraction
 
@@ -68,6 +70,36 @@ def test_graph_dump_is_json_ready(demo_instance, demo_state_solution):
     dump = build_graph(demo_instance, demo_state_solution).as_dict()
     assert json.loads(json.dumps(dump)) == dump
     assert [2, 3] in dump["mbb_edges"] or [2, 3] == dump["mbb_edges"][2]
+
+
+# Few distinct values and prices, so ties and zeros are common.
+small_rationals = st.sampled_from([F(0), F(1), F(2), F(1, 3), F(2, 3), F(5, 7)]) | st.fractions(
+    min_value=0, max_value=9, max_denominator=60
+)
+
+
+@given(data=st.data())
+def test_best_ratio_matches_bang_per_buck(data):
+    """The integer kernel against the `Fraction` definition: same maximum, every attaining good."""
+    row = data.draw(st.lists(small_rationals, min_size=1, max_size=7))
+    # Zero prices only under zero values: positive value over zero price is checked below.
+    prices = [data.draw(small_rationals if v == 0 else small_rationals.filter(bool)) for v in row]
+    goods = sorted(data.draw(st.sets(st.integers(0, len(row) - 1), min_size=1)))
+    inst = Instance((tuple(row),))
+    rows, cost, unit = ratio_inputs(inst, [prices[g] for g in goods])
+    alpha, attaining = best_ratio(rows[0], goods, cost, unit)
+    ratios = {g: bang_per_buck(row[g], prices[g]) for g in goods}
+    assert alpha == max(ratios.values())
+    assert attaining == [g for g in goods if ratios[g] == alpha]
+    assert compute_alphas(inst, prices)[0] == max(map(bang_per_buck, row, prices))
+
+
+def test_best_ratio_rejects_positive_value_over_zero_price():
+    inst = Instance.from_values([[0, 3]])
+    rows, cost, unit = ratio_inputs(inst, [F(0), F(0)])
+    with pytest.raises(InternalInvariantError):
+        best_ratio(rows[0], [0, 1], cost, unit)
+    assert best_ratio(rows[0], [0], cost, unit) == (0, [0])  # 0/0 counts as ratio 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fairmarket import (
     solve,
     verify,
 )
+from fairmarket.cli import generate_instance
 from fairmarket.oracles import NSW_FLOOR, check_ef1_literal
 
 F = Fraction
@@ -314,3 +315,48 @@ def test_audit_flags_tampered_events(demo_instance):
     clock = [dict(ev) for ev in events]
     clock[-1]["step"] = 5
     assert audit_trace(clock, demo_instance.m)
+
+
+# One tamper per event field, each breaking an invariant `audit_trace` documents,
+# and the finding it must raise.  The trace of `generate_instance(3, 8, 9, 0)` has
+# two calls alternating transfers and rises: event 1 is a transfer, 2 a price rise
+# and 3 the transfer right after it.
+TAMPERS = {
+    "k": (lambda evs: evs[2].update(k=evs[2]["k"] + 1), "does not start at step 1"),
+    "step": (lambda evs: evs[2].update(step=evs[2]["step"] + 2), "step numbering gap"),
+    "kind": (lambda evs: evs[1].update(kind="price_rise"), "price rise without rates"),
+    "beta": (
+        lambda evs: evs[2].update(
+            beta=dict(evs[2]["beta"], chosen="b2" if evs[2]["beta"]["chosen"] == "b1" else "b1")
+        ),
+        "chosen rate label mismatch",
+    ),
+    "path": (lambda evs: evs[1].update(path=evs[1]["path"][:-1]), "malformed transfer path"),
+    # a release index past the path's last good
+    "a": (lambda evs: evs[1].update(a=len(evs[1]["path"]) // 2 + 1), "bad release index"),
+    "b": (lambda evs: evs[1].update(b=evs[1]["a"]), "bad absorb index"),
+    "potential": (
+        lambda evs: evs[2].update(potential=evs[1]["potential"]), "potential did not grow"
+    ),
+    "min_spend": (
+        lambda evs: evs[2].update(min_spend=evs[2]["max_hat"]), "stepped although already fair"
+    ),
+    "max_hat": (
+        lambda evs: evs[3].update(max_hat=str(2 * Fraction(evs[3]["max_hat"]))),
+        "price rise moved the violation level",
+    ),
+    "min_price": (lambda evs: evs[2].update(min_price="0"), "not positive"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+def test_audit_flags_each_tampered_field(field):
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    events = list(trace.iter_json_dicts())
+    assert set(TAMPERS) == set(events[0])  # every field has its tamper
+    assert [ev["kind"] for ev in events[1:4]] == ["transfer", "price_rise", "transfer"]
+    assert audit_trace(events, inst.m) == []
+    tamper, finding = TAMPERS[field]
+    tamper(events)
+    assert any(finding in problem for problem in audit_trace(events, inst.m))
