@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -92,12 +92,6 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.valuations[0])
-
-    @cached_property
-    def int_valuations(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The valuations times one common scale (exact integers), and that scale."""
-        scale = reduce(lcm, {v.denominator for row in self.valuations for v in row}, 1)
-        return tuple(tuple(int(v * scale) for v in row) for row in self.valuations), scale
 
     @classmethod
     def from_values(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
@@ -236,7 +230,8 @@ def price_at(prices: Prices, g: int) -> Fraction:
 def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
     """The prices as integer numerators over one common denominator, their lcm."""
     pairs = [p.as_integer_ratio() for p in prices]
-    # Distinct denominators are few; `lcm(*...)` would pile tuples on CPython's free lists.
+    # Short when the prices share factors (integer valuations); coprime ones multiply.
+    # A fold: `lcm(*...)` would pile argument tuples on CPython's free lists.
     den = reduce(lcm, {d for _, d in pairs}, 1)
     return [n * (den // d) for n, d in pairs], den
 

@@ -31,10 +31,8 @@ from .core import (
     Solution,
     _common_denominator,
     _spend_and_hat,
-    bundle_price,
     check_hall,
     denormalize,
-    hat_price,
     hat_profile,  # unused here; perfbench's span table still names engine.hat_profile
     normalize_instance,
     spending_profile,
@@ -42,8 +40,7 @@ from .core import (
 from .market import (
     MbbGraph,
     Reachability,
-    best_ratio,
-    ratio_inputs,
+    best_ratios,
     reach_from,
     shortest_violator_path,
 )
@@ -244,13 +241,14 @@ class EngineState:
 
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
-        rows, cost, unit = ratio_inputs(self.inst, (self.prices[g] for g in self.goods))
-        for i in range(len(self.alphas), self.num_agents):
-            alpha, edges = best_ratio(rows[i], self.goods, cost, unit)
+        new = range(len(self.alphas), self.num_agents)
+        cost = (self.prices[g] for g in self.goods)
+        for i, (alpha, edges) in zip(new, best_ratios(self.inst, new, self.goods, cost)):
             self.alphas.append(alpha)
             self.mbb.append(set(edges))
-            self.spends.append(bundle_price(self.prices, self.bundles[i]))
-            self.hats.append(hat_price(self.prices, self.bundles[i]))
+            spend, hat = _spend_and_hat(self.prices, self.bundles[i])
+            self.spends.append(spend)
+            self.hats.append(hat)
 
     def to_solution(self) -> Solution:
         if set(self.goods) != set(range(self.inst.m)):
@@ -322,9 +320,9 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     b1: Fraction | None = None
     b1_edges: list[tuple[int, int]] = []
     outside = [g for g in state.goods if g not in reach.goods]
-    rows, cost, unit = ratio_inputs(state.inst, (state.prices[g] for g in outside))
-    for j in sorted(reach.agents):
-        out_ratio, attaining = best_ratio(rows[j], outside, cost, unit)
+    agents = sorted(reach.agents)
+    cost = (state.prices[g] for g in outside)
+    for j, (out_ratio, attaining) in zip(agents, best_ratios(state.inst, agents, outside, cost)):
         if out_ratio > 0:
             rate = state.alphas[j] / out_ratio
             if b1 is None or rate < b1:
@@ -368,17 +366,19 @@ def apply_price_rise(
     old_max_hat = max(state.hats)
     for g in reach.goods:
         state.prices[g] = state.prices[g] * beta
+    stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
         if i in reach.agents:
             state.alphas[i] /= beta
             state.spends[i] *= beta
             state.hats[i] *= beta
         elif state.mbb[i] <= reach.goods:
-            rows, cost, unit = ratio_inputs(state.inst, (state.prices[g] for g in state.goods))
-            state.alphas[i], edges = best_ratio(rows[i], state.goods, cost, unit)
-            state.mbb[i] = set(edges)
+            stranded.append(i)
         else:
             state.mbb[i] -= reach.goods
+    cost = (state.prices[g] for g in state.goods)
+    for i, (alpha, edges) in zip(stranded, best_ratios(state.inst, stranded, state.goods, cost)):
+        state.alphas[i], state.mbb[i] = alpha, set(edges)
     if betas.b1 == beta:
         for j, g in betas.b1_edges:
             state.mbb[j].add(g)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
@@ -19,7 +19,6 @@ from .core import (
     InvalidInputError,
     Prices,
     Solution,
-    _common_denominator,
     price_at,
 )
 
@@ -33,36 +32,32 @@ def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
     return value / price
 
 
-def best_ratio(
-    row: Sequence[int], goods: Sequence[int], cost: Sequence[int], unit: Fraction
-) -> tuple[Fraction, list[int]]:
-    """Best value/price ratio over `goods` priced `cost`, and the goods attaining it.
+def best_ratios(
+    inst: Instance, agents: Iterable[int], goods: Sequence[int], prices: Iterable[Fraction]
+) -> Iterator[tuple[Fraction, list[int]]]:
+    """Per agent, its best value/price ratio over `goods` and the goods attaining it.
 
-    Values and prices are integers, and `unit` is the ratio that 1/1 stands for.
-    Compares by cross-multiplication, with `bang_per_buck`'s conventions.
+    `prices` lists the prices of `goods`, in order; each is split into integers
+    once per call.  Compares by cross-multiplication, with `bang_per_buck`'s
+    conventions.
     """
-    best_v, best_p, attaining = 0, 1, []
-    for g, p in zip(goods, cost):
-        v = row[g]
-        if not p:
-            if v:
-                raise InternalInvariantError("positive value over zero price")
-            p = 1  # 0/0 counts as a zero ratio
-        lhs, rhs = v * best_p, best_v * p
-        if lhs > rhs:
-            best_v, best_p, attaining = v, p, [g]
-        elif lhs == rhs:
-            attaining.append(g)
-    return Fraction(best_v * unit.numerator, best_p * unit.denominator), attaining
-
-
-def ratio_inputs(
-    inst: Instance, prices: Iterable[Fraction]
-) -> tuple[tuple[tuple[int, ...], ...], list[int], Fraction]:
-    """`best_ratio`'s integer rows, integer `cost` and `unit` for `prices`."""
-    rows, scale = inst.int_valuations
-    cost, den = _common_denominator(prices)
-    return rows, cost, Fraction(den, scale)
+    cost = [p.as_integer_ratio() for p in prices]
+    for i in agents:
+        row = inst.valuations[i]
+        best_v, best_p, attaining = 0, 1, []
+        for g, (pn, pd) in zip(goods, cost):
+            v = row[g]
+            num, den = v.numerator * pd, v.denominator * pn
+            if not den:
+                if num:
+                    raise InternalInvariantError("positive value over zero price")
+                num, den = 0, 1  # 0/0 counts as a zero ratio
+            lhs, rhs = num * best_p, best_v * den
+            if lhs > rhs:
+                best_v, best_p, attaining = num, den, [g]
+            elif lhs == rhs:
+                attaining.append(g)
+        yield Fraction(best_v, best_p), attaining
 
 
 def compute_alphas(
@@ -73,9 +68,9 @@ def compute_alphas(
 ) -> dict[int, Fraction]:
     """Best value-per-price ratio per agent over the given goods (default: all)."""
     good_ids = range(inst.m) if goods is None else goods
-    rows, cost, unit = ratio_inputs(inst, (price_at(prices, g) for g in good_ids))
-    agent_ids = range(inst.n) if agents is None else agents
-    return {i: best_ratio(rows[i], good_ids, cost, unit)[0] for i in agent_ids}
+    agent_ids = list(range(inst.n) if agents is None else agents)
+    ratios = best_ratios(inst, agent_ids, good_ids, (price_at(prices, g) for g in good_ids))
+    return {i: alpha for i, (alpha, _) in zip(agent_ids, ratios)}
 
 
 @dataclass(frozen=True)
@@ -104,11 +99,10 @@ class MbbGraph:
     ) -> "MbbGraph":
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        rows, cost, unit = ratio_inputs(inst, (price_at(prices, g) for g in goods))
+        cost = (price_at(prices, g) for g in goods)
         alphas, mbb = {}, {}
-        for i in agents:
-            alphas[i], attaining = best_ratio(rows[i], goods, cost, unit)
-            mbb[i] = tuple(attaining)
+        for i, (alpha, attaining) in zip(agents, best_ratios(inst, agents, goods, cost)):
+            alphas[i], mbb[i] = alpha, tuple(attaining)
         owner: dict[int, int] = {}
         for i in agents:
             for g in bundles[i]:

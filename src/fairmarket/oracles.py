@@ -20,11 +20,12 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     Solution,
+    _common_denominator,
     is_pef1,
     normalize_instance,
 )
 from .engine import TraceEvent, iteration_bound
-from .market import best_ratio, ratio_inputs
+from .market import best_ratios
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -85,13 +86,10 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
     Pareto optimality: the prices support a market equilibrium with each
     agent's spending as its budget.  Prices must be strictly positive.
     """
-    rows, cost, unit = ratio_inputs(inst, sol.prices)
-    if any(c <= 0 for c in cost):
+    if any(p <= 0 for p in sol.prices):
         raise InvalidInputError("ratio certificate needs strictly positive prices")
-    return all(
-        bundle <= set(best_ratio(rows[i], range(inst.m), cost, unit)[1])
-        for i, bundle in enumerate(sol.allocation)
-    )
+    ratios = best_ratios(inst, range(inst.n), range(inst.m), sol.prices)
+    return all(bundle <= set(edges) for bundle, (_, edges) in zip(sol.allocation, ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +111,8 @@ def brute_force_po(
         return None
     if n == 1:  # the only allocation
         return inst.value_of(0, alloc[0]) >= inst.value_of(0, range(m))
-    vals, _ = inst.int_valuations
+    # Each agent's values on its own integer scale: agents are compared only with themselves.
+    vals = [_common_denominator(row)[0] for row in inst.valuations]
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
 
     # Assign high-impact goods first; goods worthless to everyone need no branching.
@@ -180,7 +179,8 @@ def brute_force_mnw(
     if n == 1:  # the only allocation maximizes
         winner = Allocation((frozenset(range(m)),))
         return nash_product(inst, winner), winner
-    vals, _ = inst.int_valuations
+    # Each agent's values on its own integer scale: every product scales by one constant.
+    vals = [_common_denominator(row)[0] for row in inst.valuations]
     suffix = [[0] * (m + 1) for _ in range(n)]
     for i in range(n):
         for g in range(m - 1, -1, -1):

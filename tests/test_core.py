@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from fairmarket import (
     min_spenders,
     normalize_instance,
 )
-from fairmarket.core import parse_rational, rational_to_json, spending_profile
+from fairmarket.core import _common_denominator, parse_rational, rational_to_json, spending_profile
 
 F = Fraction
 PRICES = tuple(F(p) for p in (6, 5, 7, 3, 4))
@@ -122,19 +123,12 @@ def test_aggregates_match_their_fraction_definitions(prices, data):
         assert type(spend) is type(hat) is F
 
 
-@given(
-    st.lists(
-        st.lists(st.fractions(min_value=0, max_value=20, max_denominator=500), min_size=3, max_size=3),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_integer_valuations_divided_by_their_scale_give_back_the_rows(rows):
-    inst = Instance(tuple(tuple(row) for row in rows))
-    int_rows, scale = inst.int_valuations
-    assert all(type(v) is int for row in int_rows for v in row)
-    assert [[F(v, scale) for v in row] for row in int_rows] == rows
-    assert inst.int_valuations is inst.int_valuations  # computed once per instance
+@given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=500), max_size=6))
+def test_common_denominator_gives_back_the_prices(prices):
+    numerators, den = _common_denominator(prices)
+    assert all(type(x) is int for x in numerators)
+    assert [F(x, den) for x in numerators] == prices
+    assert den == math.lcm(*(p.denominator for p in prices))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from fairmarket import (
 )
 from fairmarket.core import spending_profile
 from fairmarket.engine import (
+    BetaBreakdown,
     EngineState,
     add_agent,
     apply_price_rise,
@@ -141,6 +142,16 @@ def test_price_rise_rejects_rate_at_most_one(demo_instance):
     bogus = type(rates)(rates.b1, rates.b2, rates.b3, F(1), "b3")
     with pytest.raises(InternalInvariantError):
         apply_price_rise(state, reach, bogus)
+
+
+def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
+    # Agent 1 owns nothing, so it stays outside the reach while its only edge goes into it.
+    inst = Instance.from_values([[1, 1], [1, 2], [0, 1]])
+    state = EngineState.from_solution(inst, [[0], [], [1]], [F(1), F(1)])
+    reach = reach_from(state, [2], 3)
+    assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
+    apply_price_rise(state, reach, BetaBreakdown(None, None, F(3), F(3), "b3"))
+    assert (state.alphas, state.mbb) == ([F(1), F(1), F(1, 3)], [{0}, {0}, {1}])
 
 
 # ---------------------------------------------------------------------------

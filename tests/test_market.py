@@ -14,7 +14,7 @@ from fairmarket import (
     compute_alphas,
     reach_from,
 )
-from fairmarket.market import bang_per_buck, best_ratio, ratio_inputs, shortest_violator_path
+from fairmarket.market import bang_per_buck, best_ratios, shortest_violator_path
 
 F = Fraction
 
@@ -81,25 +81,32 @@ small_rationals = st.sampled_from([F(0), F(1), F(2), F(1, 3), F(2, 3), F(5, 7)])
 @given(data=st.data())
 def test_best_ratio_matches_bang_per_buck(data):
     """The integer kernel against the `Fraction` definition: same maximum, every attaining good."""
-    row = data.draw(st.lists(small_rationals, min_size=1, max_size=7))
-    # Zero prices only under zero values: positive value over zero price is checked below.
-    prices = [data.draw(small_rationals if v == 0 else small_rationals.filter(bool)) for v in row]
-    goods = sorted(data.draw(st.sets(st.integers(0, len(row) - 1), min_size=1)))
-    inst = Instance((tuple(row),))
-    rows, cost, unit = ratio_inputs(inst, [prices[g] for g in goods])
-    alpha, attaining = best_ratio(rows[0], goods, cost, unit)
-    ratios = {g: bang_per_buck(row[g], prices[g]) for g in goods}
-    assert alpha == max(ratios.values())
-    assert attaining == [g for g in goods if ratios[g] == alpha]
-    assert compute_alphas(inst, prices)[0] == max(map(bang_per_buck, row, prices))
+    row_of_four = st.lists(small_rationals, min_size=4, max_size=4)
+    rows = data.draw(st.lists(row_of_four, min_size=1, max_size=3))
+    # Zero prices only where every value is zero: positive value over zero price is checked below.
+    prices = [
+        data.draw(small_rationals.filter(bool) if any(row[g] for row in rows) else small_rationals)
+        for g in range(4)
+    ]
+    goods = sorted(data.draw(st.sets(st.integers(0, 3), min_size=1)))
+    agents = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    inst = Instance(tuple(tuple(row) for row in rows))
+    results = list(best_ratios(inst, agents, goods, [prices[g] for g in goods]))
+    assert len(results) == len(agents)
+    for i, (alpha, attaining) in zip(agents, results):
+        ratios = {g: bang_per_buck(rows[i][g], prices[g]) for g in goods}
+        assert alpha == max(ratios.values())
+        assert attaining == [g for g in goods if ratios[g] == alpha]
+    assert compute_alphas(inst, prices) == {
+        i: max(map(bang_per_buck, row, prices)) for i, row in enumerate(rows)
+    }
 
 
 def test_best_ratio_rejects_positive_value_over_zero_price():
     inst = Instance.from_values([[0, 3]])
-    rows, cost, unit = ratio_inputs(inst, [F(0), F(0)])
     with pytest.raises(InternalInvariantError):
-        best_ratio(rows[0], [0, 1], cost, unit)
-    assert best_ratio(rows[0], [0], cost, unit) == (0, [0])  # 0/0 counts as ratio 0
+        list(best_ratios(inst, [0], [0, 1], [F(0), F(0)]))
+    assert list(best_ratios(inst, [0], [0], [F(0)])) == [(0, [0])]  # 0/0 counts as ratio 0
 
 
 # ---------------------------------------------------------------------------

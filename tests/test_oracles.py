@@ -151,6 +151,30 @@ def test_po_matches_plain_enumeration():
         assert brute_force_po(inst, alloc) == _po_by_full_enumeration(inst, alloc)
 
 
+def test_brute_force_oracles_on_rational_values():
+    """Each agent's values are scaled by their own denominators; plain enumeration agrees."""
+    rng = random.Random(37)
+    denominators = [1, 2, 3, 5, 7, 11]
+    for _ in range(80):
+        n = rng.randint(2, 3)
+        m = rng.randint(1, 4)
+        inst = Instance.from_values(
+            [[F(rng.randint(0, 6), rng.choice(denominators)) for _ in range(m)] for _ in range(n)]
+        )
+        bundles = [[] for _ in range(n)]
+        for g in range(m):
+            bundles[rng.randrange(n)].append(g)
+        alloc = Allocation.from_lists(bundles)
+        assert brute_force_po(inst, alloc) == _po_by_full_enumeration(inst, alloc)
+        product, winner = brute_force_mnw(inst)
+        assert product == nash_product(inst, winner)
+        every = (
+            Allocation.from_lists([[g for g in range(m) if a[g] == i] for i in range(n)])
+            for a in itertools.product(range(n), repeat=m)
+        )
+        assert product == max(nash_product(inst, other) for other in every)
+
+
 # ---------------------------------------------------------------------------
 # brute force welfare
 
