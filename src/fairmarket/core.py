@@ -174,6 +174,10 @@ class Solution:
     allocation: Allocation
     prices: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        # So every function taking a Solution may index `prices` by its bundles' goods.
+        valid_goods(self.prices, (g for bundle in self.allocation for g in bundle))
+
     def validate(self, inst: Instance) -> None:
         self.allocation.validate_partition(inst.m)
         if len(self.allocation) != inst.n:
@@ -218,13 +222,17 @@ class Solution:
 Prices = Sequence[Fraction] | Mapping[int, Fraction]
 
 
-def price_at(prices: Prices, g: int) -> Fraction:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-        raise InvalidInputError(f"invalid good index {g!r}")
-    try:
-        return prices[g]
-    except (IndexError, KeyError):
-        raise InvalidInputError(f"good index {g} is outside the price vector") from None
+def valid_goods(prices: Prices, goods: Iterable[int]) -> list[int]:
+    """`goods` as a list, once each is checked to be a good index of `prices`."""
+    goods = list(goods)
+    for g in goods:
+        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+            raise InvalidInputError(f"invalid good index {g!r}")
+        try:
+            prices[g]
+        except (IndexError, KeyError):
+            raise InvalidInputError(f"good index {g} is outside the price vector") from None
+    return goods
 
 
 def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -238,7 +246,7 @@ def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
 
 def bundle_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     """Total price of a set of goods; 0 for the empty set."""
-    return _spend_and_hat(prices, goods)[0]
+    return _spend_and_hat(prices, valid_goods(prices, goods))[0]
 
 
 def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
@@ -247,12 +255,12 @@ def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     Equals bundle_price minus the maximum price in the set; 0 for the
     empty set (and hence for singletons).
     """
-    return _spend_and_hat(prices, goods)[1]
+    return _spend_and_hat(prices, valid_goods(prices, goods))[1]
 
 
 def _spend_and_hat(prices: Prices, goods: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """`bundle_price` and `hat_price` of one set of goods, from one pass over it."""
-    costs, den = _common_denominator(price_at(prices, g) for g in goods)
+    """`bundle_price` and `hat_price` of one set of goods that index `prices`, in one pass."""
+    costs, den = _common_denominator(prices[g] for g in goods)
     spend = sum(costs)
     return Fraction(spend, den), Fraction(spend - max(costs, default=0), den)
 
@@ -262,7 +270,8 @@ def spending_profile(
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Each bundle's price and drop-one price (as `bundle_price`, `hat_price`).
 
-    Looks up each good's price once and sums each bundle once.
+    Looks up each good's price once and sums each bundle once.  Trusts the
+    bundles' goods to index `prices`, as a `Solution` or the engine guarantees.
     """
     pairs = [_spend_and_hat(prices, bundle) for bundle in bundles]
     return [spend for spend, _ in pairs], [hat for _, hat in pairs]

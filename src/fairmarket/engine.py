@@ -16,7 +16,6 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -27,7 +26,6 @@ from .core import (
     Instance,
     InternalInvariantError,
     InvalidInputError,
-    NormalizationRecord,
     Solution,
     _common_denominator,
     _spend_and_hat,
@@ -48,8 +46,6 @@ from .market import (
 # Rational upper bound on Euler's number; only used to over-approximate the
 # iteration watchdog, so erring high is safe.
 E_UPPER = Fraction(27182818285, 10**10)
-
-DEFAULT_TRACE_CAP = 100_000
 
 
 def iteration_bound(agent_count: int, total_goods: int) -> Fraction:
@@ -131,22 +127,16 @@ class CallStats:
 
 
 class SolveTrace:
-    """Bounded event log plus per-call counters for a whole solve run."""
+    """Complete event log plus per-call counters for a whole solve run."""
 
-    def __init__(self, cap: int | None = DEFAULT_TRACE_CAP) -> None:
-        self.events: deque[TraceEvent] = deque(maxlen=cap)
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
         self.calls: list[CallStats] = []
-        self.evicted = 0
 
     def start_call(self, agent_count: int, bound: Fraction) -> CallStats:
         stats = CallStats(agent_count=agent_count, bound=bound)
         self.calls.append(stats)
         return stats
-
-    def add_event(self, event: TraceEvent) -> None:
-        if self.events.maxlen is not None and len(self.events) == self.events.maxlen:
-            self.evicted += 1
-        self.events.append(event)
 
     @property
     def total_iterations(self) -> int:
@@ -195,12 +185,6 @@ class EngineState:
         return range(self.num_agents)
 
     @classmethod
-    def fresh(
-        cls, inst: Instance, *, check: bool = True, trace_cap: int | None = DEFAULT_TRACE_CAP
-    ) -> "EngineState":
-        return cls(inst=inst, check=check, trace=SolveTrace(trace_cap))
-
-    @classmethod
     def from_solution(
         cls,
         inst: Instance,
@@ -208,34 +192,21 @@ class EngineState:
         prices: Sequence[Fraction],
         *,
         check: bool = True,
-        trace_cap: int | None = DEFAULT_TRACE_CAP,
     ) -> "EngineState":
         """State with every agent active, for driving the rebalancer directly.
 
-        `prices` holds one price per good, indexed by good.
+        `prices` holds one positive price per good, indexed by good.
         """
-        if len(bundles) != inst.n:
-            raise InvalidInputError(f"need {inst.n} bundles, got {len(bundles)}")
-        price_map = {g: Fraction(p) for g, p in enumerate(prices)}
-        goods = sorted(price_map)
-        if any(p <= 0 for p in price_map.values()):
+        sol = Solution(Allocation.from_lists(bundles), tuple(prices))
+        sol.validate(inst)
+        if any(p <= 0 for p in sol.prices):
             raise InvalidInputError("active goods must have positive prices")
-        state = cls(inst=inst, check=check, trace=SolveTrace(trace_cap))
+        state = cls(inst=inst, check=check)
         state.num_agents = inst.n
-        state.goods = goods
-        state.prices = price_map
-        state.bundles = [set(b) for b in bundles]
-        covered: set[int] = set()
-        for i, bundle in enumerate(state.bundles):
-            for g in bundle:
-                if g not in price_map:
-                    raise InvalidInputError(f"bundle {i} holds unpriced good {g}")
-                if g in covered:
-                    raise InvalidInputError(f"good {g} is owned twice")
-                covered.add(g)
-                state.owner[g] = i
-        if covered != set(goods):
-            raise InvalidInputError("bundles must partition the priced goods")
+        state.goods = list(range(inst.m))
+        state.prices = dict(enumerate(sol.prices))
+        state.bundles = [set(b) for b in sol.allocation]
+        state.owner = {g: i for i, bundle in enumerate(state.bundles) for g in bundle}
         state.track_new_agents()
         return state
 
@@ -363,7 +334,6 @@ def apply_price_rise(
     beta = betas.beta
     if not 1 < beta:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {beta}")
-    old_max_hat = max(state.hats)
     for g in reach.goods:
         state.prices[g] = state.prices[g] * beta
     stranded = []  # unreachable agents whose every edge went into the reach
@@ -382,12 +352,6 @@ def apply_price_rise(
     if betas.b1 == beta:
         for j, g in betas.b1_edges:
             state.mbb[j].add(g)
-    if state.check:
-        _check_state(state, old_max_hat)
-        if max(state.hats) != old_max_hat:
-            raise InternalInvariantError(
-                f"price rise moved the violation level: {old_max_hat} -> {max(state.hats)}"
-            )
 
 
 def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
@@ -441,11 +405,6 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         state.owner[g] = taker
     for i in agents_on[b : a + 1]:
         spends[i], state.hats[i] = _spend_and_hat(state.prices, state.bundles[i])
-
-    if state.check:
-        _check_state(state, max_hat)
-        if max(state.hats) > max_hat:
-            raise InternalInvariantError("transfer raised the violation level")
     return a, b
 
 
@@ -545,6 +504,16 @@ def step(state: EngineState) -> TraceEvent | None:
         betas = compute_betas(state, reach)
         apply_price_rise(state, reach, betas)
         stats.price_rises += 1
+    if state.check:
+        # A price rise keeps the violation level exactly; a transfer does not raise it.
+        _check_state(state, max_hat)
+        new_max_hat = max(state.hats)
+        if path is None and new_max_hat != max_hat:
+            raise InternalInvariantError(
+                f"price rise moved the violation level: {max_hat} -> {new_max_hat}"
+            )
+        if new_max_hat > max_hat:
+            raise InternalInvariantError("transfer raised the violation level")
 
     event = TraceEvent(
         k=na,
@@ -559,7 +528,7 @@ def step(state: EngineState) -> TraceEvent | None:
         max_hat=max_hat,
         min_price=min_price,
     )
-    state.trace.add_event(event)
+    state.trace.events.append(event)
     return event
 
 
@@ -584,24 +553,11 @@ def find_solution(state: EngineState) -> EngineState:
 # the full pipeline
 
 
-def _induced_core_order(
-    order: Sequence[int] | None, raw_n: int, rec: NormalizationRecord
-) -> list[int]:
-    """Map a user-facing agent order onto core indices, skipping dropped agents."""
-    if order is None:
-        return list(range(len(rec.kept_agents)))
-    if sorted(order) != list(range(raw_n)):
-        raise InvalidInputError(f"order must be a permutation of 0..{raw_n - 1}")
-    core_index = {orig: ci for ci, orig in enumerate(rec.kept_agents)}
-    return [core_index[orig] for orig in order if orig in core_index]
-
-
 def solve(
     inst: Instance,
     *,
     order: Sequence[int] | None = None,
     check: bool = True,
-    trace_cap: int | None = DEFAULT_TRACE_CAP,
 ) -> tuple[Solution, SolveTrace]:
     """Compute an EF1 and fractionally Pareto optimal solution for `inst`.
 
@@ -611,20 +567,24 @@ def solve(
     re-embeds the result into the original index space.  Returns the
     solution and the event trace.
     """
-    core, rec = normalize_instance(inst)
-    if core is None:
-        empty = Solution(Allocation(()), ())
-        return denormalize(empty, rec), SolveTrace(trace_cap)
     if order is not None:
         order = list(order)
+        if sorted(order) != list(range(inst.n)):
+            raise InvalidInputError(f"order must be a permutation of 0..{inst.n - 1}")
+    core, rec = normalize_instance(inst)
+    if core is None:
+        return denormalize(Solution(Allocation(()), ()), rec), SolveTrace()
     if not check_hall(core):
         raise HallViolationError(
             "some agent set values fewer goods than its size; instance rejected"
         )
-    insertion = _induced_core_order(order, inst.n, rec)
+    # The order on core indices, skipping dropped agents.
+    core_index = {orig: ci for ci, orig in enumerate(rec.kept_agents)}
+    raw_order = range(inst.n) if order is None else order
+    insertion = [core_index[orig] for orig in raw_order if orig in core_index]
 
     permuted = Instance(tuple(core.valuations[c] for c in insertion))
-    state = EngineState.fresh(permuted, check=check, trace_cap=trace_cap)
+    state = EngineState(permuted, check=check)
     for _ in range(permuted.n):
         add_agent(state)
         find_solution(state)

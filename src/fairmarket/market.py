@@ -19,7 +19,7 @@ from .core import (
     InvalidInputError,
     Prices,
     Solution,
-    price_at,
+    valid_goods,
 )
 
 
@@ -67,9 +67,9 @@ def compute_alphas(
     goods: Sequence[int] | None = None,
 ) -> dict[int, Fraction]:
     """Best value-per-price ratio per agent over the given goods (default: all)."""
-    good_ids = range(inst.m) if goods is None else goods
+    good_ids = valid_goods(prices, range(inst.m) if goods is None else goods)
     agent_ids = list(range(inst.n) if agents is None else agents)
-    ratios = best_ratios(inst, agent_ids, good_ids, (price_at(prices, g) for g in good_ids))
+    ratios = best_ratios(inst, agent_ids, good_ids, (prices[g] for g in good_ids))
     return {i: alpha for i, (alpha, _) in zip(agent_ids, ratios)}
 
 
@@ -97,18 +97,14 @@ class MbbGraph:
         agents: Sequence[int],
         goods: Sequence[int],
     ) -> "MbbGraph":
+        """Graph of a state whose bundles partition `goods`, all priced (not re-checked)."""
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        cost = (price_at(prices, g) for g in goods)
+        cost = (prices[g] for g in goods)
         alphas, mbb = {}, {}
         for i, (alpha, attaining) in zip(agents, best_ratios(inst, agents, goods, cost)):
             alphas[i], mbb[i] = alpha, tuple(attaining)
-        owner: dict[int, int] = {}
-        for i in agents:
-            for g in bundles[i]:
-                if g in owner:
-                    raise InvalidInputError(f"good {g} is owned twice")
-                owner[g] = i
+        owner = {g: i for i in agents for g in bundles[i]}
         return cls(agents, goods, mbb, owner, alphas)
 
     def as_dict(self) -> dict:
@@ -124,6 +120,7 @@ class MbbGraph:
 
 def build_graph(inst: Instance, sol: Solution) -> MbbGraph:
     """Graph for a full-instance solution (every agent and good in play)."""
+    sol.validate(inst)
     return MbbGraph.from_state(
         inst, sol.allocation.bundles, sol.prices, range(inst.n), range(inst.m)
     )
@@ -135,15 +132,12 @@ class Reachability:
 
     `levels` maps every graph agent to its breadth-first depth in agent
     layers (half the edge count of a shortest path); agents that cannot be
-    reached carry the sentinel level passed to `reach_from`.  `parent_good`
-    and `parent_agent` record the discovery tree.
+    reached carry the sentinel level passed to `reach_from`.
     """
 
     agents: frozenset[int]
     goods: frozenset[int]
     levels: dict[int, int]
-    parent_good: dict[int, int]
-    parent_agent: dict[int, int | None]
 
 
 def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Reachability:
@@ -159,12 +153,10 @@ def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Rea
     if not source_list:
         raise InvalidInputError("reachability needs at least one source agent")
     levels = {i: agent_count for i in graph.agents}
-    parent_good: dict[int, int] = {}
-    parent_agent: dict[int, int | None] = {}
+    reached = set(source_list)
     seen_goods: set[int] = set()
     for s in source_list:
         levels[s] = 0
-        parent_agent[s] = None
     frontier = source_list
     depth = 0
     while frontier:
@@ -173,19 +165,17 @@ def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Rea
             for g in graph.mbb[i]:
                 if g not in seen_goods:
                     seen_goods.add(g)
-                    parent_good[g] = i
                     new_goods.append(g)
         next_frontier: list[int] = []
         for g in sorted(new_goods):
             j = graph.owner.get(g)
-            if j is not None and j not in parent_agent:
+            if j is not None and j not in reached:
                 levels[j] = depth + 1
-                parent_agent[j] = g
+                reached.add(j)
                 next_frontier.append(j)
         frontier = sorted(next_frontier)
         depth += 1
-    reached = frozenset(parent_agent)
-    return Reachability(reached, frozenset(seen_goods), levels, parent_good, parent_agent)
+    return Reachability(frozenset(reached), frozenset(seen_goods), levels)
 
 
 def shortest_violator_path(

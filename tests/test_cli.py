@@ -1,6 +1,9 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -97,6 +100,26 @@ def test_solve_with_order_flag(tmp_path):
     assert main(["solve", inst_path, "--order", "2,1,0", "-o", str(out)]) == 0
     assert main(["solve", inst_path, "--order", "2,2,0", "-o", str(out)]) == 1
     assert main(["solve", inst_path, "--order", "2,x,0", "-o", str(out)]) == 1
+
+def test_module_entry_point(tmp_path):
+    """`python -m fairmarket` end to end, in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "fairmarket", *args]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    inst, sol = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
+    assert run("gen", "-n", "3", "-m", "6", "--seed", "4", "-o", inst).returncode == 0
+    assert run("solve", inst, "-o", sol).returncode == 0
+    verified = run("verify", inst, sol)
+    assert verified.returncode == 0 and json.loads(verified.stdout)["ok"] is True
+    failed = run("solve", write_demo(tmp_path, "bad.json", {"agents": 1}))
+    assert (failed.returncode, failed.stdout) == (1, "")
+    [line] = failed.stderr.splitlines()
+    assert json.loads(line)["error"] == "invalid-input"
 
 def test_solve_graph_dump(tmp_path):
     inst_path = write_demo(tmp_path)

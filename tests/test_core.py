@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from fairmarket import (
     Allocation,
+    EngineState,
     Instance,
     InvalidInputError,
     Solution,
+    build_graph,
     bundle_price,
     check_hall,
+    compute_alphas,
     denormalize,
     hat_price,
     is_pef1,
@@ -80,12 +83,28 @@ def test_hat_price_examples():
     assert hat_price(PRICES, {4}) == 0
 
 
-@pytest.mark.parametrize("goods", [{-1}, {5}, {0, 99}])
+@pytest.mark.parametrize("goods", [{-1}, {5}, {0, 99}, {True}])
 def test_price_ops_reject_bad_indices(goods):
-    with pytest.raises(InvalidInputError):
-        bundle_price(PRICES, goods)
-    with pytest.raises(InvalidInputError):
-        hat_price(PRICES, goods)
+    """Every entry point taking raw good indices checks them; the kernels trust them."""
+    inst = Instance.from_values([[1] * 5, [2] * 5])
+    bundles = [goods, set(range(5)) - goods]
+
+    def solution():
+        return Solution(Allocation.from_lists(bundles), PRICES)
+
+    for call in (
+        lambda: bundle_price(PRICES, goods),
+        lambda: hat_price(PRICES, goods),
+        lambda: compute_alphas(inst, PRICES, goods=sorted(goods)),
+        lambda: compute_alphas(inst, dict(enumerate(PRICES)), goods=sorted(goods)),
+        lambda: is_pef1(solution()),
+        lambda: min_spenders(solution()),
+        lambda: max_violators(solution()),
+        lambda: build_graph(inst, solution()),
+        lambda: EngineState.from_solution(inst, bundles, PRICES),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
 
 
 @given(

@@ -46,19 +46,19 @@ def demo_engine_state(demo_instance) -> EngineState:
 
 
 def test_first_agent_introduction_prices(demo_instance):
-    state = EngineState.fresh(demo_instance)
+    state = EngineState(demo_instance)
     goods, prices = initial_prices_for_agent(state, 0)
     assert goods == (0, 1)
     assert prices == {0: F(1, 5), 1: F(1, 6)}
 
 
 def test_agent_with_no_new_goods(demo_instance):
-    state = EngineState.fresh(demo_instance)
+    state = EngineState(demo_instance)
     add_agent(state)
     find_solution(state)
     # a clone of agent 0 would bring nothing new
     clone = Instance.from_values([[6, 5, 0, 0, 0], [6, 5, 0, 0, 0]])
-    st = EngineState.fresh(clone)
+    st = EngineState(clone)
     add_agent(st)
     goods, prices = initial_prices_for_agent(st, 1)
     assert goods == () and prices == {}
@@ -73,7 +73,7 @@ def test_new_batch_cheaper_than_any_existing_good():
         for i, g in enumerate(rng.sample(range(m), n)):
             rows[i][g] = max(1, rows[i][g])
         inst = Instance.from_values(rows)
-        state = EngineState.fresh(inst)
+        state = EngineState(inst)
         add_agent(state)
         find_solution(state)
         for _ in range(n - 1):
@@ -192,7 +192,7 @@ def test_transfer_bundle_size_deltas():
         for i, g in enumerate(rng.sample(range(m), n)):
             rows[i][g] = max(1, rows[i][g])
         inst = Instance.from_values(rows)
-        state = EngineState.fresh(inst)
+        state = EngineState(inst)
         for _ in range(n):
             add_agent(state)
             state._current_call = state.trace.start_call(
@@ -391,6 +391,15 @@ def test_solve_order_must_be_permutation(demo_instance):
         solve(demo_instance, order=[0, 0, 1])
 
 
+@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 0], [1, 0]]])
+def test_solve_checks_the_order_before_the_instance(rows):
+    # Normalization keeps no agent of the first; the second fails the matching condition.
+    from fairmarket import InvalidInputError
+
+    with pytest.raises(InvalidInputError, match="permutation"):
+        solve(Instance.from_values(rows), order=[7, 7])
+
+
 def test_solve_order_skips_dropped_agents():
     inst = Instance.from_values([[0, 0, 0], [1, 2, 0], [0, 1, 3]])
     sol, _ = solve(inst, order=[2, 0, 1])  # agent 0 values nothing and is skipped
@@ -418,7 +427,7 @@ def test_engine_invariants_hold_after_every_event():
         for i, g in enumerate(rng.sample(range(m), n)):
             rows[i][g] = max(1, rows[i][g])
         inst = Instance.from_values(rows)
-        state = EngineState.fresh(inst)  # online checks are on by default
+        state = EngineState(inst)  # online checks are on by default
         from fairmarket.engine import step
 
         for _ in range(inst.n):
@@ -450,6 +459,36 @@ def test_engine_invariants_hold_after_every_event():
         assert check_ef1(inst, final.allocation)
 
 
+def test_online_audit_runs_once_per_step(monkeypatch):
+    from fairmarket import engine
+    from fairmarket.cli import generate_instance
+
+    audits = []
+    audit = engine._check_state
+    monkeypatch.setattr(engine, "_check_state", lambda *args: audits.append(audit(*args)))
+    _, trace = solve(generate_instance(3, 8, 10, 0))
+    assert {e.kind for e in trace.events} == {"transfer", "price_rise"}
+    # one audit when each rebalancing call starts, then one after each step
+    assert len(audits) == len(trace.calls) + len(trace.events)
+
+
+def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkeypatch):
+    from fairmarket import engine
+    from fairmarket.cli import generate_instance
+
+    def overshoot(state, reach):
+        # A rate past b2 (and short of b1) lifts a reachable hat over the level.
+        b = compute_betas(state, reach)
+        if b.b2 is None or (b.b1 is not None and b.b1 <= b.b2):
+            return b
+        beta = b.b2 * 2 if b.b1 is None else (b.b2 + b.b1) / 2
+        return BetaBreakdown(b.b1, b.b2, b.b3, beta, "b2")
+
+    monkeypatch.setattr(engine, "compute_betas", overshoot)
+    with pytest.raises(InternalInvariantError, match="moved the violation level"):
+        solve(generate_instance(3, 8, 10, 2))
+
+
 # ---------------------------------------------------------------------------
 # maintained market state
 
@@ -476,7 +515,7 @@ def stepped_states(seed: int, count: int, check: bool):
         rows = [[rng.randint(0, rng.choice([2, 9, 100])) for _ in range(m)] for _ in range(n)]
         for i, g in enumerate(rng.sample(range(m), n)):
             rows[i][g] = max(1, rows[i][g])
-        state = EngineState.fresh(Instance.from_values(rows), check=check)
+        state = EngineState(Instance.from_values(rows), check=check)
         for _ in range(n):
             add_agent(state)
             yield state

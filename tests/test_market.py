@@ -9,6 +9,7 @@ from fairmarket import (
     Allocation,
     Instance,
     InternalInvariantError,
+    InvalidInputError,
     Solution,
     build_graph,
     compute_alphas,
@@ -62,6 +63,19 @@ def test_price_raise_removes_mbb_edge():
     assert cheap.mbb[0] == (0, 1)
     raised = build_graph(inst, Solution(Allocation.from_lists([[0, 1]]), (F(1), F(2))))
     assert raised.mbb[0] == (0,)
+
+
+@pytest.mark.parametrize(
+    "bundles, prices",
+    [
+        ([[0, 1], [1, 2, 3], [4]], (6, 5, 7, 3, 4)),  # good 1 is owned twice
+        ([[0, 1], [2, 3], [4, 5]], (6, 5, 7, 3, 4, 1)),  # good 5 is not in the instance
+    ],
+)
+def test_build_graph_validates_its_solution(demo_instance, bundles, prices):
+    sol = Solution(Allocation.from_lists(bundles), tuple(F(p) for p in prices))
+    with pytest.raises(InvalidInputError):
+        build_graph(demo_instance, sol)
 
 
 def test_graph_dump_is_json_ready(demo_instance, demo_state_solution):
