@@ -63,8 +63,8 @@ def load_json(path: str, parse):
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:  # malformed JSON, bad UTF-8, or an int past CPython's digit limit
+        raise InvalidInputError(f"cannot parse {path} as JSON: {exc}") from None
     except RecursionError:
         raise InvalidInputError(f"{path} nests too deeply to parse") from None
     return parse(obj)
@@ -105,28 +105,16 @@ def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     order = None
-    try:
-        if args.order is not None:
-            try:
-                order = [int(x) for x in args.order.split(",")]
-            except ValueError:
-                raise InvalidInputError(f"cannot parse --order {args.order!r}") from None
-        inst = load_json(args.input, Instance.from_json_dict)
-        solution, trace = solve(inst, order=order)
-    except InvalidInputError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    except HallViolationError as exc:
-        return _fail(EXIT_HALL_VIOLATION, "hall-violation", str(exc))
-    except InternalInvariantError as exc:
-        return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
-
-    try:
-        report = verify(inst, solution, brute_cap=0)  # self-check without brute force
-        if not report.ok:
-            raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
-    except InternalInvariantError as exc:
-        return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
-
+    if args.order is not None:
+        try:
+            order = [int(x) for x in args.order.split(",")]
+        except ValueError:
+            raise InvalidInputError(f"cannot parse --order {args.order!r}") from None
+    inst = load_json(args.input, Instance.from_json_dict)
+    solution, trace = solve(inst, order=order)
+    report = verify(inst, solution, brute_cap=0)  # self-check without brute force
+    if not report.ok:
+        raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
     _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
     if args.trace is not None:
         lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
@@ -146,15 +134,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        inst = load_json(args.instance, Instance.from_json_dict)
-        solution = load_json(args.solution, Solution.from_json_dict)
-        cap = _resolved_brute_cap(args.brute_cap)
-        report = verify(inst, solution, brute_cap=cap)
-    except InvalidInputError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    except InternalInvariantError as exc:
-        return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
+    inst = load_json(args.instance, Instance.from_json_dict)
+    solution = load_json(args.solution, Solution.from_json_dict)
+    report = verify(inst, solution, brute_cap=_resolved_brute_cap(args.brute_cap))
     checks = report.to_json_dict()
     print(json.dumps(checks, sort_keys=True))
     if not report.ok:
@@ -164,10 +146,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        inst = generate_instance(args.n, args.m, args.max, args.seed)
-    except InvalidInputError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
+    inst = generate_instance(args.n, args.m, args.max, args.seed)
     _write_text(args.output, json.dumps(inst.to_json_dict(), sort_keys=True))
     return EXIT_OK
 
@@ -216,22 +195,13 @@ def _bench_cells(spec: object) -> tuple[list[tuple[int, int, int, int]], list[st
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        cells, paths = load_json(args.spec, _bench_cells)
-        cap = _resolved_brute_cap(args.brute_cap)
-        rows = []
-        for n, m, max_value, seed in cells:
-            rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, cap))
-        for path in paths:
-            inst = load_json(path, Instance.from_json_dict)
-            rows.append(_bench_one(inst, {"path": path}, cap))
-    except InvalidInputError as exc:
-        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
-    except HallViolationError as exc:
-        return _fail(EXIT_HALL_VIOLATION, "hall-violation", str(exc))
-    except InternalInvariantError as exc:
-        return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
-
+    cells, paths = load_json(args.spec, _bench_cells)
+    cap = _resolved_brute_cap(args.brute_cap)
+    rows = []
+    for n, m, max_value, seed in cells:
+        rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, cap))
+    for path in paths:
+        rows.append(_bench_one(load_json(path, Instance.from_json_dict), {"path": path}, cap))
     if args.output is not None and args.output.endswith(".csv"):
         fields = [
             "n", "m", "seed", "path", "iterations_per_call", "total_iterations",
@@ -295,8 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its errors exit with their code and one JSON line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except InvalidInputError as exc:
+        return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))
+    except HallViolationError as exc:
+        return _fail(EXIT_HALL_VIOLATION, "hall-violation", str(exc))
+    except InternalInvariantError as exc:
+        return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
 
 
 def entry() -> None:

@@ -7,9 +7,9 @@ violators, and the price-level envy test built on them.  Also hosts the
 normalization step that strips worthless goods and indifferent agents,
 and the Hall-condition check that gates the solver.
 
-Every quantity is a `fractions.Fraction`; nothing in the solver path ever
-rounds.  Agent and good indices are 0-based throughout, including in the
-JSON file formats.
+Every quantity handed out is a `fractions.Fraction`; nothing in the solver
+path ever rounds.  Agent and good indices are 0-based throughout, including
+in the JSON file formats.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
 
 def bundle_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     """Total price of a set of goods; 0 for the empty set."""
-    return _spend_and_hat(prices, valid_goods(prices, goods))[0]
+    return spending_profile([valid_goods(prices, goods)], prices)[0][0]
 
 
 def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
@@ -255,14 +255,13 @@ def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
     Equals bundle_price minus the maximum price in the set; 0 for the
     empty set (and hence for singletons).
     """
-    return _spend_and_hat(prices, valid_goods(prices, goods))[1]
+    return spending_profile([valid_goods(prices, goods)], prices)[1][0]
 
 
-def _spend_and_hat(prices: Prices, goods: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """`bundle_price` and `hat_price` of one set of goods that index `prices`, in one pass."""
-    costs, den = _common_denominator(prices[g] for g in goods)
+def _spend_and_hat(costs: Sequence[int]) -> tuple[int, int]:
+    """A bundle's price and drop-one price, from its goods' numerators over one denominator."""
     spend = sum(costs)
-    return Fraction(spend, den), Fraction(spend - max(costs, default=0), den)
+    return spend, spend - max(costs, default=0)
 
 
 def spending_profile(
@@ -271,10 +270,15 @@ def spending_profile(
     """Each bundle's price and drop-one price (as `bundle_price`, `hat_price`).
 
     Looks up each good's price once and sums each bundle once.  Trusts the
-    bundles' goods to index `prices`, as a `Solution` or the engine guarantees.
+    bundles' goods to index `prices`, as a `Solution` guarantees.
     """
-    pairs = [_spend_and_hat(prices, bundle) for bundle in bundles]
-    return [spend for spend, _ in pairs], [hat for _, hat in pairs]
+    spends, hats = [], []
+    for bundle in bundles:
+        costs, den = _common_denominator(prices[g] for g in bundle)
+        spend, hat = _spend_and_hat(costs)
+        spends.append(Fraction(spend, den))
+        hats.append(Fraction(hat, den))
+    return spends, hats
 
 
 def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:

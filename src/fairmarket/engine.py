@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import (
@@ -31,16 +32,16 @@ from .core import (
     _spend_and_hat,
     check_hall,
     denormalize,
-    hat_profile,  # unused here; perfbench's span table still names engine.hat_profile
+    hat_profile,  # unused here, like spending_profile; perfbench's span table names both
     normalize_instance,
     spending_profile,
 )
 from .market import (
-    MbbGraph,
     Reachability,
     best_ratios,
     reach_from,
     shortest_violator_path,
+    split_valuations,
 )
 
 # Rational upper bound on Euler's number; only used to over-approximate the
@@ -152,11 +153,13 @@ class EngineState:
     """Mutable solver state: the grown sub-instance and its current solution.
 
     Agents 0..num_agents-1 of `inst` are active; `goods` lists the active
-    good ids (a subset of the instance's columns).  Per active agent, every
+    good ids (a subset of the instance's columns), and good g costs
+    `nums[g] / den` with `den` kept reduced: `gcd(den, *nums) == 1`.  `rows`
+    holds the valuations split into integer pairs.  Per active agent, every
     event updates the best ratio (`alphas`), the goods attaining it (`mbb`),
-    the bundle price (`spends`) and the drop-one bundle price (`hats`) in
-    place.  A single state is strictly sequential; run separate states for
-    parallel solves.
+    the bundle price (`spends`) and the drop-one bundle price (`hats`, both
+    numerators over `den`) in place.  A single state is strictly
+    sequential; run separate states for parallel solves.
     """
 
     inst: Instance
@@ -164,15 +167,20 @@ class EngineState:
     trace: SolveTrace = field(default_factory=SolveTrace)
     num_agents: int = 0
     goods: list[int] = field(default_factory=list)
-    prices: dict[int, Fraction] = field(default_factory=dict)
+    nums: dict[int, int] = field(default_factory=dict)
+    den: int = 1
     bundles: list[set[int]] = field(default_factory=list)
     owner: dict[int, int] = field(default_factory=dict)
     alphas: list[Fraction] = field(default_factory=list)
     mbb: list[set[int]] = field(default_factory=list)
-    spends: list[Fraction] = field(default_factory=list)
-    hats: list[Fraction] = field(default_factory=list)
+    spends: list[int] = field(default_factory=list)
+    hats: list[int] = field(default_factory=list)
+    rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
     _prev_potential: tuple[int, ...] | None = None
     _current_call: CallStats | None = None
+
+    def __post_init__(self) -> None:
+        self.rows = split_valuations(self.inst)
 
     @property
     def k(self) -> int:
@@ -204,7 +212,8 @@ class EngineState:
         state = cls(inst=inst, check=check)
         state.num_agents = inst.n
         state.goods = list(range(inst.m))
-        state.prices = dict(enumerate(sol.prices))
+        scaled, state.den = _common_denominator(sol.prices)
+        state.nums = dict(enumerate(scaled))
         state.bundles = [set(b) for b in sol.allocation]
         state.owner = {g: i for i, bundle in enumerate(state.bundles) for g in bundle}
         state.track_new_agents()
@@ -213,20 +222,24 @@ class EngineState:
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
         new = range(len(self.alphas), self.num_agents)
-        cost = (self.prices[g] for g in self.goods)
-        for i, (alpha, edges) in zip(new, best_ratios(self.inst, new, self.goods, cost)):
+        ratios = best_ratios(self.rows, new, self.goods, self.nums, self.den)
+        for i, (alpha, edges) in zip(new, ratios):
             self.alphas.append(alpha)
             self.mbb.append(set(edges))
-            spend, hat = _spend_and_hat(self.prices, self.bundles[i])
+            spend, hat = _spend_and_hat([self.nums[g] for g in self.bundles[i]])
             self.spends.append(spend)
             self.hats.append(hat)
+
+    def fraction_prices(self) -> dict[int, Fraction]:
+        """The active goods' prices as `Fraction`s, built afresh on every call."""
+        return {g: Fraction(num, self.den) for g, num in self.nums.items()}
 
     def to_solution(self) -> Solution:
         if set(self.goods) != set(range(self.inst.m)):
             raise InternalInvariantError("state does not cover every good yet")
         return Solution(
             Allocation(tuple(frozenset(b) for b in self.bundles)),
-            tuple(self.prices[g] for g in range(self.inst.m)),
+            tuple(Fraction(self.nums[g], self.den) for g in range(self.inst.m)),
         )
 
 
@@ -251,8 +264,8 @@ def initial_prices_for_agent(
     max_value = max(row)
     if max_value == 0:
         raise InternalInvariantError(f"agent {agent} values nothing; normalization missed it")
-    new_goods = tuple(g for g in range(state.inst.m) if g not in state.prices and row[g] > 0)
-    min_price = min(state.prices.values()) if state.prices else Fraction(1)
+    new_goods = tuple(g for g in range(state.inst.m) if g not in state.nums and row[g] > 0)
+    min_price = Fraction(min(state.nums.values()), state.den) if state.nums else Fraction(1)
     denom = state.inst.m * max_value
     return new_goods, {g: row[g] * min_price / denom for g in new_goods}
 
@@ -268,8 +281,14 @@ def add_agent(state: EngineState) -> None:
                     raise InternalInvariantError(
                         f"agent {j} values good {g} which only joined with agent {agent}"
                     )
-    state.prices.update(new_prices)
-    state.goods = sorted(state.prices)
+    # Rebase every price onto the lcm of the old and the new denominators, which stays reduced.
+    den = lcm(state.den, *(p.denominator for p in new_prices.values()))
+    scale, state.den = den // state.den, den
+    state.nums = {g: num * scale for g, num in state.nums.items()}
+    state.nums.update((g, p.numerator * (den // p.denominator)) for g, p in new_prices.items())
+    state.spends = [spend * scale for spend in state.spends]
+    state.hats = [hat * scale for hat in state.hats]
+    state.goods = sorted(state.nums)
     state.bundles.append(set(new_goods))
     for g in new_goods:
         state.owner[g] = agent
@@ -292,8 +311,8 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     b1_edges: list[tuple[int, int]] = []
     outside = [g for g in state.goods if g not in reach.goods]
     agents = sorted(reach.agents)
-    cost = (state.prices[g] for g in outside)
-    for j, (out_ratio, attaining) in zip(agents, best_ratios(state.inst, agents, outside, cost)):
+    ratios = best_ratios(state.rows, agents, outside, state.nums, state.den)
+    for j, (out_ratio, attaining) in zip(agents, ratios):
         if out_ratio > 0:
             rate = state.alphas[j] / out_ratio
             if b1 is None or rate < b1:
@@ -301,9 +320,9 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
             if rate == b1:
                 b1_edges.extend((j, g) for g in attaining)
 
-    reach_hat = max((hats[j] for j in reach.agents), default=Fraction(0))
-    b2: Fraction | None = max_hat / reach_hat if reach_hat > 0 else None
-    b3: Fraction | None = max_hat / spends[k] if spends[k] > 0 else None
+    reach_hat = max((hats[j] for j in reach.agents), default=0)
+    b2: Fraction | None = Fraction(max_hat, reach_hat) if reach_hat > 0 else None
+    b3: Fraction | None = Fraction(max_hat, spends[k]) if spends[k] > 0 else None
 
     finite = [x for x in (b1, b2, b3) if x is not None]
     if not finite:
@@ -329,25 +348,30 @@ def apply_price_rise(
     move.  Reachable agents own and point only into reachable goods, so their
     alphas divide by the rate and their spends and hats grow by it; at rate
     b1 they gain the edges attaining it.  Unreachable agents lose their
-    edges into the reachable goods.
+    edges into the reachable goods.  With the rate p/q, reachable numerators
+    multiply by p, the others and `den` by q, and one gcd reduces them all.
     """
     beta = betas.beta
     if not 1 < beta:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {beta}")
-    for g in reach.goods:
-        state.prices[g] = state.prices[g] * beta
+    up, down = beta.numerator, beta.denominator
+    scaled = {g: num * (up if g in reach.goods else down) for g, num in state.nums.items()}
+    common = gcd(state.den * down, *scaled.values())
+    state.nums = {g: num // common for g, num in scaled.items()}
+    state.den = state.den * down // common
     stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
+        factor = up if i in reach.agents else down
+        state.spends[i] = state.spends[i] * factor // common
+        state.hats[i] = state.hats[i] * factor // common
         if i in reach.agents:
             state.alphas[i] /= beta
-            state.spends[i] *= beta
-            state.hats[i] *= beta
         elif state.mbb[i] <= reach.goods:
             stranded.append(i)
         else:
             state.mbb[i] -= reach.goods
-    cost = (state.prices[g] for g in state.goods)
-    for i, (alpha, edges) in zip(stranded, best_ratios(state.inst, stranded, state.goods, cost)):
+    ratios = best_ratios(state.rows, stranded, state.goods, state.nums, state.den)
+    for i, (alpha, edges) in zip(stranded, ratios):
         state.alphas[i], state.mbb[i] = alpha, set(edges)
     if betas.b1 == beta:
         for j, g in betas.b1_edges:
@@ -373,15 +397,11 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         if state.owner.get(goods_on[c - 1]) != agents_on[c]:
             raise InvalidInputError("path ownership edges do not match the allocation")
 
-    spends = state.spends
+    spends, nums = state.spends, state.nums
     max_hat = max(state.hats)
 
     a = next(
-        (
-            c
-            for c in range(1, length + 1)
-            if spends[agents_on[c]] - state.prices[goods_on[c - 1]] >= max_hat
-        ),
+        (c for c in range(1, length + 1) if spends[agents_on[c]] - nums[goods_on[c - 1]] >= max_hat),
         None,
     )
     if a is None:
@@ -390,8 +410,7 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         (
             c
             for c in range(a - 1, 0, -1)
-            if max_hat
-            >= spends[agents_on[c]] + state.prices[goods_on[c]] - state.prices[goods_on[c - 1]]
+            if max_hat >= spends[agents_on[c]] + nums[goods_on[c]] - nums[goods_on[c - 1]]
         ),
         0,
     )
@@ -404,7 +423,7 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         state.bundles[taker].add(g)
         state.owner[g] = taker
     for i in agents_on[b : a + 1]:
-        spends[i], state.hats[i] = _spend_and_hat(state.prices, state.bundles[i])
+        spends[i], state.hats[i] = _spend_and_hat([nums[g] for g in state.bundles[i]])
     return a, b
 
 
@@ -424,9 +443,10 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
 
 
 def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> None:
-    """Post-step audit: partition, positive prices, ratio containment, fairness.
+    """Post-step audit: partition, positive reduced prices, ratio containment, fairness.
 
-    Also holds the maintained alphas, edges, spends and hats to a rebuild.
+    Also holds the maintained alphas, edges, spends and hats to a rebuild
+    from the price numerators, `den` and the split valuations.
     """
     covered: set[int] = set()
     for bundle in state.bundles:
@@ -435,21 +455,22 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
         covered |= bundle
     if covered != set(state.goods):
         raise InternalInvariantError("bundles do not partition the active goods")
+    nums, den = state.nums, state.den
     for g in state.goods:
-        if state.prices[g].numerator <= 0:
+        if nums[g] <= 0:
             raise InternalInvariantError(f"price of good {g} is not positive")
-    graph = MbbGraph.from_state(
-        state.inst, state.bundles, state.prices, range(state.num_agents), state.goods
-    )
-    mbb = [set(graph.mbb[i]) for i in graph.agents]
+    if den < 1 or gcd(den, *nums.values()) != 1:
+        raise InternalInvariantError(f"price denominator {den} is not reduced")
+    ratios = list(best_ratios(state.rows, state.agents, state.goods, nums, den))
+    alphas, mbb = [alpha for alpha, _ in ratios], [set(edges) for _, edges in ratios]
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
             raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
-    spends, hats = spending_profile(state.bundles, state.prices)
-    alphas = [graph.alphas[i] for i in graph.agents]
+    pairs = [_spend_and_hat([nums[g] for g in bundle]) for bundle in state.bundles]
+    spends, hats = [spend for spend, _ in pairs], [hat for _, hat in pairs]
     if (alphas, mbb, spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
         raise InternalInvariantError("maintained market state differs from a rebuild")
-    level = max(hats) if floor_max_hat is None else floor_max_hat
+    level = max(hats) if floor_max_hat is None else floor_max_hat * den
     for i in range(state.num_agents):
         if i != state.k and spends[i] < level:
             raise InternalInvariantError(f"agent {i} fell below the violation level")
@@ -459,7 +480,7 @@ def step(state: EngineState) -> TraceEvent | None:
     """Run one rebalancing iteration and return its event; None when already fair."""
     na = state.num_agents
     k = state.k
-    spends, hats = state.spends, state.hats
+    spends, hats, den = state.spends, state.hats, state.den  # a price rise changes den
     min_spend = min(spends)
     max_hat = max(hats)
     if min_spend >= max_hat:
@@ -488,13 +509,11 @@ def step(state: EngineState) -> TraceEvent | None:
     state._prev_potential = potential
 
     stats.iterations += 1
-    if Fraction(stats.iterations) > stats.bound:
-        raise InternalInvariantError(
-            f"rebalancing exceeded its iteration ceiling {stats.bound}"
-        )
+    if stats.iterations > stats.bound:
+        raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
 
-    scaled, den = _common_denominator(state.prices.values())
-    min_price = Fraction(min(scaled), den)
+    min_price = Fraction(min(state.nums.values()), den)
+    level = Fraction(max_hat, den)
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)
@@ -506,13 +525,13 @@ def step(state: EngineState) -> TraceEvent | None:
         stats.price_rises += 1
     if state.check:
         # A price rise keeps the violation level exactly; a transfer does not raise it.
-        _check_state(state, max_hat)
-        new_max_hat = max(state.hats)
-        if path is None and new_max_hat != max_hat:
+        _check_state(state, level)
+        new_level = Fraction(max(state.hats), state.den)
+        if path is None and new_level != level:
             raise InternalInvariantError(
-                f"price rise moved the violation level: {max_hat} -> {new_max_hat}"
+                f"price rise moved the violation level: {level} -> {new_level}"
             )
-        if new_max_hat > max_hat:
+        if new_level > level:
             raise InternalInvariantError("transfer raised the violation level")
 
     event = TraceEvent(
@@ -524,8 +543,8 @@ def step(state: EngineState) -> TraceEvent | None:
         a=a,
         b=b,
         potential=potential,
-        min_spend=min_spend,
-        max_hat=max_hat,
+        min_spend=Fraction(min_spend, den),
+        max_hat=level,
         min_price=min_price,
     )
     state.trace.events.append(event)

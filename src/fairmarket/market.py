@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Instance,
@@ -19,6 +19,7 @@ from .core import (
     InvalidInputError,
     Prices,
     Solution,
+    _common_denominator,
     valid_goods,
 )
 
@@ -32,32 +33,41 @@ def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
     return value / price
 
 
+def split_valuations(inst: Instance) -> list[list[tuple[int, int]]]:
+    """Each agent's valuations as integer (numerator, denominator) pairs."""
+    return [[v.as_integer_ratio() for v in row] for row in inst.valuations]
+
+
 def best_ratios(
-    inst: Instance, agents: Iterable[int], goods: Sequence[int], prices: Iterable[Fraction]
+    rows: Sequence[Sequence[tuple[int, int]]],
+    agents: Iterable[int],
+    goods: Iterable[int],
+    nums: Sequence[int] | Mapping[int, int],
+    den: int,
 ) -> Iterator[tuple[Fraction, list[int]]]:
     """Per agent, its best value/price ratio over `goods` and the goods attaining it.
 
-    `prices` lists the prices of `goods`, in order; each is split into integers
-    once per call.  Compares by cross-multiplication, with `bang_per_buck`'s
-    conventions.
+    `rows` holds split valuations (as `split_valuations` makes them) and
+    good g costs `nums[g] / den`.  The denominator is common to every
+    price, so the comparisons leave it out and cross-multiply integers;
+    only the returned ratio uses it.  Follows `bang_per_buck`'s conventions.
     """
-    cost = [p.as_integer_ratio() for p in prices]
     for i in agents:
-        row = inst.valuations[i]
+        row = rows[i]
         best_v, best_p, attaining = 0, 1, []
-        for g, (pn, pd) in zip(goods, cost):
-            v = row[g]
-            num, den = v.numerator * pd, v.denominator * pn
-            if not den:
-                if num:
+        for g in goods:
+            v, d = row[g]
+            p = d * nums[g]
+            if not p:
+                if v:
                     raise InternalInvariantError("positive value over zero price")
-                num, den = 0, 1  # 0/0 counts as a zero ratio
-            lhs, rhs = num * best_p, best_v * den
+                p = 1  # 0/0 counts as a zero ratio
+            lhs, rhs = v * best_p, best_v * p
             if lhs > rhs:
-                best_v, best_p, attaining = num, den, [g]
+                best_v, best_p, attaining = v, p, [g]
             elif lhs == rhs:
                 attaining.append(g)
-        yield Fraction(best_v, best_p), attaining
+        yield Fraction(best_v * den, best_p), attaining
 
 
 def compute_alphas(
@@ -68,9 +78,9 @@ def compute_alphas(
 ) -> dict[int, Fraction]:
     """Best value-per-price ratio per agent over the given goods (default: all)."""
     good_ids = valid_goods(prices, range(inst.m) if goods is None else goods)
-    agent_ids = list(range(inst.n) if agents is None else agents)
-    ratios = best_ratios(inst, agent_ids, good_ids, (prices[g] for g in good_ids))
-    return {i: alpha for i, (alpha, _) in zip(agent_ids, ratios)}
+    agent_ids = range(inst.n) if agents is None else agents
+    # The graph's alphas; with empty bundles it has no ownership edges.
+    return MbbGraph.from_state(inst, [()] * inst.n, prices, agent_ids, good_ids).alphas
 
 
 @dataclass(frozen=True)
@@ -100,9 +110,10 @@ class MbbGraph:
         """Graph of a state whose bundles partition `goods`, all priced (not re-checked)."""
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        cost = (prices[g] for g in goods)
+        scaled, den = _common_denominator(prices[g] for g in goods)
+        ratios = best_ratios(split_valuations(inst), agents, goods, dict(zip(goods, scaled)), den)
         alphas, mbb = {}, {}
-        for i, (alpha, attaining) in zip(agents, best_ratios(inst, agents, goods, cost)):
+        for i, (alpha, attaining) in zip(agents, ratios):
             alphas[i], mbb[i] = alpha, tuple(attaining)
         owner = {g: i for i in agents for g in bundles[i]}
         return cls(agents, goods, mbb, owner, alphas)

@@ -25,7 +25,7 @@ from .core import (
     normalize_instance,
 )
 from .engine import TraceEvent, iteration_bound
-from .market import best_ratios
+from .market import MbbGraph
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -84,12 +84,15 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
 
     A passing solution is a machine-checkable certificate of fractional
     Pareto optimality: the prices support a market equilibrium with each
-    agent's spending as its budget.  Prices must be strictly positive.
+    agent's spending as its budget.  `sol` must fit `inst`, with strictly
+    positive prices.
     """
+    sol.validate(inst)
     if any(p <= 0 for p in sol.prices):
         raise InvalidInputError("ratio certificate needs strictly positive prices")
-    ratios = best_ratios(inst, range(inst.n), range(inst.m), sol.prices)
-    return all(bundle <= set(edges) for bundle, (_, edges) in zip(sol.allocation, ratios))
+    bundles = sol.allocation.bundles
+    graph = MbbGraph.from_state(inst, bundles, sol.prices, range(inst.n), range(inst.m))
+    return all(bundle <= set(graph.mbb[i]) for i, bundle in enumerate(bundles))
 
 
 # ---------------------------------------------------------------------------

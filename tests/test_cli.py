@@ -90,6 +90,24 @@ def test_solve_rejects_malformed_json(tmp_path):
         path.write_text(text)
         assert main(["solve", str(path)]) == 1
 
+def test_input_past_the_int_digit_limit_exits_cleanly(tmp_path, capsys):
+    # CPython refuses to convert integers of more than 4300 digits from text.
+    huge = "9" * 4400
+    inst_path = tmp_path / "huge.json"
+    inst_path.write_text(f'{{"agents": 1, "goods": 1, "valuations": [[{huge}]]}}')
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"bundles": [[0]], "prices": ["1"]}))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(f'{{"runs": [], "instances": [], "pad": {huge}}}')
+    for argv in (
+        ["solve", str(inst_path)],
+        ["verify", str(inst_path), str(sol_path)],
+        ["bench", "--spec", str(spec_path)],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
+
 def test_solve_exit_two_on_matching_failure(tmp_path):
     obj = {"agents": 2, "goods": 1, "valuations": [[1], [1]]}
     assert main(["solve", write_demo(tmp_path, obj=obj)]) == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_new_batch_cheaper_than_any_existing_good():
         add_agent(state)
         find_solution(state)
         for _ in range(n - 1):
-            floor = min(state.prices.values())
+            floor = min(state.fraction_prices().values())
             goods, prices = initial_prices_for_agent(state, state.num_agents)
             if goods:
                 batch = sum(prices.values(), F(0))
@@ -127,7 +128,8 @@ def test_price_rise_on_demo_state(demo_instance):
     reach = reach_from(state, [2], 3)
     rates = compute_betas(state, reach)
     apply_price_rise(state, reach, rates)
-    assert [state.prices[g] for g in range(5)] == [F(6), F(5), F(35, 4), F(15, 4), F(5)]
+    prices = state.fraction_prices()
+    assert [prices[g] for g in range(5)] == [F(6), F(5), F(35, 4), F(15, 4), F(5)]
     assert is_pef1(state.to_solution())
     # afterwards nobody outside the reachable set has a best-ratio edge into it
     for i in range(3):
@@ -437,7 +439,7 @@ def test_engine_invariants_hold_after_every_event():
             )
             state._prev_potential = None
             while True:
-                spends, hats = spending_profile(state.bundles, state.prices)
+                spends, hats = spending_profile(state.bundles, state.fraction_prices())
                 if state.num_agents > 1:
                     level = max(hats)
                     assert all(
@@ -446,12 +448,11 @@ def test_engine_invariants_hold_after_every_event():
                     ) or min(spends) >= level
                 if step(state) is None:
                     break
-                alphas = compute_alphas(
-                    inst, state.prices, range(state.num_agents), state.goods
-                )
+                prices = state.fraction_prices()
+                alphas = compute_alphas(inst, prices, range(state.num_agents), state.goods)
                 for i in range(state.num_agents):
                     for g in state.bundles[i]:
-                        ratio = inst.valuations[i][g] / state.prices[g]
+                        ratio = inst.valuations[i][g] / prices[g]
                         assert ratio == alphas[i]
             state._current_call = None
         final = state.to_solution()
@@ -494,13 +495,14 @@ def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkey
 
 
 def rebuilt_market(state: EngineState) -> tuple:
+    prices = state.fraction_prices()
     graph = MbbGraph.from_state(
-        state.inst, state.bundles, state.prices, range(state.num_agents), state.goods
+        state.inst, state.bundles, prices, range(state.num_agents), state.goods
     )
     return (
         [graph.alphas[i] for i in graph.agents],
         [set(graph.mbb[i]) for i in graph.agents],
-        *spending_profile(state.bundles, state.prices),
+        *spending_profile(state.bundles, prices),
     )
 
 
@@ -531,11 +533,12 @@ def stepped_states(seed: int, count: int, check: bool):
 def test_maintained_market_state_matches_rebuild_after_every_event():
     kinds = set()
     for state in stepped_states(seed=31, count=60, check=False):
-        maintained = (state.alphas, state.mbb, state.spends, state.hats)
-        assert maintained == rebuilt_market(state)
+        assert state.den >= 1 and gcd(state.den, *state.nums.values()) == 1
+        spends, hats = ([F(x, state.den) for x in xs] for xs in (state.spends, state.hats))
+        assert (state.alphas, state.mbb, spends, hats) == rebuilt_market(state)
         # searching the maintained state finds what searching a rebuilt graph finds
         graph = MbbGraph.from_state(
-            state.inst, state.bundles, state.prices, state.agents, state.goods
+            state.inst, state.bundles, state.fraction_prices(), state.agents, state.goods
         )
         reach = reach_from(state, [state.k], state.num_agents)
         assert reach == reach_from(graph, [state.k], state.num_agents)
@@ -572,3 +575,25 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
         state._current_call = state.trace.start_call(3, iteration_bound(3, state.inst.m))
         while step(state) is not None:
             pass
+
+
+@pytest.mark.parametrize("target", ["numerator", "denominator"])
+def test_online_checks_catch_a_corrupted_price_vector(target):
+    from fairmarket.engine import _check_state
+
+    state = next(
+        s for s in stepped_states(seed=7, count=20, check=True) if s.num_agents == 3
+    )
+    _check_state(state)
+    if target == "numerator":
+        state.nums[state.goods[0]] += 1
+        message = "outside its best-ratio set|differs from a rebuild"
+    else:
+        # Every number doubled: the same prices, spends and hats over an unreduced den.
+        state.nums = {g: 2 * num for g, num in state.nums.items()}
+        state.den *= 2
+        state.spends = [2 * spend for spend in state.spends]
+        state.hats = [2 * hat for hat in state.hats]
+        message = "not reduced"
+    with pytest.raises(InternalInvariantError, match=message):
+        _check_state(state)

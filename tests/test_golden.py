@@ -4,13 +4,21 @@ Each case is a seeded `generate_instance(n, m, 100, 11)` solved with the
 online checks on and off.  The digests are sha256 of the solution JSON and
 of the trace JSONL, both serialized as `fairmarket solve` writes them.
 Recorded before the engine kept its market state incrementally.
+
+`RATIONAL_GOLDEN` holds the same digests for rational valuations, which
+the benchmark corpora never draw: n=3 with each value `randint(1, 10)`
+over its own prime, or over `randint(1, 12)`.  Recorded before the engine
+kept its prices as integer numerators over one denominator.
 """
 
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from fairmarket import Instance
 from fairmarket.cli import generate_instance
 from fairmarket.engine import solve
 
@@ -37,6 +45,56 @@ GOLDEN = {
     ),
 }
 
+RATIONAL_GOLDEN = {
+    (20, "primes"): (
+        "56bd8700c3fa86d6f49222ffe53a45360549dbe6faa0e65276f34f296a96cd00",
+        "24555389c9c280eb4c3bfd3ca600915be50fa9739d62011fa9933356bcd7f63c",
+    ),
+    (20, "small"): (
+        "f9d0a570450ec0cf3f38a064af6b0a8ad5622643d5cbf17bebe6f53f98ffd85e",
+        "fa41e8c88448ae727cc6d825a0279f59f5b86bcf441b8ff5ad1d338a772e7524",
+    ),
+    (40, "primes"): (
+        "f9ad601affd98c83ffa779facf25235d2006e30ad2a1d317086b3fff980caa0a",
+        "bae541f54bb076318cf4c0efe0a07c4d8af99b8b9c08cf00736c035e05fa9d20",
+    ),
+    (40, "small"): (
+        "6d0457e09a57efc89d848fde5bf11f8bb3621de0db30894472412c10a183ea09",
+        "c74520f05495cfeb80db8e6e9160076ff8db59feff5a428242aaff5f7a48fd1a",
+    ),
+}
+
+
+def primes(count: int) -> list[int]:
+    found: list[int] = []
+    q = 2
+    while len(found) < count:
+        if all(q % p for p in found if p * p <= q):
+            found.append(q)
+        q += 1
+    return found
+
+
+def rational_instance(m: int, over: str, seed: int = 0) -> Instance:
+    """Three agents; each value over its own prime ("primes") or a small denominator."""
+    rng = random.Random(seed)
+    dens = iter(primes(3 * m)) if over == "primes" else None
+    return Instance(
+        tuple(
+            tuple(
+                Fraction(rng.randint(1, 10), next(dens) if dens else rng.randint(1, 12))
+                for _ in range(m)
+            )
+            for _ in range(3)
+        )
+    )
+
+
+def digests(sol, trace) -> tuple[str, str]:
+    solution_text = json.dumps(sol.to_json_dict(), sort_keys=True)
+    trace_text = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
+    return sha256(solution_text), sha256(trace_text)
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -47,6 +105,12 @@ def sha256(text: str) -> str:
 def test_golden_digests(case, check):
     n, m, order = case
     sol, trace = solve(generate_instance(n, m, 100, 11), order=order, check=check)
-    solution_text = json.dumps(sol.to_json_dict(), sort_keys=True)
-    trace_text = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
-    assert (sha256(solution_text), sha256(trace_text)) == GOLDEN[case]
+    assert digests(sol, trace) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize("case", sorted(RATIONAL_GOLDEN), ids=str)
+def test_rational_golden_digests(case, check):
+    m, over = case
+    sol, trace = solve(rational_instance(m, over), check=check)
+    assert digests(sol, trace) == RATIONAL_GOLDEN[case]

@@ -15,7 +15,8 @@ from fairmarket import (
     compute_alphas,
     reach_from,
 )
-from fairmarket.market import bang_per_buck, best_ratios, shortest_violator_path
+from fairmarket.core import _common_denominator
+from fairmarket.market import bang_per_buck, best_ratios, shortest_violator_path, split_valuations
 
 F = Fraction
 
@@ -105,7 +106,8 @@ def test_best_ratio_matches_bang_per_buck(data):
     goods = sorted(data.draw(st.sets(st.integers(0, 3), min_size=1)))
     agents = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
     inst = Instance(tuple(tuple(row) for row in rows))
-    results = list(best_ratios(inst, agents, goods, [prices[g] for g in goods]))
+    nums, den = _common_denominator(prices)
+    results = list(best_ratios(split_valuations(inst), agents, goods, nums, den))
     assert len(results) == len(agents)
     for i, (alpha, attaining) in zip(agents, results):
         ratios = {g: bang_per_buck(rows[i][g], prices[g]) for g in goods}
@@ -117,10 +119,10 @@ def test_best_ratio_matches_bang_per_buck(data):
 
 
 def test_best_ratio_rejects_positive_value_over_zero_price():
-    inst = Instance.from_values([[0, 3]])
+    rows = split_valuations(Instance.from_values([[0, 3]]))
     with pytest.raises(InternalInvariantError):
-        list(best_ratios(inst, [0], [0, 1], [F(0), F(0)]))
-    assert list(best_ratios(inst, [0], [0], [F(0)])) == [(0, [0])]  # 0/0 counts as ratio 0
+        list(best_ratios(rows, [0], [0, 1], [0, 0], 1))
+    assert list(best_ratios(rows, [0], [0], [0], 1)) == [(0, [0])]  # 0/0 counts as ratio 0
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,16 @@ def test_certificate_requires_positive_prices(demo_instance):
         check_mbb_consistency(demo_instance, sol)
 
 
+def test_certificate_validates_its_solution():
+    from fairmarket import InvalidInputError
+
+    # Good 2, worth 5 to both agents, is neither allocated nor priced.
+    inst = Instance.from_values([[1, 1, 5], [1, 1, 5]])
+    sol = Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1)))
+    with pytest.raises(InvalidInputError, match="not allocated"):
+        check_mbb_consistency(inst, sol)
+
+
 # ---------------------------------------------------------------------------
 # brute force Pareto
 
