@@ -212,14 +212,16 @@ def shortest_violator_path(
 
     # Backward edge-hop distances from the target over reversed edges.  Every
     # path out of a reachable agent stays reachable, so only the reachable
-    # agents' edges can lie on a path.
+    # agents' edges, and the goods they point to, can lie on a path.
     rev_mbb: dict[int, list[int]] = {}
     for i in reach.agents:
         for g in graph.mbb[i]:
             rev_mbb.setdefault(g, []).append(i)
     owned: dict[int, list[int]] = {}
-    for g, i in graph.owner.items():
-        owned.setdefault(i, []).append(g)
+    for g in reach.goods:
+        i = graph.owner.get(g)
+        if i is not None:
+            owned.setdefault(i, []).append(g)
     back_agent: dict[int, int] = {target: 0}
     back_good: dict[int, int] = {}
     frontier = [target]

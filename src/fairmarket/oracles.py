@@ -10,9 +10,10 @@ when an instance is too large they report a skip instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     Allocation,
@@ -99,6 +100,40 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
 # brute-force oracles
 
 
+def _shares(inst: Instance) -> list[list[int]]:
+    """Each agent's values as integer shares of its total, on one common scale.
+
+    Agent i's values are scaled so that its total becomes L, the lcm of all
+    totals (a zero total counts as 1).  The searches only compare an agent
+    with itself or multiply the agents' values, so one positive factor per
+    agent changes no result.
+    """
+    vals = [_common_denominator(row)[0] for row in inst.valuations]
+    totals = [sum(row) or 1 for row in vals]
+    scale = math.lcm(*totals)
+    return [[v * (scale // t) for v in row] for row, t in zip(vals, totals)]
+
+
+def _suffix_sums(rows: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
+    """Per row, its sums over the goods `order[j:]`, for j from 0 to len(order)."""
+    sums = []
+    for row in rows:
+        acc = [0]
+        for g in reversed(order):
+            acc.append(acc[-1] + row[g])
+        sums.append(acc[::-1])
+    return sums
+
+
+def _most(shares: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
+    """`most[j]`: the largest share in each of the goods `order[j:]`, summed.
+
+    However the goods `order[j:]` are handed out, the agents' summed shares
+    grow by at most `most[j]`.
+    """
+    return _suffix_sums([[max(column) for column in zip(*shares)]], order)[0]
+
+
 def brute_force_po(
     inst: Instance, alloc: Allocation, cap: int | None = None
 ) -> bool | None:
@@ -114,19 +149,15 @@ def brute_force_po(
         return None
     if n == 1:  # the only allocation
         return inst.value_of(0, alloc[0]) >= inst.value_of(0, range(m))
-    # Each agent's values on its own integer scale: agents are compared only with themselves.
-    vals = [_common_denominator(row)[0] for row in inst.valuations]
-    target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
-
     # Assign high-impact goods first; goods worthless to everyone need no branching.
-    order = sorted(range(m), key=lambda g: (-sum(vals[i][g] for i in range(n)), g))
+    vals = _shares(inst)
+    order = sorted(range(m), key=lambda g: (-sum(row[g] for row in vals), g))
+    target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
+    goal = sum(target)
     choices = [
         [0] if all(vals[i][g] == 0 for i in range(n)) else list(range(n)) for g in order
     ]
-    suffix = [[0] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for j in range(m - 1, -1, -1):
-            suffix[i][j] = suffix[i][j + 1] + vals[i][order[j]]
+    suffix, most = _suffix_sums(vals, order), _most(vals, order)
 
     # Depth-first over the goods in `order` with an explicit stack; the empty
     # assignment dominates nothing, so the search starts at the first good.
@@ -148,14 +179,22 @@ def brute_force_po(
             untried[j] = None
             j -= 1
             continue
-        if not all(current[t] + suffix[t][j + 1] >= target[t] for t in range(n)):
-            continue
-        if all(current[t] >= target[t] for t in range(n)) and any(
-            current[t] > target[t] for t in range(n)
-        ):
-            return False  # remaining goods only add value
-        if j + 1 < m:
-            j += 1
+        # Prune when one agent cannot catch up alone, or when the agents'
+        # summed shortfall exceeds every share the remaining goods can add.
+        shortfall = 0
+        for t in range(n):
+            gap = target[t] - current[t]
+            if gap > 0:
+                if gap > suffix[t][j + 1]:
+                    break
+                shortfall += gap
+        else:
+            if shortfall > most[j + 1]:
+                continue
+            if not shortfall and sum(current) > goal:
+                return False  # every target met, one beaten; remaining goods only add value
+            if j + 1 < m:
+                j += 1
     return True
 
 
@@ -179,22 +218,23 @@ def brute_force_mnw(
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
-    if n == 1:  # the only allocation maximizes
-        winner = Allocation((frozenset(range(m)),))
+    if n == 1 or m < n or not all(any(row) for row in inst.valuations):
+        # The only allocation, or every product is 0: the first in order,
+        # every good to agent 0, is the first maximizer.
+        winner = Allocation((frozenset(range(m)),) + (frozenset(),) * (n - 1))
         return nash_product(inst, winner), winner
-    # Each agent's values on its own integer scale: every product scales by one constant.
-    vals = [_common_denominator(row)[0] for row in inst.valuations]
-    suffix = [[0] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for g in range(m - 1, -1, -1):
-            suffix[i][g] = suffix[i][g + 1] + vals[i][g]
+    # Products of shares are the value products times one positive constant.
+    vals = _shares(inst)
+    suffix, most = _suffix_sums(vals, range(m)), _most(vals, range(m))
     choices = [
         [0] if all(vals[i][g] == 0 for i in range(n)) else list(range(n))
         for g in range(m)
     ]
+    spread = n**n
 
     # Depth-first with an explicit stack: g is the next good to assign.
     current = [0] * n
+    have = 0  # sum(current)
     assignment = [0] * m
     untried: list = [None] * m  # untried[g]: the agents left for good g, once entered
     best_product = -1
@@ -212,18 +252,27 @@ def brute_force_mnw(
             continue
         agents = untried[g]
         if agents is None:
+            # Cut when no product below this node can strictly beat the
+            # incumbent: by AM-GM it is at most (summed shares / n)**n, and
+            # at most the product of each agent's value plus every remaining good.
+            if (have + most[g]) ** n <= best_product * spread:
+                g -= 1
+                continue
             ceiling = 1
             for i in range(n):
                 ceiling *= current[i] + suffix[i][g]
             if ceiling <= best_product:
-                g -= 1  # cannot strictly beat the incumbent
+                g -= 1
                 continue
             agents = untried[g] = iter(choices[g])
         else:  # take good g back before trying its next agent
-            current[assignment[g]] -= vals[assignment[g]][g]
+            i = assignment[g]
+            current[i] -= vals[i][g]
+            have -= vals[i][g]
         for i in agents:
             assignment[g] = i
             current[i] += vals[i][g]
+            have += vals[i][g]
             g += 1
             break
         else:
@@ -382,8 +431,14 @@ def verify(
 
 
 def _event_fields(event: TraceEvent | dict) -> dict:
+    """One event's fields, with its rates and prices as `Fraction`s."""
     if isinstance(event, TraceEvent):
-        event = event.to_json_dict()
+        parsed = dict(vars(event))
+        beta = event.beta
+        if beta is not None:
+            parsed["beta"] = {"b1": beta.b1, "b2": beta.b2, "b3": beta.b3, "chosen": beta.chosen}
+        parsed["potential"] = tuple(event.potential)
+        return parsed
     parsed = dict(event)
     for key in ("min_spend", "max_hat", "min_price"):
         parsed[key] = Fraction(parsed[key])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -133,12 +134,18 @@ def test_po_cap_skip():
     assert brute_force_po(inst, Allocation.from_lists([[0], [1]]), cap=0) is None
 
 
+def _every_allocation(inst):
+    """Every allocation, in `itertools.product` order (good 0 outermost)."""
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        yield Allocation.from_lists(
+            [[g for g, i in enumerate(assignment) if i == agent] for agent in range(inst.n)]
+        )
+
+
 def _po_by_full_enumeration(inst, alloc) -> bool:
     values = [inst.value_of(i, alloc[i]) for i in range(inst.n)]
-    for assignment in itertools.product(range(inst.n), repeat=inst.m):
-        other = [F(0)] * inst.n
-        for g, i in enumerate(assignment):
-            other[i] += inst.valuations[i][g]
+    for other_alloc in _every_allocation(inst):
+        other = [inst.value_of(i, other_alloc[i]) for i in range(inst.n)]
         if all(o >= v for o, v in zip(other, values)) and any(
             o > v for o, v in zip(other, values)
         ):
@@ -146,43 +153,62 @@ def _po_by_full_enumeration(inst, alloc) -> bool:
     return True
 
 
+def _random_case(rng, value):
+    """A random instance with up to 4 agents (sometimes fewer goods than agents),
+    sometimes an agent who values nothing or a good nobody values, and a random
+    allocation of it; also the set of those features it has."""
+    n = rng.randint(1, 4)
+    m = rng.randint(0, 5 if n < 4 else 4)
+    rows = [[value() for _ in range(m)] for _ in range(n)]
+    if m and rng.random() < 0.25:
+        rows[rng.randrange(n)] = [0] * m
+    if m and rng.random() < 0.25:
+        dead = rng.randrange(m)
+        for row in rows:
+            row[dead] = 0
+    bundles = [[] for _ in range(n)]
+    for g in range(m):
+        bundles[rng.randrange(n)].append(g)
+    features = {
+        "n=4" if n == 4 else None,
+        "m<n" if m < n else None,
+        "agent values nothing" if any(not any(row) for row in rows) else None,
+        "good nobody values" if any(not any(col) for col in zip(*rows)) else None,
+    }
+    return Instance.from_values(rows), Allocation.from_lists(bundles), features - {None}
+
+
+ALL_FEATURES = {"n=4", "m<n", "agent values nothing", "good nobody values"}
+
+
 def test_po_matches_plain_enumeration():
     rng = random.Random(31)
-    for _ in range(120):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 5)
-        inst = Instance.from_values(
-            [[rng.randint(0, 6) for _ in range(m)] for _ in range(n)]
-        )
-        bundles = [[] for _ in range(n)]
-        for g in range(m):
-            bundles[rng.randrange(n)].append(g)
-        alloc = Allocation.from_lists(bundles)
+    seen = set()
+    for _ in range(160):
+        inst, alloc, features = _random_case(rng, lambda: rng.randint(0, 6))
+        seen |= features
         assert brute_force_po(inst, alloc) == _po_by_full_enumeration(inst, alloc)
+    assert seen == ALL_FEATURES
 
 
 def test_brute_force_oracles_on_rational_values():
-    """Each agent's values are scaled by their own denominators; plain enumeration agrees."""
+    """Each agent's values are scaled to shares of its total; plain enumeration agrees,
+    and the Nash-welfare winner is the first maximizer in enumeration order."""
     rng = random.Random(37)
     denominators = [1, 2, 3, 5, 7, 11]
-    for _ in range(80):
-        n = rng.randint(2, 3)
-        m = rng.randint(1, 4)
-        inst = Instance.from_values(
-            [[F(rng.randint(0, 6), rng.choice(denominators)) for _ in range(m)] for _ in range(n)]
+    seen = set()
+    for _ in range(120):
+        inst, alloc, features = _random_case(
+            rng, lambda: F(rng.randint(0, 6), rng.choice(denominators))
         )
-        bundles = [[] for _ in range(n)]
-        for g in range(m):
-            bundles[rng.randrange(n)].append(g)
-        alloc = Allocation.from_lists(bundles)
+        seen |= features
         assert brute_force_po(inst, alloc) == _po_by_full_enumeration(inst, alloc)
         product, winner = brute_force_mnw(inst)
-        assert product == nash_product(inst, winner)
-        every = (
-            Allocation.from_lists([[g for g in range(m) if a[g] == i] for i in range(n)])
-            for a in itertools.product(range(n), repeat=m)
-        )
-        assert product == max(nash_product(inst, other) for other in every)
+        products = [(nash_product(inst, other), other) for other in _every_allocation(inst)]
+        best = max(p for p, _ in products)
+        assert product == best
+        assert winner == next(other for p, other in products if p == best)
+    assert seen == ALL_FEATURES
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +420,31 @@ def test_audit_flags_each_tampered_field(field):
     tamper, finding = TAMPERS[field]
     tamper(events)
     assert any(finding in problem for problem in audit_trace(events, inst.m))
+
+
+# Tampers applied to the typed events with `dataclasses.replace`, each breaking
+# the same invariant as its entry in TAMPERS (same instance, same events).
+TYPED_TAMPERS = {
+    "step": lambda evs: {2: replace(evs[2], step=evs[2].step + 2)},
+    "beta": lambda evs: {
+        2: replace(
+            evs[2], beta=replace(evs[2].beta, chosen="b2" if evs[2].beta.chosen == "b1" else "b1")
+        )
+    },
+    "path": lambda evs: {1: replace(evs[1], path=evs[1].path[:-1])},
+    "potential": lambda evs: {2: replace(evs[2], potential=evs[1].potential)},
+    "max_hat": lambda evs: {3: replace(evs[3], max_hat=2 * evs[3].max_hat)},
+    "min_price": lambda evs: {2: replace(evs[2], min_price=F(0))},
+}
+
+
+@pytest.mark.parametrize("field", sorted(TYPED_TAMPERS))
+def test_audit_flags_tampered_trace_events_like_their_dicts(field):
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    events = list(trace.events)
+    for index, event in TYPED_TAMPERS[field](events).items():
+        events[index] = event
+    problems = audit_trace(events, inst.m)
+    assert any(TAMPERS[field][1] in problem for problem in problems)
+    assert problems == audit_trace([ev.to_json_dict() for ev in events], inst.m)
