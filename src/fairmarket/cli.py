@@ -13,6 +13,7 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .core import (
@@ -70,6 +71,19 @@ def load_json(path: str, parse):
     return parse(obj)
 
 
+@contextmanager
+def _unlimited_digits():
+    """Lift CPython's int/str digit limit, which input keeps, around the CLI's output."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -113,23 +127,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_json(args.input, Instance.from_json_dict)
     solution, trace = solve(inst, order=order)
     report = verify(inst, solution, brute_cap=0)  # self-check without brute force
-    if not report.ok:
-        raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
-    _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
-    if args.trace is not None:
-        lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
-        Path(args.trace).write_text(lines, encoding="utf-8")
-    if args.dump_graph is not None:
-        from .market import build_graph, reach_from
+    with _unlimited_digits():
+        if not report.ok:
+            raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
+        _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
+        if args.trace is not None:
+            lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
+            Path(args.trace).write_text(lines, encoding="utf-8")
+        if args.dump_graph is not None:
+            from .market import build_graph, reach_from
 
-        if all(p > 0 for p in solution.prices):
-            graph = build_graph(inst, solution)
-            dump = graph.as_dict()
-            levels = reach_from(graph, [inst.n - 1], inst.n).levels
-            dump["levels"] = {str(i): levels[i] for i in graph.agents}
-        else:
             dump = {"note": "zero-priced goods present; graph restricted to none"}
-        Path(args.dump_graph).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
+            if all(p > 0 for p in solution.prices):
+                graph = build_graph(inst, solution)
+                dump = graph.as_dict()
+                levels = reach_from(graph, [inst.n - 1], inst.n).levels
+                dump["levels"] = {str(i): levels[i] for i in graph.agents}
+            Path(args.dump_graph).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -137,8 +151,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_json(args.instance, Instance.from_json_dict)
     solution = load_json(args.solution, Solution.from_json_dict)
     report = verify(inst, solution, brute_cap=_resolved_brute_cap(args.brute_cap))
-    checks = report.to_json_dict()
-    print(json.dumps(checks, sort_keys=True))
+    with _unlimited_digits():
+        checks = report.to_json_dict()
+        print(json.dumps(checks, sort_keys=True))
     if not report.ok:
         failed = [c for c, passed in checks.items() if passed is False and c != "ok"]
         return _fail(EXIT_VERIFY_FAILED, "verification-failed", ", ".join(failed))

@@ -14,6 +14,7 @@ in the JSON file formats.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -41,18 +42,21 @@ class InternalInvariantError(FairMarketError):
 # rational parsing / serialization
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
+    """Parse an exact rational from an int, a Fraction, or a "p" or "p/q" digit string."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected a rational number, got {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # past CPython's digit limit, or q = 0
             raise InvalidInputError(f"cannot parse rational {value!r}: {exc}") from None
-    raise InvalidInputError(f"expected an int or 'p/q' string, got {type(value).__name__}")
+    raise InvalidInputError(f"expected an int or a 'p/q' string of digits, got {value!r}")
 
 
 def rational_to_json(q: Fraction) -> int | str:

@@ -152,40 +152,36 @@ class Reachability:
 
 
 def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Reachability:
-    """Breadth-first reachability from `sources`, scanning indices ascending.
+    """Breadth-first reachability from `sources`, with each agent's level.
 
     Alternates best-ratio edges (agent to good) with ownership edges (good
     to owning agent).  Besides an `MbbGraph`, `graph` may be any object with
     the same `agents`, agent-indexed `mbb` and `owner`, such as the engine's
-    maintained state; the order of each edge set does not matter.
-    `agent_count` is the level assigned to unreachable agents.
+    maintained state.  Levels do not depend on the order of the sources or
+    of any edge set.  `agent_count` is the level assigned to unreachable
+    agents.
     """
-    source_list = sorted(set(sources))
-    if not source_list:
+    frontier = list(set(sources))
+    if not frontier:
         raise InvalidInputError("reachability needs at least one source agent")
     levels = {i: agent_count for i in graph.agents}
-    reached = set(source_list)
+    levels.update(dict.fromkeys(frontier, 0))
+    reached = set(frontier)
     seen_goods: set[int] = set()
-    for s in source_list:
-        levels[s] = 0
-    frontier = source_list
     depth = 0
     while frontier:
-        new_goods: list[int] = []
+        depth += 1
+        next_frontier: list[int] = []
         for i in frontier:
             for g in graph.mbb[i]:
                 if g not in seen_goods:
                     seen_goods.add(g)
-                    new_goods.append(g)
-        next_frontier: list[int] = []
-        for g in sorted(new_goods):
-            j = graph.owner.get(g)
-            if j is not None and j not in reached:
-                levels[j] = depth + 1
-                reached.add(j)
-                next_frontier.append(j)
-        frontier = sorted(next_frontier)
-        depth += 1
+                    j = graph.owner.get(g)
+                    if j is not None and j not in reached:
+                        levels[j] = depth
+                        reached.add(j)
+                        next_frontier.append(j)
+        frontier = next_frontier
     return Reachability(frozenset(reached), frozenset(seen_goods), levels)
 
 
@@ -194,8 +190,8 @@ def shortest_violator_path(
 ) -> tuple[int, ...] | None:
     """Shortest alternating path from the sources of `reach` to any violator, or None.
 
-    `reach` is `reach_from` over the same graph, whose levels give the
-    forward distances: agent j lies 2·level(j) edges from the sources.
+    `reach` is `reach_from` over the same graph; its levels are all the
+    search needs, as each step of a shortest path moves one level out.
     Ties are broken deterministically: the nearest violator with the
     smallest index is targeted, and among equal-length paths the
     lexicographically smallest node sequence is returned.  The result is a
@@ -210,49 +206,28 @@ def shortest_violator_path(
     depth = min(levels[v] for v in targets)
     target = min(v for v in targets if levels[v] == depth)
 
-    # Backward edge-hop distances from the target over reversed edges.  Every
-    # path out of a reachable agent stays reachable, so only the reachable
-    # agents' edges, and the goods they point to, can lie on a path.
-    rev_mbb: dict[int, list[int]] = {}
-    for i in reach.agents:
-        for g in graph.mbb[i]:
-            rev_mbb.setdefault(g, []).append(i)
-    owned: dict[int, list[int]] = {}
-    for g in reach.goods:
-        i = graph.owner.get(g)
-        if i is not None:
-            owned.setdefault(i, []).append(g)
-    back_agent: dict[int, int] = {target: 0}
-    back_good: dict[int, int] = {}
-    frontier = [target]
-    while frontier:
-        new_goods = []
-        for j in frontier:
-            for g in owned.get(j, ()):
-                if g not in back_good:
-                    back_good[g] = back_agent[j] + 1
-                    new_goods.append(g)
-        frontier = []
-        for g in new_goods:
-            for i in rev_mbb.get(g, ()):
-                if i not in back_agent:
-                    back_agent[i] = back_good[g] + 1
-                    frontier.append(i)
+    # Mark the agents on some shortest path to the target, outermost level
+    # first: such an agent has a good owned by a marked agent one level out.
+    on_path = {target}
 
-    # Greedy walk: at each step take the smallest good that still lies on
-    # some shortest path; the ownership edge then fixes the next agent.  The
-    # target is `remaining` edges away, so a good one edge nearer to it than
-    # the current agent is also one edge further from the sources.
-    # An empty candidate set means `reach` does not describe `graph`.
-    remaining = 2 * depth
+    def steps_on(i: int, g: int) -> bool:
+        j = graph.owner.get(g)
+        return j in on_path and levels[j] == levels[i] + 1
+
+    for i in sorted(reach.agents, key=levels.__getitem__, reverse=True):
+        if any(steps_on(i, g) for g in graph.mbb[i]):
+            on_path.add(i)
+
+    # Greedy walk from the smallest marked source: take the smallest good
+    # that steps onto the trail; `depth` steps out, the one marked agent is
+    # the target.  No candidate good means `reach` does not describe `graph`.
     try:
-        current = min(s for s in reach.agents if levels[s] == 0 and back_agent.get(s) == remaining)
+        current = min(s for s in on_path if levels[s] == 0)
         path: list[int] = [current]
-        while current != target:
-            g = min(g for g in graph.mbb[current] if back_good.get(g) == remaining - 1)
+        for _ in range(depth):
+            g = min(g for g in graph.mbb[current] if steps_on(current, g))
             current = graph.owner[g]
             path.extend((g, current))
-            remaining -= 2
     except ValueError:
         raise InternalInvariantError("shortest-path walk lost the trail") from None
     return tuple(path)

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -107,6 +108,39 @@ def test_input_past_the_int_digit_limit_exits_cleanly(tmp_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
+
+def test_exponent_strings_are_rejected_before_solving(tmp_path, capsys):
+    # "1e5000" is six bytes of JSON but 10**5000, past the digit limit on output.
+    obj = {"agents": 1, "goods": 1, "valuations": [["1e5000"]]}
+    assert main(["solve", write_demo(tmp_path, obj=obj)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
+
+def test_outputs_past_the_int_digit_limit_are_written(tmp_path, capsys):
+    # Accepted input (2500-digit denominators) whose solution and trace hold
+    # integers far past CPython's 4300-digit limit on int/str conversion.
+    rng = random.Random(0)
+    values = [
+        [f"{rng.randint(1, 9)}/{10**2499 + 7 + rng.randint(0, 50)}" for _ in range(6)]
+        for _ in range(3)
+    ]
+    inst_path = write_demo(tmp_path, obj={"agents": 3, "goods": 6, "valuations": values})
+    sol, trace, graph = tmp_path / "sol.json", tmp_path / "trace.jsonl", tmp_path / "graph.json"
+    limit = sys.get_int_max_str_digits()
+    argv = ["solve", inst_path, "-o", str(sol), "--trace", str(trace), "--dump-graph", str(graph)]
+    assert main(argv) == 0
+    assert sys.get_int_max_str_digits() == limit  # restored, so input keeps the limit
+    assert max(len(p) for p in json.loads(sol.read_text())["prices"]) > 4300
+    assert trace.read_text() and json.loads(graph.read_text())["levels"]
+    capsys.readouterr()
+    code = main(["verify", inst_path, str(sol)])  # the solution's own numbers exceed the limit
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert json.loads(out)["ok"] is True
+    else:
+        err = err.strip().splitlines()
+        assert code == 1 and len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
+    assert sys.get_int_max_str_digits() == limit
 
 def test_solve_exit_two_on_matching_failure(tmp_path):
     obj = {"agents": 2, "goods": 1, "valuations": [[1], [1]]}

@@ -41,7 +41,10 @@ def test_parse_rational_forms():
     assert parse_rational(F(1, 3)) == F(1, 3)
 
 
-@pytest.mark.parametrize("bad", [True, 1.5, "3/0", "x", None, [1]])
+@pytest.mark.parametrize(
+    "bad",
+    [True, 1.5, "3/0", "x", None, [1], "1e5000", pytest.param("1.5", id="'1.5'"), " 1 "],
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidInputError):
         parse_rational(bad)

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -251,3 +253,119 @@ def test_path_alternates_and_respects_edges():
         # breadth-first levels agree with path positions (shortest => level r at hop r)
         for r, agent in enumerate(agents):
             assert reach.levels[agent] == r
+
+
+# ---------------------------------------------------------------------------
+# reference search: sorted scans and a backward search from the target
+
+
+def _reference_reach(graph, sources, agent_count):
+    """Breadth-first reachability scanning sources, goods and frontiers in index order."""
+    source_list = sorted(set(sources))
+    if not source_list:
+        raise InvalidInputError("reachability needs at least one source agent")
+    levels = {i: agent_count for i in graph.agents}
+    reached = set(source_list)
+    seen_goods = set()
+    for s in source_list:
+        levels[s] = 0
+    frontier = source_list
+    depth = 0
+    while frontier:
+        new_goods = []
+        for i in frontier:
+            for g in graph.mbb[i]:
+                if g not in seen_goods:
+                    seen_goods.add(g)
+                    new_goods.append(g)
+        next_frontier = []
+        for g in sorted(new_goods):
+            j = graph.owner.get(g)
+            if j is not None and j not in reached:
+                levels[j] = depth + 1
+                reached.add(j)
+                next_frontier.append(j)
+        frontier = sorted(next_frontier)
+        depth += 1
+    return frozenset(reached), frozenset(seen_goods), levels
+
+
+def _reference_path(graph, reach, violators):
+    """Shortest violator path from edge-hop distances of a backward search."""
+    agents, goods, levels = reach
+    targets = sorted(set(violators) & agents)
+    if any(levels[v] == 0 for v in targets):
+        raise InvalidInputError("source agent must not itself be a violator")
+    if not targets:
+        return None
+    depth = min(levels[v] for v in targets)
+    target = min(v for v in targets if levels[v] == depth)
+    rev_mbb, owned = {}, {}
+    for i in agents:
+        for g in graph.mbb[i]:
+            rev_mbb.setdefault(g, []).append(i)
+    for g in goods:
+        i = graph.owner.get(g)
+        if i is not None:
+            owned.setdefault(i, []).append(g)
+    back_agent, back_good = {target: 0}, {}
+    frontier = [target]
+    while frontier:
+        new_goods = []
+        for j in frontier:
+            for g in owned.get(j, ()):
+                if g not in back_good:
+                    back_good[g] = back_agent[j] + 1
+                    new_goods.append(g)
+        frontier = []
+        for g in new_goods:
+            for i in rev_mbb.get(g, ()):
+                if i not in back_agent:
+                    back_agent[i] = back_good[g] + 1
+                    frontier.append(i)
+    remaining = 2 * depth
+    try:
+        current = min(s for s in agents if levels[s] == 0 and back_agent.get(s) == remaining)
+        path = [current]
+        while current != target:
+            g = min(g for g in graph.mbb[current] if back_good.get(g) == remaining - 1)
+            current = graph.owner[g]
+            path.extend((g, current))
+            remaining -= 2
+    except ValueError:
+        raise InternalInvariantError("shortest-path walk lost the trail") from None
+    return tuple(path)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (InvalidInputError, InternalInvariantError) as exc:
+        return type(exc)
+
+
+def test_search_matches_backward_search_reference():
+    # Arbitrary edges in shuffled order, unowned goods, several sources;
+    # violators are mostly reached non-sources, so most draws have a path.
+    # The reference breaks every tie by index order; the search under test
+    # must give the same result whatever the order of its inputs.
+    rng = random.Random(8)
+    lengths = Counter()
+    for _ in range(4000):
+        n, m = rng.randint(1, 7), rng.randint(0, 9)
+        owner = {g: rng.randrange(n) for g in range(m) if rng.random() < 0.8}
+        density = rng.random()
+        mbb = {i: [g for g in rng.sample(range(m), m) if rng.random() < density] for i in range(n)}
+        graph = SimpleNamespace(agents=tuple(range(n)), mbb=mbb, owner=owner)
+        sources = rng.sample(range(n), rng.randint(1, min(n, 2)))
+        expected = _reference_reach(graph, sources, n)
+        pool = [i for i in range(n) if i in expected[0] and i not in sources or rng.random() < 0.1]
+        violators = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
+        reach = reach_from(graph, sources, n)
+        assert (reach.agents, reach.goods, reach.levels) == expected
+        path = _outcome(lambda: shortest_violator_path(graph, reach, violators))
+        assert path == _outcome(lambda: _reference_path(graph, expected, violators))
+        lengths[len(path) if isinstance(path, tuple) else path] += 1
+    # every outcome is drawn, including paths through intermediate agents
+    assert lengths[None] and lengths[InvalidInputError] and lengths[3] > 500
+    assert lengths[5] + lengths[7] > 20
