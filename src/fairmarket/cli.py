@@ -24,12 +24,7 @@ from .core import (
     Solution,
 )
 from .engine import solve
-from .oracles import (
-    DEFAULT_BRUTE_CAP,
-    brute_force_mnw,
-    nash_product,
-    verify,
-)
+from .oracles import DEFAULT_BRUTE_CAP, _nsw_bound, verify
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -85,12 +80,11 @@ def _unlimited_digits():
 
 
 def _write_text(path: str | None, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
@@ -184,9 +178,8 @@ def _bench_one(inst: Instance, label: dict, cap: int) -> dict:
             "wall_time_s": round(elapsed, 6),
         }
     )
-    mnw = brute_force_mnw(inst, cap)
-    optimum = None if mnw is None else mnw[0]
-    row["nsw_ratio"] = float(nash_product(inst, solution.allocation) / optimum) if optimum else None
+    product, optimum, _ = _nsw_bound(inst, solution.allocation, cap)
+    row["nsw_ratio"] = float(product / optimum) if optimum else None
     return row
 
 

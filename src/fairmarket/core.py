@@ -42,11 +42,16 @@ class InternalInvariantError(FairMarketError):
 # rational parsing / serialization
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")  # q > 0
+
+
+def _brief(text: str) -> str:
+    """`text` for an error detail: past 40 characters, its start and its digit count."""
+    return text if len(text) <= 40 else f"{text[:24]}... ({sum(map(str.isdigit, text))} digits)"
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p" or "p/q" digit string."""
+    """Parse an exact rational from an int, a Fraction, or a "p" or "p/q" digit string, q > 0."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected a rational number, got {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -54,9 +59,9 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:  # past CPython's digit limit, or q = 0
-            raise InvalidInputError(f"cannot parse rational {value!r}: {exc}") from None
-    raise InvalidInputError(f"expected an int or a 'p/q' string of digits, got {value!r}")
+        except ValueError as exc:  # past CPython's digit limit
+            raise InvalidInputError(f"cannot parse rational {_brief(repr(value))}: {exc}") from None
+    raise InvalidInputError(f"expected an int or a 'p/q' digit string, q > 0, got {_brief(repr(value))}")
 
 
 def rational_to_json(q: Fraction) -> int | str:
@@ -87,7 +92,7 @@ class Instance:
                 if not isinstance(v, Fraction):
                     raise InvalidInputError(f"valuation ({i},{g}) is not a Fraction")
                 if v.numerator < 0:
-                    raise InvalidInputError(f"valuation ({i},{g}) is negative: {v}")
+                    raise InvalidInputError(f"valuation ({i},{g}) is negative: {_brief(str(v))}")
 
     @property
     def n(self) -> int:
@@ -153,8 +158,9 @@ class Allocation:
     def from_lists(cls, lists: Iterable[Iterable[int]]) -> "Allocation":
         return cls(tuple(frozenset(b) for b in lists))
 
-    def validate_partition(self, m: int) -> None:
-        """Raise unless the bundles are disjoint and cover exactly goods 0..m-1."""
+    def validate_partition(self, m: int, n: int | None = None) -> None:
+        """Raise unless the bundles are disjoint and cover exactly goods 0..m-1
+        and, given `n`, number `n`."""
         seen: set[int] = set()
         for i, bundle in enumerate(self.bundles):
             for g in bundle:
@@ -166,6 +172,8 @@ class Allocation:
         if len(seen) != m:
             missing = sorted(set(range(m)) - seen)
             raise InvalidInputError(f"goods {missing} are not allocated")
+        if n is not None and len(self.bundles) != n:
+            raise InvalidInputError(f"allocation has {len(self.bundles)} bundles for {n} agents")
 
     def as_sorted_lists(self) -> list[list[int]]:
         return [sorted(b) for b in self.bundles]
@@ -183,18 +191,14 @@ class Solution:
         valid_goods(self.prices, (g for bundle in self.allocation for g in bundle))
 
     def validate(self, inst: Instance) -> None:
-        self.allocation.validate_partition(inst.m)
-        if len(self.allocation) != inst.n:
-            raise InvalidInputError(
-                f"solution has {len(self.allocation)} bundles for {inst.n} agents"
-            )
+        self.allocation.validate_partition(inst.m, inst.n)
         if len(self.prices) != inst.m:
             raise InvalidInputError(f"price vector has {len(self.prices)} entries for {inst.m} goods")
         for g, p in enumerate(self.prices):
             if not isinstance(p, Fraction):
                 raise InvalidInputError(f"price of good {g} is not a Fraction")
             if p < 0:
-                raise InvalidInputError(f"price of good {g} is negative: {p}")
+                raise InvalidInputError(f"price of good {g} is negative: {_brief(str(p))}")
 
     def to_json_dict(self) -> dict:
         return {

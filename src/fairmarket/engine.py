@@ -72,7 +72,7 @@ class BetaBreakdown:
     b3: Fraction | None
     beta: Fraction
     chosen: str
-    # (agent, good) pairs whose best-ratio edge appears when prices rise by b1.
+    # The (agent, good) best-ratio edges this rise adds: those attaining b1 when b1 is beta.
     b1_edges: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -156,10 +156,10 @@ class EngineState:
     good ids (a subset of the instance's columns), and good g costs
     `nums[g] / den` with `den` kept reduced: `gcd(den, *nums) == 1`.  `rows`
     holds the valuations split into integer pairs.  Per active agent, every
-    event updates the best ratio (`alphas`), the goods attaining it (`mbb`),
-    the bundle price (`spends`) and the drop-one bundle price (`hats`, both
-    numerators over `den`) in place.  A single state is strictly
-    sequential; run separate states for parallel solves.
+    event updates the goods attaining its best ratio (`mbb`), the bundle price
+    (`spends`) and the drop-one bundle price (`hats`, both numerators over
+    `den`) in place.  A single state is strictly sequential; run separate
+    states for parallel solves.
     """
 
     inst: Instance
@@ -171,7 +171,6 @@ class EngineState:
     den: int = 1
     bundles: list[set[int]] = field(default_factory=list)
     owner: dict[int, int] = field(default_factory=dict)
-    alphas: list[Fraction] = field(default_factory=list)
     mbb: list[set[int]] = field(default_factory=list)
     spends: list[int] = field(default_factory=list)
     hats: list[int] = field(default_factory=list)
@@ -221,10 +220,9 @@ class EngineState:
 
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
-        new = range(len(self.alphas), self.num_agents)
-        ratios = best_ratios(self.rows, new, self.goods, self.nums, self.den)
-        for i, (alpha, edges) in zip(new, ratios):
-            self.alphas.append(alpha)
+        new = range(len(self.mbb), self.num_agents)
+        ratios = best_ratios(self.rows, new, self.goods, self.nums)
+        for i, (_, _, edges) in zip(new, ratios):
             self.mbb.append(set(edges))
             spend, hat = _spend_and_hat([self.nums[g] for g in self.bundles[i]])
             self.spends.append(spend)
@@ -260,14 +258,17 @@ def initial_prices_for_agent(
     """
     if agent != state.num_agents:
         raise InvalidInputError(f"agent {agent} is not the next to join")
-    row = state.inst.valuations[agent]
-    max_value = max(row)
-    if max_value == 0:
+    row = state.rows[agent]
+    top, top_den = 0, 1  # the agent's largest value
+    for v, d in row:
+        if v * top_den > top * d:
+            top, top_den = v, d
+    if top == 0:
         raise InternalInvariantError(f"agent {agent} values nothing; normalization missed it")
-    new_goods = tuple(g for g in range(state.inst.m) if g not in state.nums and row[g] > 0)
-    min_price = Fraction(min(state.nums.values()), state.den) if state.nums else Fraction(1)
-    denom = state.inst.m * max_value
-    return new_goods, {g: row[g] * min_price / denom for g in new_goods}
+    new_goods = tuple(g for g in range(state.inst.m) if g not in state.nums and row[g][0])
+    low, low_den = (min(state.nums.values()), state.den) if state.nums else (1, 1)
+    p, q = low * top_den, low_den * state.inst.m * top
+    return new_goods, {g: Fraction(row[g][0] * p, row[g][1] * q) for g in new_goods}
 
 
 def add_agent(state: EngineState) -> None:
@@ -277,7 +278,7 @@ def add_agent(state: EngineState) -> None:
     if state.check:
         for j in range(agent):
             for g in new_goods:
-                if state.inst.valuations[j][g] != 0:
+                if state.rows[j][g][0]:
                     raise InternalInvariantError(
                         f"agent {j} values good {g} which only joined with agent {agent}"
                     )
@@ -302,41 +303,41 @@ def add_agent(state: EngineState) -> None:
 
 def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     """Candidate uniform price-rise rates for the reachable goods."""
-    k = state.k
-    spends, hats = state.spends, state.hats
+    k, rows, nums, hats = state.k, state.rows, state.nums, state.hats
     max_hat = max(hats)
 
-    # An agent's b1 rate is its alpha over its best ratio outside the reach.
-    b1: Fraction | None = None
+    # Each rate is a ratio of two numbers over `den`: an integer pair (p, q).
+    def below(x: tuple[int, int] | None, y: tuple[int, int] | None) -> bool:
+        return x is not None and (y is None or x[0] * y[1] < y[0] * x[1])  # None is infinite
+
+    # Agent j's b1 rate is its best ratio, that of any good g in its `mbb`, over
+    # its best ratio outside the reach, attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
+    b1: tuple[int, int] | None = None
     b1_edges: list[tuple[int, int]] = []
     outside = [g for g in state.goods if g not in reach.goods]
     agents = sorted(reach.agents)
-    ratios = best_ratios(state.rows, agents, outside, state.nums, state.den)
-    for j, (out_ratio, attaining) in zip(agents, ratios):
-        if out_ratio > 0:
-            rate = state.alphas[j] / out_ratio
-            if b1 is None or rate < b1:
+    for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
+        if v_h:
+            g = next(iter(state.mbb[j]))
+            rate = (rows[j][g][0] * p_h, rows[j][g][1] * nums[g] * v_h)
+            if below(rate, b1):
                 b1, b1_edges = rate, []
-            if rate == b1:
-                b1_edges.extend((j, g) for g in attaining)
+            if not below(b1, rate):
+                b1_edges.extend((j, h) for h in attaining)
 
     reach_hat = max((hats[j] for j in reach.agents), default=0)
-    b2: Fraction | None = Fraction(max_hat, reach_hat) if reach_hat > 0 else None
-    b3: Fraction | None = Fraction(max_hat, spends[k]) if spends[k] > 0 else None
-
-    finite = [x for x in (b1, b2, b3) if x is not None]
-    if not finite:
+    b2 = (max_hat, reach_hat) if reach_hat > 0 else None
+    b3 = (max_hat, state.spends[k]) if state.spends[k] > 0 else None
+    rates = {"b1": b1, "b2": b2, "b3": b3}
+    chosen, beta = "", None
+    for name in ("b3", "b2", "b1"):  # the smallest finite rate, b3 and then b2 first on ties
+        if below(rates[name], beta):
+            chosen, beta = name, rates[name]
+    if beta is None:
         raise InternalInvariantError("no finite price-rise rate exists")
-    beta = min(finite)
-    if beta <= 1:
-        raise InternalInvariantError(f"price-rise rate {beta} is not above 1")
-    if b3 is not None and beta == b3:
-        chosen = "b3"
-    elif b2 is not None and beta == b2:
-        chosen = "b2"
-    else:
-        chosen = "b1"
-    return BetaBreakdown(b1, b2, b3, beta, chosen, tuple(b1_edges))
+    fracs = {name: None if r is None else Fraction(*r) for name, r in rates.items()}
+    edges = () if below(beta, b1) else tuple(b1_edges)
+    return BetaBreakdown(fracs["b1"], fracs["b2"], fracs["b3"], fracs[chosen], chosen, edges)
 
 
 def apply_price_rise(
@@ -346,36 +347,35 @@ def apply_price_rise(
 
     The allocation is untouched; the maximum drop-one bundle price must not
     move.  Reachable agents own and point only into reachable goods, so their
-    alphas divide by the rate and their spends and hats grow by it; at rate
-    b1 they gain the edges attaining it.  Unreachable agents lose their
-    edges into the reachable goods.  With the rate p/q, reachable numerators
-    multiply by p, the others and `den` by q, and one gcd reduces them all.
+    edges stay and their spends and hats grow by the rate; at rate b1 they
+    gain the edges attaining it.  Unreachable agents lose their edges into
+    the reachable goods.  With the rate p/q, reachable numerators multiply
+    by p, the others and `den` by q, and one common factor reduces them all.
     """
-    beta = betas.beta
-    if not 1 < beta:
-        raise InternalInvariantError(f"price-rise rate must exceed 1, got {beta}")
-    up, down = beta.numerator, beta.denominator
-    scaled = {g: num * (up if g in reach.goods else down) for g, num in state.nums.items()}
-    common = gcd(state.den * down, *scaled.values())
-    state.nums = {g: num // common for g, num in scaled.items()}
-    state.den = state.den * down // common
+    up, down = betas.beta.numerator, betas.beta.denominator
+    if up <= down:
+        raise InternalInvariantError(f"price-rise rate must exceed 1, got {betas.beta}")
+    nums, den, reached = state.nums, state.den, reach.goods
+    # As gcd(p, q) = 1 and the prices were reduced, each prime of the common
+    # factor divides q and every reached numerator, or p, den and every other one.
+    unreached = [num for g, num in nums.items() if g not in reached]
+    common = gcd(down, *(nums[g] for g in reached)) * gcd(up, den, *unreached)
+    state.nums = {g: n * (up if g in reached else down) // common for g, n in nums.items()}
+    state.den = den * down // common
     stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
         factor = up if i in reach.agents else down
         state.spends[i] = state.spends[i] * factor // common
         state.hats[i] = state.hats[i] * factor // common
-        if i in reach.agents:
-            state.alphas[i] /= beta
-        elif state.mbb[i] <= reach.goods:
-            stranded.append(i)
-        else:
-            state.mbb[i] -= reach.goods
-    ratios = best_ratios(state.rows, stranded, state.goods, state.nums, state.den)
-    for i, (alpha, edges) in zip(stranded, ratios):
-        state.alphas[i], state.mbb[i] = alpha, set(edges)
-    if betas.b1 == beta:
-        for j, g in betas.b1_edges:
-            state.mbb[j].add(g)
+        if i not in reach.agents:
+            state.mbb[i] -= reached
+            if not state.mbb[i]:
+                stranded.append(i)
+    ratios = best_ratios(state.rows, stranded, state.goods, state.nums)
+    for i, (_, _, edges) in zip(stranded, ratios):
+        state.mbb[i] = set(edges)
+    for j, g in betas.b1_edges:
+        state.mbb[j].add(g)
 
 
 def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
@@ -442,11 +442,12 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
     return (*counts, state.hats.count(max_hat))
 
 
-def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> None:
+def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None) -> None:
     """Post-step audit: partition, positive reduced prices, ratio containment, fairness.
 
-    Also holds the maintained alphas, edges, spends and hats to a rebuild
-    from the price numerators, `den` and the split valuations.
+    Also holds the maintained edges, spends and hats to a rebuild from the
+    price numerators, `den` and the split valuations.  `floor_level` is a
+    (numerator, denominator) pair, by default the largest hat.
     """
     covered: set[int] = set()
     for bundle in state.bundles:
@@ -461,18 +462,17 @@ def _check_state(state: EngineState, floor_max_hat: Fraction | None = None) -> N
             raise InternalInvariantError(f"price of good {g} is not positive")
     if den < 1 or gcd(den, *nums.values()) != 1:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
-    ratios = list(best_ratios(state.rows, state.agents, state.goods, nums, den))
-    alphas, mbb = [alpha for alpha, _ in ratios], [set(edges) for _, edges in ratios]
+    ratios = best_ratios(state.rows, state.agents, state.goods, nums)
+    mbb = [set(edges) for _, _, edges in ratios]
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
             raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
     pairs = [_spend_and_hat([nums[g] for g in bundle]) for bundle in state.bundles]
-    spends, hats = [spend for spend, _ in pairs], [hat for _, hat in pairs]
-    if (alphas, mbb, spends, hats) != (state.alphas, state.mbb, state.spends, state.hats):
+    if (mbb, pairs) != (state.mbb, list(zip(state.spends, state.hats))):
         raise InternalInvariantError("maintained market state differs from a rebuild")
-    level = max(hats) if floor_max_hat is None else floor_max_hat * den
-    for i in range(state.num_agents):
-        if i != state.k and spends[i] < level:
+    level, scale = floor_level or (max(state.hats), den)
+    for i, (spend, _) in enumerate(pairs):
+        if i != state.k and spend * scale < level * den:
             raise InternalInvariantError(f"agent {i} fell below the violation level")
 
 
@@ -509,11 +509,9 @@ def step(state: EngineState) -> TraceEvent | None:
     state._prev_potential = potential
 
     stats.iterations += 1
-    if stats.iterations > stats.bound:
+    if stats.iterations * stats.bound.denominator > stats.bound.numerator:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
-
-    min_price = Fraction(min(state.nums.values()), den)
-    level = Fraction(max_hat, den)
+    min_price = min(state.nums.values())
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)
@@ -525,13 +523,12 @@ def step(state: EngineState) -> TraceEvent | None:
         stats.price_rises += 1
     if state.check:
         # A price rise keeps the violation level exactly; a transfer does not raise it.
-        _check_state(state, level)
-        new_level = Fraction(max(state.hats), state.den)
-        if path is None and new_level != level:
-            raise InternalInvariantError(
-                f"price rise moved the violation level: {level} -> {new_level}"
-            )
-        if new_level > level:
+        _check_state(state, (max_hat, den))
+        new_level, old_level = max(state.hats) * den, max_hat * state.den
+        if path is None and new_level != old_level:
+            moved = f"{max_hat}/{den} -> {max(state.hats)}/{state.den}"
+            raise InternalInvariantError(f"price rise moved the violation level: {moved}")
+        if new_level > old_level:
             raise InternalInvariantError("transfer raised the violation level")
 
     event = TraceEvent(
@@ -544,8 +541,8 @@ def step(state: EngineState) -> TraceEvent | None:
         b=b,
         potential=potential,
         min_spend=Fraction(min_spend, den),
-        max_hat=level,
-        min_price=min_price,
+        max_hat=Fraction(max_hat, den),
+        min_price=Fraction(min_price, den),
     )
     state.trace.events.append(event)
     return event

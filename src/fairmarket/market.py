@@ -43,14 +43,14 @@ def best_ratios(
     agents: Iterable[int],
     goods: Iterable[int],
     nums: Sequence[int] | Mapping[int, int],
-    den: int,
-) -> Iterator[tuple[Fraction, list[int]]]:
+) -> Iterator[tuple[int, int, list[int]]]:
     """Per agent, its best value/price ratio over `goods` and the goods attaining it.
 
     `rows` holds split valuations (as `split_valuations` makes them) and
-    good g costs `nums[g] / den`.  The denominator is common to every
-    price, so the comparisons leave it out and cross-multiply integers;
-    only the returned ratio uses it.  Follows `bang_per_buck`'s conventions.
+    good g costs `nums[g]` over a denominator common to every price, which
+    the comparisons leave out: they cross-multiply integers.  Yields
+    (v, p, attaining), the best ratio being v/p times that denominator.
+    Follows `bang_per_buck`'s conventions.
     """
     for i in agents:
         row = rows[i]
@@ -67,7 +67,7 @@ def best_ratios(
                 best_v, best_p, attaining = v, p, [g]
             elif lhs == rhs:
                 attaining.append(g)
-        yield Fraction(best_v * den, best_p), attaining
+        yield best_v, best_p, attaining
 
 
 def compute_alphas(
@@ -111,10 +111,10 @@ class MbbGraph:
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
         scaled, den = _common_denominator(prices[g] for g in goods)
-        ratios = best_ratios(split_valuations(inst), agents, goods, dict(zip(goods, scaled)), den)
+        ratios = best_ratios(split_valuations(inst), agents, goods, dict(zip(goods, scaled)))
         alphas, mbb = {}, {}
-        for i, (alpha, attaining) in zip(agents, ratios):
-            alphas[i], mbb[i] = alpha, tuple(attaining)
+        for i, (v, p, attaining) in zip(agents, ratios):
+            alphas[i], mbb[i] = Fraction(v * den, p), tuple(attaining)
         owner = {g: i for i in agents for g in bundles[i]}
         return cls(agents, goods, mbb, owner, alphas)
 

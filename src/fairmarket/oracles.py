@@ -214,6 +214,13 @@ def brute_force_mnw(
     Enumerates assignments in lexicographic order (good 0 outermost) and
     keeps the first maximizer; None when the state space exceeds `cap`.
     """
+    return _max_nash_welfare(inst, cap, None)
+
+
+def _max_nash_welfare(
+    inst: Instance, cap: int | None, incumbent: Allocation | None
+) -> tuple[Fraction, Allocation] | None:
+    """`brute_force_mnw`, searching from one below `incumbent`'s product so ties still count."""
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     n, m = inst.n, inst.m
     if n**m > cap:
@@ -238,6 +245,8 @@ def brute_force_mnw(
     assignment = [0] * m
     untried: list = [None] * m  # untried[g]: the agents left for good g, once entered
     best_product = -1
+    if incumbent is not None:
+        best_product = math.prod(sum(vals[i][g] for g in incumbent[i]) for i in range(n)) - 1
     best_assignment: list[int] | None = None
     g = 0
     while g >= 0:
@@ -287,17 +296,14 @@ def brute_force_mnw(
 
 
 def _nsw_bound(
-    inst: Instance, product: Fraction, cap: int | None
-) -> tuple[Fraction | None, bool | None]:
-    """The optimal value product, and whether `product` lies within NSW_FLOOR^n of it.
-
-    (None, None) when the brute-force optimum is size-gated away.
-    """
-    result = brute_force_mnw(inst, cap)
+    inst: Instance, alloc: Allocation, cap: int | None
+) -> tuple[Fraction, Fraction | None, bool | None]:
+    """`alloc`'s value product, the optimum searched from it, and their NSW_FLOOR^n check."""
+    product = nash_product(inst, alloc)
+    result = _max_nash_welfare(inst, cap, alloc)
     if result is None:
-        return None, None
-    optimum, _ = result
-    return optimum, product >= NSW_FLOOR**inst.n * optimum
+        return product, None, None
+    return product, result[0], product >= NSW_FLOOR**inst.n * result[0]
 
 
 def check_nsw_ratio(
@@ -307,7 +313,8 @@ def check_nsw_ratio(
 
     None when the brute-force optimum is size-gated away.
     """
-    return _nsw_bound(inst, nash_product(inst, alloc), cap)[1]
+    alloc.validate_partition(inst.m, inst.n)  # the search is seeded with its product
+    return _nsw_bound(inst, alloc, cap)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +420,7 @@ def verify(
             "price certificate holds but EF1 fails; a checker is broken"
         )
     po = brute_force_po(inst, sol.allocation, brute_cap)
-    product = nash_product(inst, sol.allocation)
-    mnw_product, ratio_ok = _nsw_bound(inst, product, brute_cap) if nsw else (None, None)
+    product, mnw_product, ratio_ok = _nsw_bound(inst, sol.allocation, brute_cap if nsw else 0)
     return VerificationReport(
         ef1=ef1,
         pef1=pef1,

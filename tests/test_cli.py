@@ -109,6 +109,29 @@ def test_input_past_the_int_digit_limit_exits_cleanly(tmp_path, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
 
+def test_rejected_numbers_are_cut_short_in_the_error_line(tmp_path, capsys):
+    # The detail shows the start of a rejected number and its digit count, not all of it.
+    huge = "9" * 4400
+    solution = tmp_path / "sol.json"
+    solution.write_text(json.dumps({"bundles": [[0]], "prices": ["-" + "9" * 4000]}))
+    for value, command in (
+        (huge, "solve"),
+        (f"1/{huge}", "solve"),
+        (f"{huge}/7", "solve"),
+        ("9" * 4000 + "/0", "solve"),  # a zero denominator under a long numerator
+        (f"x{huge}", "solve"),
+        ("-" + "9" * 4000, "solve"),  # parses, then is rejected as negative
+        (1, "verify"),  # the solution's price is negative
+    ):
+        inst = write_demo(tmp_path, obj={"agents": 1, "goods": 1, "valuations": [[value]]})
+        argv = ["solve", inst] if command == "solve" else ["verify", inst, str(solution)]
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0].encode()) < 300, lines[0][:300]
+        detail = json.loads(lines[0])["detail"]
+        assert json.loads(lines[0])["error"] == "invalid-input" and "digits)" in detail
+
+
 def test_exponent_strings_are_rejected_before_solving(tmp_path, capsys):
     # "1e5000" is six bytes of JSON but 10**5000, past the digit limit on output.
     obj = {"agents": 1, "goods": 1, "valuations": [["1e5000"]]}
@@ -276,6 +299,41 @@ def test_bench_report(tmp_path):
         assert row["total_iterations"] == sum(row["iterations_per_call"])
         assert row["nsw_ratio"] is None or row["nsw_ratio"] >= 0.6922
 
+def test_bench_rows_match_the_unseeded_welfare_search(tmp_path, monkeypatch):
+    # bench seeds its welfare search with the solve's allocation; the rows stay as before.
+    from fairmarket import brute_force_mnw, nash_product, oracles
+
+    search, incumbents = oracles._max_nash_welfare, []
+
+    def spy(inst, cap, incumbent):
+        incumbents.append(incumbent)
+        return search(inst, cap, incumbent)
+
+    monkeypatch.setattr(oracles, "_max_nash_welfare", spy)
+    spec = {"runs": [{"n": 3, "m": [3, 5, 6], "max_value": 4, "seeds": [0, 1, 2]}]}
+    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", "--spec", str(spec_path), "-o", str(report_path)]) == 0
+    rows = json.loads(report_path.read_text())["rows"]
+    cells = [(m, seed) for m in (3, 5, 6) for seed in (0, 1, 2)]
+    assert len(rows) == len(incumbents) == len(cells)
+    for row, incumbent, (m, seed) in zip(rows, incumbents, cells):
+        inst = generate_instance(3, m, 4, seed)
+        sol, trace = solve(inst)
+        optimum, _ = brute_force_mnw(inst)
+        assert incumbent == sol.allocation
+        del row["wall_time_s"]
+        assert row == {
+            "seed": seed,
+            "n": 3,
+            "m": m,
+            "iterations_per_call": [c.iterations for c in trace.calls],
+            "total_iterations": trace.total_iterations,
+            "bound_ratio_max": max(float(c.iterations / c.bound) for c in trace.calls[1:]),
+            "nsw_ratio": float(nash_product(inst, sol.allocation) / optimum),
+        }
+
+
 def test_bench_single_agent_rows_never_iterate(tmp_path):
     spec = {"runs": [{"n": 1, "m": [1, 3, 5], "max_value": 4, "seeds": [0]}]}
     spec_path = tmp_path / "spec.json"
@@ -339,7 +397,15 @@ def nested(leaves):
         max_leaves=8,
     )
 
-json_values = nested(small_leaves | st.integers())
+# Numbers near and past CPython's 4300-digit limit on int/str conversion: integers
+# of 4000 to 4299 digits, denominators that long, and digit strings past the limit.
+long_ints = st.builds(lambda k, r: 10**k + r, st.integers(3999, 4298), st.integers(0, 10**9))
+large_leaves = (
+    long_ints
+    | st.builds("{}/{}".format, st.integers(-3, 12), long_ints)
+    | st.integers(4301, 4400).map(lambda k: "7" * k)
+)
+json_values = nested(small_leaves | st.integers() | large_leaves)
 small_values = nested(small_leaves)  # bench builds instances as large as its integers ask
 
 def _slots(node):

@@ -43,7 +43,7 @@ def test_parse_rational_forms():
 
 @pytest.mark.parametrize(
     "bad",
-    [True, 1.5, "3/0", "x", None, [1], "1e5000", pytest.param("1.5", id="'1.5'"), " 1 "],
+    [True, 1.5, "3/0", "x", None, [1], "1e5000", pytest.param("1.5", id="'1.5'"), " 1 ", "0/00", "-3/0"],
 )
 def test_parse_rational_rejects(bad):
     with pytest.raises(InvalidInputError):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmarket import (
     Allocation,
@@ -29,7 +31,7 @@ from fairmarket.engine import (
     iteration_bound,
     transfer,
 )
-from fairmarket.market import compute_alphas, reach_from, shortest_violator_path
+from fairmarket.market import Reachability, compute_alphas, reach_from, shortest_violator_path
 
 F = Fraction
 
@@ -153,7 +155,36 @@ def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
     reach = reach_from(state, [2], 3)
     assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
     apply_price_rise(state, reach, BetaBreakdown(None, None, F(3), F(3), "b3"))
-    assert (state.alphas, state.mbb) == ([F(1), F(1), F(1, 3)], [{0}, {0}, {1}])
+    assert state.mbb == [{0}, {0}, {1}]
+
+
+# Numbers sharing small primes, so the common factors of a rise are not trivial.
+shared_factors = st.builds(
+    lambda twos, threes, fives, rest: 2**twos * 3**threes * 5**fives * rest,
+    st.integers(0, 12), st.integers(0, 6), st.integers(0, 4), st.integers(1, 40),
+)
+
+
+@given(
+    nums=st.lists(shared_factors, min_size=1, max_size=8),
+    den=shared_factors,
+    reached=st.sets(st.integers(0, 7)),
+    rate=st.tuples(shared_factors, shared_factors).filter(lambda r: r[0] != r[1]),
+)
+def test_price_rise_reduces_like_the_plain_gcd_fold(nums, den, reached, rate):
+    """The rise's split common factor against one gcd over every scaled number."""
+    common = gcd(den, *nums)
+    nums, den = [num // common for num in nums], den // common
+    up, down = max(rate) // gcd(*rate), min(rate) // gcd(*rate)
+    m = len(nums)
+    state = EngineState.from_solution(Instance.from_values([[1] * m]), [range(m)], [F(1)] * m)
+    state.nums, state.den = dict(enumerate(nums)), den
+    reach = Reachability(frozenset(), frozenset(g for g in reached if g < m), {0: 1})
+    apply_price_rise(state, reach, BetaBreakdown(None, None, F(up, down), F(up, down), "b3"))
+    scaled = [num * (up if g in reach.goods else down) for g, num in enumerate(nums)]
+    plain = gcd(den * down, *scaled)
+    assert state.nums == {g: num // plain for g, num in enumerate(scaled)}
+    assert state.den == den * down // plain
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +339,29 @@ def test_iteration_bound_values():
     assert iteration_bound(1, 10) == 0
     assert iteration_bound(2, 5) > 0
     assert iteration_bound(3, 5) > iteration_bound(2, 5)
+
+
+@pytest.mark.parametrize("bound, fails", [(F(2), False), (F(19, 10), True)])
+def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound, fails):
+    # The demo's last rebalancing call takes two iterations; `step` raises on the
+    # iteration past the ceiling before it moves or records anything.
+    from fairmarket import engine
+
+    monkeypatch.setattr(engine, "iteration_bound", lambda agent_count, total_goods: bound)
+    state = EngineState(demo_instance)
+    for _ in range(2):
+        add_agent(state)
+        find_solution(state)
+    add_agent(state)
+    if fails:
+        with pytest.raises(InternalInvariantError, match="iteration ceiling 19/10"):
+            find_solution(state)
+        assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
+        assert len(state.trace.events) == 2
+    else:
+        find_solution(state)
+        assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
+        assert len(state.trace.events) == 3
 
 
 def test_solver_exercises_every_event_kind():
@@ -500,7 +554,6 @@ def rebuilt_market(state: EngineState) -> tuple:
         state.inst, state.bundles, prices, range(state.num_agents), state.goods
     )
     return (
-        [graph.alphas[i] for i in graph.agents],
         [set(graph.mbb[i]) for i in graph.agents],
         *spending_profile(state.bundles, prices),
     )
@@ -535,7 +588,7 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
     for state in stepped_states(seed=31, count=60, check=False):
         assert state.den >= 1 and gcd(state.den, *state.nums.values()) == 1
         spends, hats = ([F(x, state.den) for x in xs] for xs in (state.spends, state.hats))
-        assert (state.alphas, state.mbb, spends, hats) == rebuilt_market(state)
+        assert (state.mbb, spends, hats) == rebuilt_market(state)
         # searching the maintained state finds what searching a rebuilt graph finds
         graph = MbbGraph.from_state(
             state.inst, state.bundles, state.fraction_prices(), state.agents, state.goods
@@ -553,7 +606,7 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
     assert {"transfer", "price_rise", "b1", "b2", "b3"} <= kinds
 
 
-@pytest.mark.parametrize("target", ["alpha", "edge", "spend", "hat"])
+@pytest.mark.parametrize("target", ["edge", "spend", "hat"])
 def test_online_checks_catch_a_corrupted_maintained_state(target):
     from fairmarket.engine import step
 
@@ -561,9 +614,7 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
         s for s in stepped_states(seed=7, count=20, check=True) if s.num_agents == 3
     )
     i = 0
-    if target == "alpha":
-        state.alphas[i] *= 2
-    elif target == "edge":
+    if target == "edge":
         state.mbb[i] ^= {state.goods[-1]}
     elif target == "spend":
         state.spends[i] += 1

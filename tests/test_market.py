@@ -109,9 +109,10 @@ def test_best_ratio_matches_bang_per_buck(data):
     agents = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
     inst = Instance(tuple(tuple(row) for row in rows))
     nums, den = _common_denominator(prices)
-    results = list(best_ratios(split_valuations(inst), agents, goods, nums, den))
+    results = list(best_ratios(split_valuations(inst), agents, goods, nums))
     assert len(results) == len(agents)
-    for i, (alpha, attaining) in zip(agents, results):
+    for i, (v, p, attaining) in zip(agents, results):
+        alpha = F(v * den, p)
         ratios = {g: bang_per_buck(rows[i][g], prices[g]) for g in goods}
         assert alpha == max(ratios.values())
         assert attaining == [g for g in goods if ratios[g] == alpha]
@@ -123,8 +124,8 @@ def test_best_ratio_matches_bang_per_buck(data):
 def test_best_ratio_rejects_positive_value_over_zero_price():
     rows = split_valuations(Instance.from_values([[0, 3]]))
     with pytest.raises(InternalInvariantError):
-        list(best_ratios(rows, [0], [0, 1], [0, 0], 1))
-    assert list(best_ratios(rows, [0], [0], [0], 1)) == [(0, [0])]  # 0/0 counts as ratio 0
+        list(best_ratios(rows, [0], [0, 1], [0, 0]))
+    assert list(best_ratios(rows, [0], [0], [0])) == [(0, 1, [0])]  # 0/0 counts as ratio 0
 
 
 # ---------------------------------------------------------------------------

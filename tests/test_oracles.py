@@ -7,7 +7,9 @@ import pytest
 
 from fairmarket import (
     Allocation,
+    HallViolationError,
     Instance,
+    InvalidInputError,
     Solution,
     audit_trace,
     brute_force_mnw,
@@ -20,7 +22,7 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.oracles import NSW_FLOOR, check_ef1_literal
+from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare, check_ef1_literal
 
 F = Fraction
 
@@ -267,6 +269,16 @@ def test_nsw_ratio_rejects_zero_product_when_positive_possible():
     assert check_nsw_ratio(inst, starved) is False
 
 
+@pytest.mark.parametrize(
+    "bundles", [[[0, 1], [0, 1]], [[0], [1, 2]], [[0], []], [[0], [1], []], [[0, 1]]]
+)
+def test_nsw_ratio_rejects_an_allocation_that_is_not_a_partition(bundles):
+    # The exact search starts from the allocation's product, so it must be a real one.
+    inst = Instance.from_values([[1, 1], [1, 1]])
+    with pytest.raises(InvalidInputError):
+        check_nsw_ratio(inst, Allocation.from_lists(bundles))
+
+
 def test_nsw_ratio_on_solver_outputs():
     rng = random.Random(58)
     for _ in range(60):
@@ -278,6 +290,52 @@ def test_nsw_ratio_on_solver_outputs():
         inst = Instance.from_values(rows)
         sol, _ = solve(inst)
         assert check_nsw_ratio(inst, sol.allocation) is True
+
+
+def _tie_heavy_case(rng):
+    """A small instance built for ties (all-equal rows, duplicate rows), with a zero
+    row, with more agents than goods, or plain random; and which of these it is."""
+    kind = rng.choice(["equal rows", "duplicate rows", "zero row", "n>m", "random"])
+    n = rng.randint(2, 4)
+    m = rng.randint(1, n - 1) if kind == "n>m" else rng.randint(n, 5 if n < 4 else 4)
+    rows = [[rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
+    if kind == "equal rows":
+        rows = [[rng.randint(1, 3)] * m for _ in range(n)]
+    elif kind == "duplicate rows":
+        rows[1:] = [list(rows[0]) if rng.random() < 0.7 else row for row in rows[1:]]
+    elif kind == "zero row":
+        rows[rng.randrange(n)] = [0] * m
+    return Instance.from_values(rows), kind
+
+
+def test_seeded_welfare_search_matches_the_unseeded_one():
+    """Seeded with any allocation, the search returns the public oracle's optimum and
+    first maximizer, and `verify` reports what the unseeded optimum gives."""
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(80):
+        inst, kind = _tie_heavy_case(rng)
+        seen.add(kind)
+        expected = brute_force_mnw(inst)
+        products = [(nash_product(inst, alloc), alloc) for alloc in _every_allocation(inst)]
+        maximizers = [alloc for product, alloc in products if product == expected[0]]
+        if expected[0] > 0 and len(maximizers) > 1:
+            seen.add("tied positive optimum")
+        others = rng.sample(products, min(3, len(products)))
+        seeds = maximizers[-2:] + [alloc for _, alloc in others]
+        try:
+            seeds.append(solve(inst)[0].allocation)
+            seen.add("solver allocation")
+        except HallViolationError:
+            pass
+        for alloc in seeds:
+            assert _max_nash_welfare(inst, None, alloc) == expected
+            report = verify(inst, Solution(alloc, (F(1),) * inst.m))
+            within = nash_product(inst, alloc) >= NSW_FLOOR**inst.n * expected[0]
+            assert (report.mnw_product, report.ratio_ok) == (expected[0], within)
+            assert check_nsw_ratio(inst, alloc) is within
+    kinds = {"equal rows", "duplicate rows", "zero row", "n>m", "random"}
+    assert seen == kinds | {"tied positive optimum", "solver allocation"}
 
 
 def test_nsw_floor_is_strictly_below_the_analytic_constant():
