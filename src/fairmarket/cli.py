@@ -135,7 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             if all(p > 0 for p in solution.prices):
                 graph = build_graph(inst, solution)
                 dump = graph.as_dict()
-                levels = reach_from(graph, [inst.n - 1], inst.n).levels
+                levels = reach_from(graph, [inst.n - 1]).levels
                 dump["levels"] = {str(i): levels[i] for i in graph.agents}
             Path(args.dump_graph).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
     return EXIT_OK

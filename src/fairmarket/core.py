@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class FairMarketError(Exception):
@@ -227,19 +227,19 @@ class Solution:
 # ---------------------------------------------------------------------------
 # price aggregates
 
-Prices = Sequence[Fraction] | Mapping[int, Fraction]
+Prices = list[Fraction] | tuple[Fraction, ...]  # one price per good, indexed by good
 
 
 def valid_goods(prices: Prices, goods: Iterable[int]) -> list[int]:
-    """`goods` as a list, once each is checked to be a good index of `prices`."""
+    """`goods` as a list, once `prices` is checked to be a list or tuple that each indexes."""
+    if not isinstance(prices, (list, tuple)):
+        raise InvalidInputError(f"prices must be a list or tuple, got {type(prices).__name__}")
     goods = list(goods)
     for g in goods:
         if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise InvalidInputError(f"invalid good index {g!r}")
-        try:
-            prices[g]
-        except (IndexError, KeyError):
-            raise InvalidInputError(f"good index {g} is outside the price vector") from None
+        if g >= len(prices):
+            raise InvalidInputError(f"good index {g} is outside the price vector")
     return goods
 
 
@@ -362,12 +362,9 @@ def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRe
     Returns the core instance (or None when no agent survives) and the
     record needed to re-embed a core solution via `denormalize`.
     """
-    kept_goods = tuple(
-        g for g in range(inst.m) if any(inst.valuations[i][g] > 0 for i in range(inst.n))
-    )
-    kept_agents = tuple(
-        i for i in range(inst.n) if any(v > 0 for v in inst.valuations[i])
-    )
+    # `Instance` rejects negative values, so a nonzero value is a positive one.
+    kept_goods = tuple(g for g, column in enumerate(zip(*inst.valuations)) if any(column))
+    kept_agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
     rec = NormalizationRecord(inst.n, inst.m, kept_agents, kept_goods)
     if not kept_agents:
         return None, rec

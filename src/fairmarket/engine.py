@@ -152,14 +152,15 @@ class SolveTrace:
 class EngineState:
     """Mutable solver state: the grown sub-instance and its current solution.
 
-    Agents 0..num_agents-1 of `inst` are active; `goods` lists the active
-    good ids (a subset of the instance's columns), and good g costs
-    `nums[g] / den` with `den` kept reduced: `gcd(den, *nums) == 1`.  `rows`
-    holds the valuations split into integer pairs.  Per active agent, every
-    event updates the goods attaining its best ratio (`mbb`), the bundle price
-    (`spends`) and the drop-one bundle price (`hats`, both numerators over
-    `den`) in place.  A single state is strictly sequential; run separate
-    states for parallel solves.
+    Agents 0..num_agents-1 of `inst` are active; `goods`, which says which
+    goods are active, lists their ids in ascending order.  Good g costs
+    `nums[g] / den` (numerator 0 as padding for a good not active yet) with
+    `den` kept reduced: `gcd(den, *nums) == 1`.  `rows` holds the valuations
+    split into integer pairs.  Per active agent, every event updates the
+    goods attaining its best ratio (`mbb`), the bundle price (`spends`) and
+    the drop-one bundle price (`hats`, both numerators over `den`) in
+    place.  A single state is strictly sequential; run separate states for
+    parallel solves.
     """
 
     inst: Instance
@@ -167,10 +168,9 @@ class EngineState:
     trace: SolveTrace = field(default_factory=SolveTrace)
     num_agents: int = 0
     goods: list[int] = field(default_factory=list)
-    nums: dict[int, int] = field(default_factory=dict)
+    nums: list[int] = field(init=False)
     den: int = 1
     bundles: list[set[int]] = field(default_factory=list)
-    owner: dict[int, int] = field(default_factory=dict)
     mbb: list[set[int]] = field(default_factory=list)
     spends: list[int] = field(default_factory=list)
     hats: list[int] = field(default_factory=list)
@@ -180,6 +180,7 @@ class EngineState:
 
     def __post_init__(self) -> None:
         self.rows = split_valuations(self.inst)
+        self.nums = [0] * self.inst.m
 
     @property
     def k(self) -> int:
@@ -211,10 +212,8 @@ class EngineState:
         state = cls(inst=inst, check=check)
         state.num_agents = inst.n
         state.goods = list(range(inst.m))
-        scaled, state.den = _common_denominator(sol.prices)
-        state.nums = dict(enumerate(scaled))
+        state.nums, state.den = _common_denominator(sol.prices)
         state.bundles = [set(b) for b in sol.allocation]
-        state.owner = {g: i for i, bundle in enumerate(state.bundles) for g in bundle}
         state.track_new_agents()
         return state
 
@@ -228,17 +227,14 @@ class EngineState:
             self.spends.append(spend)
             self.hats.append(hat)
 
-    def fraction_prices(self) -> dict[int, Fraction]:
-        """The active goods' prices as `Fraction`s, built afresh on every call."""
-        return {g: Fraction(num, self.den) for g, num in self.nums.items()}
+    def fraction_prices(self) -> tuple[Fraction, ...]:
+        """Every good's price as a `Fraction` (0 if not active yet), built afresh on every call."""
+        return tuple(Fraction(num, self.den) for num in self.nums)
 
     def to_solution(self) -> Solution:
-        if set(self.goods) != set(range(self.inst.m)):
+        if len(self.goods) != self.inst.m:
             raise InternalInvariantError("state does not cover every good yet")
-        return Solution(
-            Allocation(tuple(frozenset(b) for b in self.bundles)),
-            tuple(Fraction(self.nums[g], self.den) for g in range(self.inst.m)),
-        )
+        return Solution(Allocation(tuple(frozenset(b) for b in self.bundles)), self.fraction_prices())
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +261,9 @@ def initial_prices_for_agent(
             top, top_den = v, d
     if top == 0:
         raise InternalInvariantError(f"agent {agent} values nothing; normalization missed it")
-    new_goods = tuple(g for g in range(state.inst.m) if g not in state.nums and row[g][0])
-    low, low_den = (min(state.nums.values()), state.den) if state.nums else (1, 1)
+    active = set(state.goods)
+    new_goods = tuple(g for g in range(state.inst.m) if g not in active and row[g][0])
+    low, low_den = (min(state.nums[g] for g in active), state.den) if active else (1, 1)
     p, q = low * top_den, low_den * state.inst.m * top
     return new_goods, {g: Fraction(row[g][0] * p, row[g][1] * q) for g in new_goods}
 
@@ -285,14 +282,13 @@ def add_agent(state: EngineState) -> None:
     # Rebase every price onto the lcm of the old and the new denominators, which stays reduced.
     den = lcm(state.den, *(p.denominator for p in new_prices.values()))
     scale, state.den = den // state.den, den
-    state.nums = {g: num * scale for g, num in state.nums.items()}
-    state.nums.update((g, p.numerator * (den // p.denominator)) for g, p in new_prices.items())
+    state.nums = [num * scale for num in state.nums]
+    for g, p in new_prices.items():
+        state.nums[g] = p.numerator * (den // p.denominator)
     state.spends = [spend * scale for spend in state.spends]
     state.hats = [hat * scale for hat in state.hats]
-    state.goods = sorted(state.nums)
+    state.goods = sorted(state.goods + list(new_goods))
     state.bundles.append(set(new_goods))
-    for g in new_goods:
-        state.owner[g] = agent
     state.num_agents += 1
     state.track_new_agents()
 
@@ -358,9 +354,9 @@ def apply_price_rise(
     nums, den, reached = state.nums, state.den, reach.goods
     # As gcd(p, q) = 1 and the prices were reduced, each prime of the common
     # factor divides q and every reached numerator, or p, den and every other one.
-    unreached = [num for g, num in nums.items() if g not in reached]
+    unreached = [num for g, num in enumerate(nums) if g not in reached]
     common = gcd(down, *(nums[g] for g in reached)) * gcd(up, den, *unreached)
-    state.nums = {g: n * (up if g in reached else down) // common for g, n in nums.items()}
+    state.nums = [n * (up if g in reached else down) // common for g, n in enumerate(nums)]
     state.den = den * down // common
     stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
@@ -394,8 +390,9 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     goods_on = path[1::2]
     length = len(goods_on)
     for c in range(1, length + 1):
-        if state.owner.get(goods_on[c - 1]) != agents_on[c]:
-            raise InvalidInputError("path ownership edges do not match the allocation")
+        holder = agents_on[c]
+        if not 0 <= holder < state.num_agents or goods_on[c - 1] not in state.bundles[holder]:
+            raise InvalidInputError("path allocation edges do not match the allocation")
 
     spends, nums = state.spends, state.nums
     max_hat = max(state.hats)
@@ -421,7 +418,6 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         taker = agents_on[c - 1]
         state.bundles[giver].discard(g)
         state.bundles[taker].add(g)
-        state.owner[g] = taker
     for i in agents_on[b : a + 1]:
         spends[i], state.hats[i] = _spend_and_hat([nums[g] for g in state.bundles[i]])
     return a, b
@@ -445,8 +441,9 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
 def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None) -> None:
     """Post-step audit: partition, positive reduced prices, ratio containment, fairness.
 
-    Also holds the maintained edges, spends and hats to a rebuild from the
-    price numerators, `den` and the split valuations.  `floor_level` is a
+    Prices are positive on the active goods, 0 (padding) on the rest.  Also
+    holds the maintained edges, spends and hats to a rebuild from the price
+    numerators, `den` and the split valuations.  `floor_level` is a
     (numerator, denominator) pair, by default the largest hat.
     """
     covered: set[int] = set()
@@ -457,10 +454,12 @@ def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None)
     if covered != set(state.goods):
         raise InternalInvariantError("bundles do not partition the active goods")
     nums, den = state.nums, state.den
-    for g in state.goods:
-        if nums[g] <= 0:
+    for g, num in enumerate(nums):
+        if g in covered and num <= 0:
             raise InternalInvariantError(f"price of good {g} is not positive")
-    if den < 1 or gcd(den, *nums.values()) != 1:
+        if g not in covered and num:
+            raise InternalInvariantError(f"good {g} has not joined but has a price")
+    if den < 1 or gcd(den, *nums) != 1:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
     ratios = best_ratios(state.rows, state.agents, state.goods, nums)
     mbb = [set(edges) for _, _, edges in ratios]
@@ -500,7 +499,7 @@ def step(state: EngineState) -> TraceEvent | None:
         if not 1 <= len(violators) <= na - 1:
             raise InternalInvariantError(f"violator count {len(violators)} out of range")
 
-    reach = reach_from(state, [k], na)
+    reach = reach_from(state, [k])
     potential = compute_potential(state, reach)
     if state.check and state._prev_potential is not None and not state._prev_potential < potential:
         raise InternalInvariantError(
@@ -511,7 +510,7 @@ def step(state: EngineState) -> TraceEvent | None:
     stats.iterations += 1
     if stats.iterations * stats.bound.denominator > stats.bound.numerator:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
-    min_price = min(state.nums.values())
+    min_price = min(state.nums[g] for g in state.goods)
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)

@@ -2,16 +2,16 @@
 
 Builds the directed bipartite graph whose agent-to-good edges mark goods
 attaining an agent's best value-per-price ratio and whose good-to-agent
-edges point from each good to its owner, plus breadth-first reachability
-(with per-agent levels) and deterministic shortest alternating paths over
-that graph.
+edges point from each good to the agent whose bundle holds it, plus
+breadth-first reachability (with per-agent levels) and deterministic
+shortest alternating paths over that graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
@@ -42,7 +42,7 @@ def best_ratios(
     rows: Sequence[Sequence[tuple[int, int]]],
     agents: Iterable[int],
     goods: Iterable[int],
-    nums: Sequence[int] | Mapping[int, int],
+    nums: Sequence[int],
 ) -> Iterator[tuple[int, int, list[int]]]:
     """Per agent, its best value/price ratio over `goods` and the goods attaining it.
 
@@ -79,23 +79,23 @@ def compute_alphas(
     """Best value-per-price ratio per agent over the given goods (default: all)."""
     good_ids = valid_goods(prices, range(inst.m) if goods is None else goods)
     agent_ids = range(inst.n) if agents is None else agents
-    # The graph's alphas; with empty bundles it has no ownership edges.
+    # The graph's alphas; with empty bundles it has no allocation edges.
     return MbbGraph.from_state(inst, [()] * inst.n, prices, agent_ids, good_ids).alphas
 
 
 @dataclass(frozen=True)
 class MbbGraph:
-    """Directed bipartite graph of best-ratio edges and ownership edges.
+    """Directed bipartite graph of best-ratio edges and allocation edges.
 
     `mbb[i]` lists, in ascending order, the goods attaining agent i's best
-    ratio; `owner[g]` is the agent holding good g.  Both edge families are
-    traversed agent -> good -> owning agent.
+    ratio; `bundles[i]` holds the goods allocated to agent i.  Both edge
+    families are traversed agent -> good -> agent holding it.
     """
 
     agents: tuple[int, ...]
     goods: tuple[int, ...]
     mbb: dict[int, tuple[int, ...]]
-    owner: dict[int, int]
+    bundles: dict[int, frozenset[int]]
     alphas: dict[int, Fraction]
 
     @classmethod
@@ -110,13 +110,12 @@ class MbbGraph:
         """Graph of a state whose bundles partition `goods`, all priced (not re-checked)."""
         agents = tuple(sorted(agents))
         goods = tuple(sorted(goods))
-        scaled, den = _common_denominator(prices[g] for g in goods)
-        ratios = best_ratios(split_valuations(inst), agents, goods, dict(zip(goods, scaled)))
+        scaled, den = _common_denominator(prices)
+        ratios = best_ratios(split_valuations(inst), agents, goods, scaled)
         alphas, mbb = {}, {}
         for i, (v, p, attaining) in zip(agents, ratios):
             alphas[i], mbb[i] = Fraction(v * den, p), tuple(attaining)
-        owner = {g: i for i in agents for g in bundles[i]}
-        return cls(agents, goods, mbb, owner, alphas)
+        return cls(agents, goods, mbb, {i: frozenset(bundles[i]) for i in agents}, alphas)
 
     def as_dict(self) -> dict:
         """JSON-ready dump for debugging and test assertions."""
@@ -124,7 +123,7 @@ class MbbGraph:
             "agents": list(self.agents),
             "goods": list(self.goods),
             "mbb_edges": [[i, g] for i in self.agents for g in self.mbb[i]],
-            "allocation_edges": [[g, self.owner[g]] for g in sorted(self.owner)],
+            "allocation_edges": sorted([g, i] for i in self.agents for g in self.bundles[i]),
             "alphas": {str(i): str(self.alphas[i]) for i in self.agents},
         }
 
@@ -143,7 +142,7 @@ class Reachability:
 
     `levels` maps every graph agent to its breadth-first depth in agent
     layers (half the edge count of a shortest path); agents that cannot be
-    reached carry the sentinel level passed to `reach_from`.
+    reached carry the sentinel level `len(graph.agents)`.
     """
 
     agents: frozenset[int]
@@ -151,38 +150,39 @@ class Reachability:
     levels: dict[int, int]
 
 
-def reach_from(graph: MbbGraph, sources: Iterable[int], agent_count: int) -> Reachability:
+def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
     """Breadth-first reachability from `sources`, with each agent's level.
 
-    Alternates best-ratio edges (agent to good) with ownership edges (good
-    to owning agent).  Besides an `MbbGraph`, `graph` may be any object with
-    the same `agents`, agent-indexed `mbb` and `owner`, such as the engine's
+    Alternates best-ratio edges (agent to good) with allocation edges (good
+    to the agent holding it): the next level is every unreached agent whose
+    bundle meets the goods newly seen from the current one.  Besides an
+    `MbbGraph`, `graph` may be any object with the same `agents` and
+    agent-indexed `mbb` and `bundles` (sets), such as the engine's
     maintained state.  Levels do not depend on the order of the sources or
-    of any edge set.  `agent_count` is the level assigned to unreachable
-    agents.
+    of any edge set.  Unreachable agents get level `len(graph.agents)`.
     """
-    frontier = list(set(sources))
+    frontier = set(sources)
     if not frontier:
         raise InvalidInputError("reachability needs at least one source agent")
-    levels = {i: agent_count for i in graph.agents}
-    levels.update(dict.fromkeys(frontier, 0))
-    reached = set(frontier)
+    levels = dict.fromkeys(graph.agents, len(graph.agents))
+    unreached = set(levels)
     seen_goods: set[int] = set()
     depth = 0
     while frontier:
-        depth += 1
-        next_frontier: list[int] = []
+        unreached.difference_update(frontier)
+        fresh: set[int] = set()
         for i in frontier:
-            for g in graph.mbb[i]:
-                if g not in seen_goods:
-                    seen_goods.add(g)
-                    j = graph.owner.get(g)
-                    if j is not None and j not in reached:
-                        levels[j] = depth
-                        reached.add(j)
-                        next_frontier.append(j)
-        frontier = next_frontier
-    return Reachability(frozenset(reached), frozenset(seen_goods), levels)
+            levels[i] = depth
+            fresh.update(graph.mbb[i])
+        fresh -= seen_goods
+        seen_goods |= fresh
+        # A bundle lies in its holder's best-ratio set, so the frontier's own goods
+        # are often all that is new; then the search ends without reading a bundle.
+        for i in frontier:
+            fresh -= graph.bundles[i]
+        depth += 1
+        frontier = [j for j in unreached if not fresh.isdisjoint(graph.bundles[j])] if fresh else []
+    return Reachability(frozenset(levels.keys() - unreached), frozenset(seen_goods), levels)
 
 
 def shortest_violator_path(
@@ -207,26 +207,27 @@ def shortest_violator_path(
     target = min(v for v in targets if levels[v] == depth)
 
     # Mark the agents on some shortest path to the target, outermost level
-    # first: such an agent has a good owned by a marked agent one level out.
-    on_path = {target}
+    # first: such an agent has a best-ratio good in the bundle of a marked
+    # agent one level out.
+    marked: dict[int, list[int]] = {depth: [target]}  # level -> marked agents
 
-    def steps_on(i: int, g: int) -> bool:
-        j = graph.owner.get(g)
-        return j in on_path and levels[j] == levels[i] + 1
+    def steps(i: int) -> list[tuple[int, int]]:
+        """The (good, agent) steps from agent i onto a marked agent one level out."""
+        out = marked.get(levels[i] + 1, ())
+        return [(g, j) for j in out for g in graph.mbb[i] if g in graph.bundles[j]]
 
     for i in sorted(reach.agents, key=levels.__getitem__, reverse=True):
-        if any(steps_on(i, g) for g in graph.mbb[i]):
-            on_path.add(i)
+        if steps(i):
+            marked.setdefault(levels[i], []).append(i)
 
     # Greedy walk from the smallest marked source: take the smallest good
     # that steps onto the trail; `depth` steps out, the one marked agent is
-    # the target.  No candidate good means `reach` does not describe `graph`.
+    # the target.  No step means `reach` does not describe `graph`.
     try:
-        current = min(s for s in on_path if levels[s] == 0)
+        current = min(marked.get(0, ()))
         path: list[int] = [current]
         for _ in range(depth):
-            g = min(g for g in graph.mbb[current] if steps_on(current, g))
-            current = graph.owner[g]
+            g, current = min(steps(current))
             path.extend((g, current))
     except ValueError:
         raise InternalInvariantError("shortest-path walk lost the trail") from None

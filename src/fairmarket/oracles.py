@@ -47,12 +47,12 @@ def check_ef1(inst: Instance, alloc: Allocation) -> bool:
     """
     n = inst.n
     for i in range(n):
-        own = inst.value_of(i, alloc[i])
-        row = inst.valuations[i]
+        row, _ = _common_denominator(inst.valuations[i])  # i's values over one denominator
+        own = sum(row[g] for g in alloc[i])
         for j in range(n):
             if i == j:
                 continue
-            other = inst.value_of(i, alloc[j])
+            other = sum(row[g] for g in alloc[j])
             if own < other:
                 best = max(row[g] for g in alloc[j])
                 if own < other - best:
@@ -200,10 +200,12 @@ def brute_force_po(
 
 def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     """Product of the agents' bundle values (the welfare objective, un-rooted)."""
-    product = Fraction(1)
+    product, den = 1, 1
     for i in range(inst.n):
-        product *= inst.value_of(i, alloc[i])
-    return product
+        row, row_den = _common_denominator(inst.valuations[i])
+        product *= sum(row[g] for g in alloc[i])
+        den *= row_den
+    return Fraction(product, den)
 
 
 def brute_force_mnw(

@@ -9,6 +9,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,6 +204,34 @@ def test_solve_graph_dump(tmp_path):
     dump = json.loads(graph_path.read_text())
     assert "mbb_edges" in dump and "alphas" in dump and "levels" in dump
     assert dump["levels"]["2"] == 0  # levels are measured from the newest agent
+
+# The exact graph dumps, recorded before the graph kept bundles instead of an
+# owner map; the second instance has agent 2 holding good 0, so its
+# allocation edges are ordered by good, not by agent.
+PINNED_DUMPS = [
+    (
+        DEMO["valuations"],
+        '{"agents": [0, 1, 2], "allocation_edges": [[0, 0], [1, 0], [2, 1], [3, 1], [4, 2]], '
+        '"alphas": {"0": "30", "1": "24", "2": "24"}, "goods": [0, 1, 2, 3, 4], '
+        '"levels": {"0": 3, "1": 1, "2": 0}, '
+        '"mbb_edges": [[0, 0], [0, 1], [1, 2], [1, 3], [2, 3], [2, 4]]}\n',
+    ),
+    (
+        [[6, 6, 1, 4, 8, 7], [6, 4, 7, 5, 9, 3], [8, 2, 4, 2, 1, 9]],
+        '{"agents": [0, 1, 2], "allocation_edges": [[0, 2], [1, 0], [2, 1], [3, 1], [4, 0], [5, 2]], '
+        '"alphas": {"0": "48", "1": "54", "2": "432/7"}, "goods": [0, 1, 2, 3, 4, 5], '
+        '"levels": {"0": 3, "1": 3, "2": 0}, '
+        '"mbb_edges": [[0, 1], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [2, 0], [2, 5]]}\n',
+    ),
+]
+
+@pytest.mark.parametrize("valuations, expected", PINNED_DUMPS)
+def test_solve_graph_dump_is_pinned(tmp_path, valuations, expected):
+    obj = {"agents": len(valuations), "goods": len(valuations[0]), "valuations": valuations}
+    inst_path = write_demo(tmp_path, obj=obj)
+    graph_path = tmp_path / "graph.json"
+    assert main(["solve", inst_path, "-o", str(tmp_path / "s.json"), "--dump-graph", str(graph_path)]) == 0
+    assert graph_path.read_text() == expected
 
 # ---------------------------------------------------------------------------
 # verify

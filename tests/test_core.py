@@ -110,6 +110,20 @@ def test_price_ops_reject_bad_indices(goods):
             call()
 
 
+def test_price_ops_reject_a_price_dict():
+    """A price vector is a list or tuple; a dict would otherwise be read as its keys."""
+    inst = Instance.from_values([[1, 2], [3, 1]])
+    prices = {0: F(2), 1: F(3)}
+    for call in (
+        lambda: compute_alphas(inst, prices),
+        lambda: bundle_price(prices, {0, 1}),
+        lambda: hat_price(prices, {0, 1}),
+    ):
+        with pytest.raises(InvalidInputError, match="list or tuple"):
+            call()
+    assert compute_alphas(inst, tuple(prices.values())) == {0: F(2, 3), 1: F(3, 2)}
+
+
 @given(
     prices=st.lists(st.fractions(min_value=0, max_value=50, max_denominator=20), min_size=1, max_size=8),
     data=st.data(),

@@ -11,6 +11,7 @@ from fairmarket import (
     HallViolationError,
     Instance,
     InternalInvariantError,
+    InvalidInputError,
     MbbGraph,
     Solution,
     check_ef1,
@@ -80,7 +81,7 @@ def test_new_batch_cheaper_than_any_existing_good():
         add_agent(state)
         find_solution(state)
         for _ in range(n - 1):
-            floor = min(state.fraction_prices().values())
+            floor = min(p for p in state.fraction_prices() if p)
             goods, prices = initial_prices_for_agent(state, state.num_agents)
             if goods:
                 batch = sum(prices.values(), F(0))
@@ -95,7 +96,7 @@ def test_new_batch_cheaper_than_any_existing_good():
 
 def test_rates_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     rates = compute_betas(state, reach)
     assert (rates.b1, rates.b2, rates.b3) == (F(5, 3), F(5, 3), F(5, 4))
     assert rates.beta == F(5, 4) and rates.chosen == "b3"
@@ -105,7 +106,7 @@ def test_rate_three_alone_when_others_infinite():
     # newcomer owns the only reachable good; nothing outside is valued by it
     inst = Instance.from_values([[1, 1, 0], [0, 0, 1]])
     state = EngineState.from_solution(inst, [[0, 1], [2]], [F(1), F(1), F(1, 100)])
-    reach = reach_from(state, [1], 2)
+    reach = reach_from(state, [1])
     rates = compute_betas(state, reach)
     assert rates.b1 is None and rates.b2 is None
     assert rates.beta == rates.b3 == F(100)
@@ -114,20 +115,20 @@ def test_rate_three_alone_when_others_infinite():
 
 def test_rate_one_invariant_under_uniform_price_scaling(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     base = compute_betas(state, reach)
     scaled = EngineState.from_solution(
         demo_instance,
         [[0, 1], [2, 3], [4]],
         [p * 3 for p in (F(6), F(5), F(7), F(3), F(4))],
     )
-    r2 = reach_from(scaled, [2], 3)
+    r2 = reach_from(scaled, [2])
     assert compute_betas(scaled, r2).b1 == base.b1
 
 
 def test_price_rise_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     rates = compute_betas(state, reach)
     apply_price_rise(state, reach, rates)
     prices = state.fraction_prices()
@@ -141,7 +142,7 @@ def test_price_rise_on_demo_state(demo_instance):
 
 def test_price_rise_rejects_rate_at_most_one(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     rates = compute_betas(state, reach)
     bogus = type(rates)(rates.b1, rates.b2, rates.b3, F(1), "b3")
     with pytest.raises(InternalInvariantError):
@@ -152,7 +153,7 @@ def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
     # Agent 1 owns nothing, so it stays outside the reach while its only edge goes into it.
     inst = Instance.from_values([[1, 1], [1, 2], [0, 1]])
     state = EngineState.from_solution(inst, [[0], [], [1]], [F(1), F(1)])
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
     apply_price_rise(state, reach, BetaBreakdown(None, None, F(3), F(3), "b3"))
     assert state.mbb == [{0}, {0}, {1}]
@@ -178,12 +179,12 @@ def test_price_rise_reduces_like_the_plain_gcd_fold(nums, den, reached, rate):
     up, down = max(rate) // gcd(*rate), min(rate) // gcd(*rate)
     m = len(nums)
     state = EngineState.from_solution(Instance.from_values([[1] * m]), [range(m)], [F(1)] * m)
-    state.nums, state.den = dict(enumerate(nums)), den
+    state.nums, state.den = nums, den
     reach = Reachability(frozenset(), frozenset(g for g in reached if g < m), {0: 1})
     apply_price_rise(state, reach, BetaBreakdown(None, None, F(up, down), F(up, down), "b3"))
     scaled = [num * (up if g in reach.goods else down) for g, num in enumerate(nums)]
     plain = gcd(den * down, *scaled)
-    assert state.nums == {g: num // plain for g, num in enumerate(scaled)}
+    assert state.nums == [num // plain for num in scaled]
     assert state.den == den * down // plain
 
 
@@ -198,9 +199,26 @@ def hoard_state() -> EngineState:
 
 def test_transfer_two_agent_hoard():
     state = hoard_state()
-    path = shortest_violator_path(state, reach_from(state, [1], 2), [0])
+    path = shortest_violator_path(state, reach_from(state, [1]), [0])
     assert transfer(state, path) == (1, 0)
     assert state.bundles == [{1, 2}, {0}]
+
+
+@pytest.mark.parametrize(
+    "bundles, path",
+    [
+        ([[0, 1, 2], []], (0, 0, 1)),  # good 0 is not in agent 1's bundle
+        ([[0], [1], [2]], (2, 1, 1, 2, 0)),  # the first edge holds, the second does not
+        ([[0, 1, 2], []], (1, 0, -2)),  # no agent -2, though bundles[-2] holds good 0
+        ([[0, 1, 2], []], (1, 0, 2)),  # no agent 2
+    ],
+)
+def test_transfer_rejects_a_path_off_the_allocation(bundles, path):
+    inst = Instance.from_values([[1, 1, 1]] * len(bundles))
+    state = EngineState.from_solution(inst, bundles, [F(1), F(1), F(1)])
+    with pytest.raises(InvalidInputError, match="do not match the allocation"):
+        transfer(state, path)
+    assert state.bundles == [set(b) for b in bundles]
 
 
 def test_transfer_cut_at_one_only_touches_endpoints():
@@ -235,7 +253,7 @@ def test_transfer_bundle_size_deltas():
             while True:
                 sizes = [len(b) for b in state.bundles]
                 na = state.num_agents
-                levels = reach_from(state, [state.k], na).levels
+                levels = reach_from(state, [state.k]).levels
                 outcome = step(state)
                 if outcome is None:
                     break
@@ -252,7 +270,7 @@ def test_transfer_bundle_size_deltas():
                 untouched = set(range(na)) - {absorber, releaser}
                 assert all(after[i] == sizes[i] for i in untouched)
                 # agents at or below the absorb position keep their level
-                new_levels = reach_from(state, [state.k], na).levels
+                new_levels = reach_from(state, [state.k]).levels
                 for i in range(na):
                     if levels[i] <= outcome.b:
                         assert new_levels[i] == levels[i]
@@ -296,7 +314,7 @@ def test_rebalance_single_agent_never_iterates():
 
 def test_potential_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
-    reach = reach_from(state, [2], 3)
+    reach = reach_from(state, [2])
     pot = compute_potential(state, reach)
     assert pot[:-1] == (1, 2, 0, 2)
     assert pot[-1] == 1
@@ -320,7 +338,7 @@ def test_potential_counts_sum_to_goods():
             state = EngineState.from_solution(inst, bundles, prices)
         except Exception:
             continue
-        reach = reach_from(state, [n - 1], n)
+        reach = reach_from(state, [n - 1])
         pot = compute_potential(state, reach)
         assert sum(pot[:-1]) == m
 
@@ -329,7 +347,7 @@ def test_potential_all_goods_at_level_zero():
     inst = Instance.from_values([[1, 1], [2, 2]])
     # the newest agent holds everything, so every good sits at level 0
     state = EngineState.from_solution(inst, [[], [0, 1]], [F(1), F(1)])
-    reach = reach_from(state, [1], 2)
+    reach = reach_from(state, [1])
     pot = compute_potential(state, reach)
     assert pot[0] == 2
     assert sum(pot[:-1]) == 2
@@ -586,15 +604,15 @@ def stepped_states(seed: int, count: int, check: bool):
 def test_maintained_market_state_matches_rebuild_after_every_event():
     kinds = set()
     for state in stepped_states(seed=31, count=60, check=False):
-        assert state.den >= 1 and gcd(state.den, *state.nums.values()) == 1
+        assert state.den >= 1 and gcd(state.den, *state.nums) == 1
         spends, hats = ([F(x, state.den) for x in xs] for xs in (state.spends, state.hats))
         assert (state.mbb, spends, hats) == rebuilt_market(state)
         # searching the maintained state finds what searching a rebuilt graph finds
         graph = MbbGraph.from_state(
             state.inst, state.bundles, state.fraction_prices(), state.agents, state.goods
         )
-        reach = reach_from(state, [state.k], state.num_agents)
-        assert reach == reach_from(graph, [state.k], state.num_agents)
+        reach = reach_from(state, [state.k])
+        assert reach == reach_from(graph, [state.k])
         others = [i for i in state.agents if i != state.k]
         assert shortest_violator_path(state, reach, others) == shortest_violator_path(
             graph, reach, others
@@ -628,6 +646,18 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
             pass
 
 
+def test_online_checks_catch_a_price_on_a_good_not_joined():
+    from fairmarket.engine import _check_state
+
+    state = next(
+        s for s in stepped_states(seed=7, count=20, check=True) if len(s.goods) < s.inst.m
+    )
+    _check_state(state)
+    state.nums[min(set(range(state.inst.m)) - set(state.goods))] = 1
+    with pytest.raises(InternalInvariantError, match="has not joined"):
+        _check_state(state)
+
+
 @pytest.mark.parametrize("target", ["numerator", "denominator"])
 def test_online_checks_catch_a_corrupted_price_vector(target):
     from fairmarket.engine import _check_state
@@ -641,7 +671,7 @@ def test_online_checks_catch_a_corrupted_price_vector(target):
         message = "outside its best-ratio set|differs from a rebuild"
     else:
         # Every number doubled: the same prices, spends and hats over an unreduced den.
-        state.nums = {g: 2 * num for g, num in state.nums.items()}
+        state.nums = [2 * num for num in state.nums]
         state.den *= 2
         state.spends = [2 * spend for spend in state.spends]
         state.hats = [2 * hat for hat in state.hats]

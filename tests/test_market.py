@@ -50,7 +50,7 @@ def test_alphas_scale_inversely_with_prices(demo_instance, demo_state_solution):
 def test_graph_on_demo_state(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
     assert g.mbb == {0: (0, 1), 1: (2, 3), 2: (3, 4)}
-    assert g.owner == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2}
+    assert g.bundles == {0: frozenset({0, 1}), 1: frozenset({2, 3}), 2: frozenset({4})}
 
 
 def test_uniform_everything_gives_complete_mbb_edges():
@@ -134,7 +134,7 @@ def test_best_ratio_rejects_positive_value_over_zero_price():
 
 def test_reach_on_demo_state(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [2], 3)
+    r = reach_from(g, [2])
     assert r.agents == frozenset({1, 2})
     assert r.goods == frozenset({2, 3, 4})
     assert r.levels == {0: 3, 1: 1, 2: 0}
@@ -142,7 +142,7 @@ def test_reach_on_demo_state(demo_instance, demo_state_solution):
 
 def test_reach_with_all_sources(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [0, 1, 2], 3)
+    r = reach_from(g, [0, 1, 2])
     assert r.agents == frozenset({0, 1, 2})
 
 
@@ -150,7 +150,7 @@ def test_reach_without_edges_returns_sources():
     inst = Instance.from_values([[0, 1], [1, 0]])
     g = build_graph(inst, Solution(Allocation.from_lists([[1], [0]]), (F(1), F(1))))
     # agent 0's best-ratio edge goes to its own good 1 only
-    r = reach_from(g, [0], 2)
+    r = reach_from(g, [0])
     assert r.agents == frozenset({0})
     assert r.goods == frozenset({1})
 
@@ -158,8 +158,9 @@ def test_reach_without_edges_returns_sources():
 def test_reach_degenerate_graph_without_ratio_edges():
     from fairmarket import MbbGraph
 
-    bare = MbbGraph(agents=(0, 1), goods=(), mbb={0: (), 1: ()}, owner={}, alphas={0: F(0), 1: F(0)})
-    r = reach_from(bare, [1], 2)
+    bundles = {0: frozenset(), 1: frozenset()}
+    bare = MbbGraph(agents=(0, 1), goods=(), mbb={0: (), 1: ()}, bundles=bundles, alphas={0: F(0), 1: F(0)})
+    r = reach_from(bare, [1])
     assert r.agents == frozenset({1})
     assert r.goods == frozenset()
     assert r.levels == {0: 2, 1: 0}
@@ -167,23 +168,23 @@ def test_reach_degenerate_graph_without_ratio_edges():
 
 def test_reach_monotone_in_sources(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
-    small = reach_from(g, [2], 3)
-    big = reach_from(g, [1, 2], 3)
+    small = reach_from(g, [2])
+    big = reach_from(g, [1, 2])
     assert small.agents <= big.agents
     assert small.goods <= big.goods
 
 
 def test_reach_idempotent(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
-    first = reach_from(g, [2], 3)
-    again = reach_from(g, sorted(first.agents), 3)
+    first = reach_from(g, [2])
+    again = reach_from(g, sorted(first.agents))
     assert again.agents == first.agents
     assert again.goods == first.goods
 
 
 def test_no_mbb_edge_leaves_reachable_set(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [2], 3)
+    r = reach_from(g, [2])
     for i in r.agents:
         assert set(g.mbb[i]) <= r.goods
 
@@ -200,13 +201,13 @@ def _two_agent_hoard_graph():
 
 def test_shortest_path_two_agents():
     g = _two_agent_hoard_graph()
-    assert shortest_violator_path(g, reach_from(g, [1], 2), [0]) == (1, 0, 0)
+    assert shortest_violator_path(g, reach_from(g, [1]), [0]) == (1, 0, 0)
 
 
 def test_shortest_path_unreachable_target():
     inst = Instance.from_values([[1, 0], [0, 1]])
     g = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
-    assert shortest_violator_path(g, reach_from(g, [0], 2), [1]) is None
+    assert shortest_violator_path(g, reach_from(g, [0]), [1]) is None
 
 
 def test_shortest_path_rejects_reach_of_another_graph():
@@ -214,13 +215,13 @@ def test_shortest_path_rejects_reach_of_another_graph():
     inst = Instance.from_values([[1, 0], [0, 1]])
     apart = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
     with pytest.raises(InternalInvariantError, match="lost the trail"):
-        shortest_violator_path(apart, reach_from(hoard, [1], 2), [0])
+        shortest_violator_path(apart, reach_from(hoard, [1]), [0])
 
 
 def test_shortest_path_adjacent_is_length_two(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
     # agent 2's best goods include good 3, owned by agent 1
-    path = shortest_violator_path(g, reach_from(g, [2], 3), [1])
+    path = shortest_violator_path(g, reach_from(g, [2]), [1])
     assert path == (2, 3, 1)
     assert len(path) == 3
 
@@ -241,7 +242,7 @@ def test_path_alternates_and_respects_edges():
         graph = build_graph(inst, sol)
         source = 0
         targets = [i for i in range(1, n)]
-        reach = reach_from(graph, [source], n)
+        reach = reach_from(graph, [source])
         path = shortest_violator_path(graph, reach, targets)
         if path is None:
             continue
@@ -250,7 +251,7 @@ def test_path_alternates_and_respects_edges():
         agents, goods = path[0::2], path[1::2]
         for idx, g in enumerate(goods):
             assert g in graph.mbb[agents[idx]]      # ratio edge out of the agent
-            assert graph.owner[g] == agents[idx + 1]  # ownership edge into the next
+            assert g in graph.bundles[agents[idx + 1]]  # allocation edge into the next
         # breadth-first levels agree with path positions (shortest => level r at hop r)
         for r, agent in enumerate(agents):
             assert reach.levels[agent] == r
@@ -357,12 +358,13 @@ def test_search_matches_backward_search_reference():
         owner = {g: rng.randrange(n) for g in range(m) if rng.random() < 0.8}
         density = rng.random()
         mbb = {i: [g for g in rng.sample(range(m), m) if rng.random() < density] for i in range(n)}
-        graph = SimpleNamespace(agents=tuple(range(n)), mbb=mbb, owner=owner)
+        bundles = {i: {g for g, j in owner.items() if j == i} for i in range(n)}
+        graph = SimpleNamespace(agents=tuple(range(n)), mbb=mbb, bundles=bundles, owner=owner)
         sources = rng.sample(range(n), rng.randint(1, min(n, 2)))
         expected = _reference_reach(graph, sources, n)
         pool = [i for i in range(n) if i in expected[0] and i not in sources or rng.random() < 0.1]
         violators = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
-        reach = reach_from(graph, sources, n)
+        reach = reach_from(graph, sources)
         assert (reach.agents, reach.goods, reach.levels) == expected
         path = _outcome(lambda: shortest_violator_path(graph, reach, violators))
         assert path == _outcome(lambda: _reference_path(graph, expected, violators))

@@ -66,6 +66,31 @@ def test_ef1_twins_agree_on_random_pairs():
         assert check_ef1(inst, alloc) == check_ef1_literal(inst, alloc)
 
 
+def test_integer_rows_match_fraction_sums_on_rational_values():
+    """`check_ef1` and `nash_product` read each row over its own denominator;
+    `Fraction` sums through `value_of` must give the same answers."""
+    rng = random.Random(41)
+    denominators = [1, 2, 3, 4, 7, 9, 10**12 + 39]
+    verdicts = set()
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(0, 6)
+        inst = Instance.from_values(
+            [[F(rng.randint(0, 9), rng.choice(denominators)) for _ in range(m)] for _ in range(n)]
+        )
+        bundles = [[] for _ in range(n)]
+        for g in range(m):
+            bundles[rng.randrange(n)].append(g)
+        alloc = Allocation.from_lists(bundles)
+        product = F(1)
+        for i in range(n):
+            product *= inst.value_of(i, alloc[i])
+        assert nash_product(inst, alloc) == product
+        verdict = check_ef1(inst, alloc)
+        assert verdict == check_ef1_literal(inst, alloc)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # ratio certificate
 
