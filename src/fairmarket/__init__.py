@@ -15,17 +15,13 @@ from .core import (
     InvalidInputError,
     NormalizationRecord,
     Solution,
-    bundle_price,
     check_hall,
     denormalize,
-    hat_price,
     is_pef1,
-    max_violators,
-    min_spenders,
     normalize_instance,
 )
 from .engine import EngineState, SolveTrace, find_solution, solve
-from .market import MbbGraph, Reachability, build_graph, compute_alphas, reach_from
+from .market import MbbGraph, Reachability, build_graph, reach_from
 from .oracles import (
     VerificationReport,
     audit_trace,
@@ -56,20 +52,15 @@ __all__ = [
     "VerificationReport",
     "audit_trace",
     "build_graph",
-    "bundle_price",
     "brute_force_mnw",
     "brute_force_po",
     "check_ef1",
     "check_hall",
     "check_mbb_consistency",
     "check_nsw_ratio",
-    "compute_alphas",
     "denormalize",
     "find_solution",
-    "hat_price",
     "is_pef1",
-    "max_violators",
-    "min_spenders",
     "nash_product",
     "normalize_instance",
     "reach_from",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 import time
@@ -24,7 +23,7 @@ from .core import (
     Solution,
 )
 from .engine import solve
-from .oracles import DEFAULT_BRUTE_CAP, _nsw_bound, verify
+from .oracles import _nsw_bound, verify
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -32,24 +31,10 @@ EXIT_HALL_VIOLATION = 2
 EXIT_INTERNAL = 3
 EXIT_VERIFY_FAILED = 4
 
-BRUTE_CAP_ENV = "FAIRMARKET_BRUTE_CAP"
-
 
 def _fail(code: int, kind: str, detail: str) -> int:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
     return code
-
-
-def _resolved_brute_cap(brute_cap: int | None) -> int:
-    if brute_cap is not None:
-        return brute_cap
-    env = os.environ.get(BRUTE_CAP_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInputError(f"{BRUTE_CAP_ENV} must be an integer, got {env!r}")
-    return DEFAULT_BRUTE_CAP
 
 
 def load_json(path: str, parse):
@@ -144,7 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_json(args.instance, Instance.from_json_dict)
     solution = load_json(args.solution, Solution.from_json_dict)
-    report = verify(inst, solution, brute_cap=_resolved_brute_cap(args.brute_cap))
+    report = verify(inst, solution, brute_cap=args.brute_cap)
     with _unlimited_digits():
         checks = report.to_json_dict()
         print(json.dumps(checks, sort_keys=True))
@@ -160,7 +145,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_one(inst: Instance, label: dict, cap: int) -> dict:
+def _bench_one(inst: Instance, label: dict, cap: int | None) -> dict:
     started = time.perf_counter()
     solution, trace = solve(inst)
     elapsed = time.perf_counter() - started
@@ -204,12 +189,11 @@ def _bench_cells(spec: object) -> tuple[list[tuple[int, int, int, int]], list[st
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cells, paths = load_json(args.spec, _bench_cells)
-    cap = _resolved_brute_cap(args.brute_cap)
     rows = []
     for n, m, max_value, seed in cells:
-        rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, cap))
+        rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, args.brute_cap))
     for path in paths:
-        rows.append(_bench_one(load_json(path, Instance.from_json_dict), {"path": path}, cap))
+        rows.append(_bench_one(load_json(path, Instance.from_json_dict), {"path": path}, args.brute_cap))
     if args.output is not None and args.output.endswith(".csv"):
         fields = [
             "n", "m", "seed", "path", "iterations_per_call", "total_iterations",

@@ -1,11 +1,10 @@
 """Exact-rational primitives for fair division with indivisible goods.
 
 Instances, allocations and price vectors, together with the spending
-aggregates the solver reasons about: bundle prices, the price of a bundle
-after dropping its most expensive good, minimum spenders, maximum
-violators, and the price-level envy test built on them.  Also hosts the
-normalization step that strips worthless goods and indifferent agents,
-and the Hall-condition check that gates the solver.
+aggregates the solver reasons about: each bundle's price, its price after
+dropping its most expensive good, and the price-level envy test built on
+them.  Also hosts the normalization step that strips worthless goods and
+indifferent agents, and the Hall-condition check that gates the solver.
 
 Every quantity handed out is a `fractions.Fraction`; nothing in the solver
 path ever rounds.  Agent and good indices are 0-based throughout, including
@@ -187,8 +186,15 @@ class Solution:
     prices: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        # So every function taking a Solution may index `prices` by its bundles' goods.
-        valid_goods(self.prices, (g for bundle in self.allocation for g in bundle))
+        # The one check of raw good indices and of the price container, so every
+        # function taking a Solution may index `prices` by its bundles' goods.
+        if not isinstance(self.prices, (list, tuple)):
+            raise InvalidInputError(f"prices must be a list or tuple, got {type(self.prices).__name__}")
+        for g in (g for bundle in self.allocation for g in bundle):
+            if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+                raise InvalidInputError(f"invalid good index {g!r}")
+            if g >= len(self.prices):
+                raise InvalidInputError(f"good index {g} is outside the price vector")
 
     def validate(self, inst: Instance) -> None:
         self.allocation.validate_partition(inst.m, inst.n)
@@ -230,19 +236,6 @@ class Solution:
 Prices = list[Fraction] | tuple[Fraction, ...]  # one price per good, indexed by good
 
 
-def valid_goods(prices: Prices, goods: Iterable[int]) -> list[int]:
-    """`goods` as a list, once `prices` is checked to be a list or tuple that each indexes."""
-    if not isinstance(prices, (list, tuple)):
-        raise InvalidInputError(f"prices must be a list or tuple, got {type(prices).__name__}")
-    goods = list(goods)
-    for g in goods:
-        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-            raise InvalidInputError(f"invalid good index {g!r}")
-        if g >= len(prices):
-            raise InvalidInputError(f"good index {g} is outside the price vector")
-    return goods
-
-
 def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
     """The prices as integer numerators over one common denominator, their lcm."""
     pairs = [p.as_integer_ratio() for p in prices]
@@ -250,20 +243,6 @@ def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
     # A fold: `lcm(*...)` would pile argument tuples on CPython's free lists.
     den = reduce(lcm, {d for _, d in pairs}, 1)
     return [n * (den // d) for n, d in pairs], den
-
-
-def bundle_price(prices: Prices, goods: Iterable[int]) -> Fraction:
-    """Total price of a set of goods; 0 for the empty set."""
-    return spending_profile([valid_goods(prices, goods)], prices)[0][0]
-
-
-def hat_price(prices: Prices, goods: Iterable[int]) -> Fraction:
-    """Price of a set of goods after removing its most expensive one.
-
-    Equals bundle_price minus the maximum price in the set; 0 for the
-    empty set (and hence for singletons).
-    """
-    return spending_profile([valid_goods(prices, goods)], prices)[1][0]
 
 
 def _spend_and_hat(costs: Sequence[int]) -> tuple[int, int]:
@@ -275,7 +254,7 @@ def _spend_and_hat(costs: Sequence[int]) -> tuple[int, int]:
 def spending_profile(
     bundles: Sequence[Iterable[int]], prices: Prices
 ) -> tuple[list[Fraction], list[Fraction]]:
-    """Each bundle's price and drop-one price (as `bundle_price`, `hat_price`).
+    """Each bundle's price, and its price after dropping its most expensive good.
 
     Looks up each good's price once and sums each bundle once.  Trusts the
     bundles' goods to index `prices`, as a `Solution` guarantees.
@@ -292,20 +271,6 @@ def spending_profile(
 def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:
     """Each bundle's drop-one price: the second half of `spending_profile`."""
     return spending_profile(bundles, prices)[1]
-
-
-def min_spenders(sol: Solution) -> tuple[int, ...]:
-    """Agents with the lowest bundle price, in ascending index order."""
-    spends, _ = spending_profile(sol.allocation.bundles, sol.prices)
-    low = min(spends)
-    return tuple(i for i, s in enumerate(spends) if s == low)
-
-
-def max_violators(sol: Solution) -> tuple[int, ...]:
-    """Agents with the highest drop-one bundle price, in ascending index order."""
-    hats = hat_profile(sol.allocation.bundles, sol.prices)
-    high = max(hats)
-    return tuple(i for i, h in enumerate(hats) if h == high)
 
 
 def is_pef1(sol: Solution) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -44,17 +45,18 @@ from .market import (
     split_valuations,
 )
 
-# Rational upper bound on Euler's number; only used to over-approximate the
-# iteration watchdog, so erring high is safe.
-E_UPPER = Fraction(27182818285, 10**10)
+# Rational upper bound on Euler's number as a (numerator, denominator) pair;
+# only used to over-approximate the iteration watchdog, so erring high is safe.
+E_UPPER = (27182818285, 10**10)
 
 
 def iteration_bound(agent_count: int, total_goods: int) -> Fraction:
-    """Watchdog ceiling on rebalancing iterations for a given agent count."""
+    """Watchdog ceiling (k-1)·((m+k)/k·e)^k on rebalancing iterations, for k agents and m goods."""
     k = agent_count
     if k <= 1:
         return Fraction(0)
-    return (k - 1) * (Fraction(total_goods + k, k) * E_UPPER) ** k
+    e_num, e_den = E_UPPER
+    return Fraction((k - 1) * ((total_goods + k) * e_num) ** k, (k * e_den) ** k)
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,10 @@ class SolveTrace:
 class EngineState:
     """Mutable solver state: the grown sub-instance and its current solution.
 
-    Agents 0..num_agents-1 of `inst` are active; `goods`, which says which
-    goods are active, lists their ids in ascending order.  Good g costs
-    `nums[g] / den` (numerator 0 as padding for a good not active yet) with
-    `den` kept reduced: `gcd(den, *nums) == 1`.  `rows` holds the valuations
+    Agents 0..num_agents-1 of `inst` are active.  Good g costs
+    `nums[g] / den` with `den` kept reduced: `gcd(den, *nums) == 1`.  A
+    good has joined exactly when its numerator is nonzero (it is then
+    positive); `joined` lists those goods.  `rows` holds the valuations
     split into integer pairs.  Per active agent, every event updates the
     goods attaining its best ratio (`mbb`), the bundle price (`spends`) and
     the drop-one bundle price (`hats`, both numerators over `den`) in
@@ -167,7 +169,6 @@ class EngineState:
     check: bool = True
     trace: SolveTrace = field(default_factory=SolveTrace)
     num_agents: int = 0
-    goods: list[int] = field(default_factory=list)
     nums: list[int] = field(init=False)
     den: int = 1
     bundles: list[set[int]] = field(default_factory=list)
@@ -192,6 +193,11 @@ class EngineState:
         """The active agents, so the state can be searched like an `MbbGraph`."""
         return range(self.num_agents)
 
+    @property
+    def joined(self) -> list[int]:
+        """The goods that have joined, in ascending order: those with a nonzero numerator."""
+        return list(compress(range(len(self.nums)), self.nums))
+
     @classmethod
     def from_solution(
         cls,
@@ -211,7 +217,6 @@ class EngineState:
             raise InvalidInputError("active goods must have positive prices")
         state = cls(inst=inst, check=check)
         state.num_agents = inst.n
-        state.goods = list(range(inst.m))
         state.nums, state.den = _common_denominator(sol.prices)
         state.bundles = [set(b) for b in sol.allocation]
         state.track_new_agents()
@@ -220,7 +225,7 @@ class EngineState:
     def track_new_agents(self) -> None:
         """Derive the market quantities of the active agents not tracked yet."""
         new = range(len(self.mbb), self.num_agents)
-        ratios = best_ratios(self.rows, new, self.goods, self.nums)
+        ratios = best_ratios(self.rows, new, self.joined, self.nums)
         for i, (_, _, edges) in zip(new, ratios):
             self.mbb.append(set(edges))
             spend, hat = _spend_and_hat([self.nums[g] for g in self.bundles[i]])
@@ -232,7 +237,7 @@ class EngineState:
         return tuple(Fraction(num, self.den) for num in self.nums)
 
     def to_solution(self) -> Solution:
-        if len(self.goods) != self.inst.m:
+        if not all(self.nums):
             raise InternalInvariantError("state does not cover every good yet")
         return Solution(Allocation(tuple(frozenset(b) for b in self.bundles)), self.fraction_prices())
 
@@ -261,9 +266,9 @@ def initial_prices_for_agent(
             top, top_den = v, d
     if top == 0:
         raise InternalInvariantError(f"agent {agent} values nothing; normalization missed it")
-    active = set(state.goods)
-    new_goods = tuple(g for g in range(state.inst.m) if g not in active and row[g][0])
-    low, low_den = (min(state.nums[g] for g in active), state.den) if active else (1, 1)
+    new_goods = tuple(g for g in range(state.inst.m) if not state.nums[g] and row[g][0])
+    low = min(filter(None, state.nums), default=0)
+    low, low_den = (low, state.den) if low else (1, 1)
     p, q = low * top_den, low_den * state.inst.m * top
     return new_goods, {g: Fraction(row[g][0] * p, row[g][1] * q) for g in new_goods}
 
@@ -287,7 +292,6 @@ def add_agent(state: EngineState) -> None:
         state.nums[g] = p.numerator * (den // p.denominator)
     state.spends = [spend * scale for spend in state.spends]
     state.hats = [hat * scale for hat in state.hats]
-    state.goods = sorted(state.goods + list(new_goods))
     state.bundles.append(set(new_goods))
     state.num_agents += 1
     state.track_new_agents()
@@ -310,7 +314,7 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     # its best ratio outside the reach, attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
     b1: tuple[int, int] | None = None
     b1_edges: list[tuple[int, int]] = []
-    outside = [g for g in state.goods if g not in reach.goods]
+    outside = [g for g in state.joined if g not in reach.goods]
     agents = sorted(reach.agents)
     for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
         if v_h:
@@ -367,7 +371,7 @@ def apply_price_rise(
             state.mbb[i] -= reached
             if not state.mbb[i]:
                 stranded.append(i)
-    ratios = best_ratios(state.rows, stranded, state.goods, state.nums)
+    ratios = best_ratios(state.rows, stranded, state.joined, state.nums)
     for i, (_, _, edges) in zip(stranded, ratios):
         state.mbb[i] = set(edges)
     for j, g in betas.b1_edges:
@@ -432,7 +436,7 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
     counts = [0] * (na + 1)
     for i in range(na):
         counts[reach.levels[i]] += len(state.bundles[i])
-    if sum(counts) != len(state.goods):
+    if sum(counts) != len(state.nums) - state.nums.count(0):
         raise InternalInvariantError("level counts do not partition the goods")
     max_hat = max(state.hats)
     return (*counts, state.hats.count(max_hat))
@@ -441,9 +445,10 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
 def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None) -> None:
     """Post-step audit: partition, positive reduced prices, ratio containment, fairness.
 
-    Prices are positive on the active goods, 0 (padding) on the rest.  Also
-    holds the maintained edges, spends and hats to a rebuild from the price
-    numerators, `den` and the split valuations.  `floor_level` is a
+    The owned goods are exactly the goods with a nonzero price numerator,
+    and each of those numerators is positive.  Also holds the maintained
+    edges, spends and hats to a rebuild from the price numerators, `den`
+    and the split valuations.  `floor_level` is a
     (numerator, denominator) pair, by default the largest hat.
     """
     covered: set[int] = set()
@@ -451,17 +456,13 @@ def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None)
         if covered & bundle:
             raise InternalInvariantError("bundles overlap")
         covered |= bundle
-    if covered != set(state.goods):
-        raise InternalInvariantError("bundles do not partition the active goods")
     nums, den = state.nums, state.den
-    for g, num in enumerate(nums):
-        if g in covered and num <= 0:
-            raise InternalInvariantError(f"price of good {g} is not positive")
-        if g not in covered and num:
-            raise InternalInvariantError(f"good {g} has not joined but has a price")
+    joined = state.joined
+    if covered != set(joined) or min(nums, default=0) < 0:
+        raise InternalInvariantError("the owned goods are not exactly the goods with a positive price")
     if den < 1 or gcd(den, *nums) != 1:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
-    ratios = best_ratios(state.rows, state.agents, state.goods, nums)
+    ratios = best_ratios(state.rows, state.agents, joined, nums)
     mbb = [set(edges) for _, _, edges in ratios]
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
@@ -510,7 +511,7 @@ def step(state: EngineState) -> TraceEvent | None:
     stats.iterations += 1
     if stats.iterations * stats.bound.denominator > stats.bound.numerator:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
-    min_price = min(state.nums[g] for g in state.goods)
+    min_price = min(filter(None, state.nums))
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)

@@ -20,17 +20,7 @@ from .core import (
     Prices,
     Solution,
     _common_denominator,
-    valid_goods,
 )
-
-
-def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
-    """value/price with the 0/0 = 0 convention; positive value at zero price is a bug."""
-    if price == 0:
-        if value == 0:
-            return Fraction(0)
-        raise InternalInvariantError("positive value over zero price")
-    return value / price
 
 
 def split_valuations(inst: Instance) -> list[list[tuple[int, int]]]:
@@ -50,7 +40,8 @@ def best_ratios(
     good g costs `nums[g]` over a denominator common to every price, which
     the comparisons leave out: they cross-multiply integers.  Yields
     (v, p, attaining), the best ratio being v/p times that denominator.
-    Follows `bang_per_buck`'s conventions.
+    A zero value over a zero price counts as ratio 0; a positive value over
+    a zero price is a bug.
     """
     for i in agents:
         row = rows[i]
@@ -68,19 +59,6 @@ def best_ratios(
             elif lhs == rhs:
                 attaining.append(g)
         yield best_v, best_p, attaining
-
-
-def compute_alphas(
-    inst: Instance,
-    prices: Prices,
-    agents: Iterable[int] | None = None,
-    goods: Sequence[int] | None = None,
-) -> dict[int, Fraction]:
-    """Best value-per-price ratio per agent over the given goods (default: all)."""
-    good_ids = valid_goods(prices, range(inst.m) if goods is None else goods)
-    agent_ids = range(inst.n) if agents is None else agents
-    # The graph's alphas; with empty bundles it has no allocation edges.
-    return MbbGraph.from_state(inst, [()] * inst.n, prices, agent_ids, good_ids).alphas
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -56,22 +58,6 @@ def check_ef1(inst: Instance, alloc: Allocation) -> bool:
             if own < other:
                 best = max(row[g] for g in alloc[j])
                 if own < other - best:
-                    return False
-    return True
-
-
-def check_ef1_literal(inst: Instance, alloc: Allocation) -> bool:
-    """Literal per-pair, per-good enumeration twin of `check_ef1`."""
-    n = inst.n
-    for i in range(n):
-        own = inst.value_of(i, alloc[i])
-        row = inst.valuations[i]
-        for j in range(n):
-            if i == j:
-                continue
-            other = inst.value_of(i, alloc[j])
-            if own < other:
-                if not any(own >= other - row[g] for g in alloc[j]):
                     return False
     return True
 
@@ -392,7 +378,6 @@ def verify(
     sol: Solution,
     *,
     brute_cap: int | None = None,
-    nsw: bool = True,
 ) -> VerificationReport:
     """Run every checker against a solution and aggregate the results.
 
@@ -422,7 +407,7 @@ def verify(
             "price certificate holds but EF1 fails; a checker is broken"
         )
     po = brute_force_po(inst, sol.allocation, brute_cap)
-    product, mnw_product, ratio_ok = _nsw_bound(inst, sol.allocation, brute_cap if nsw else 0)
+    product, mnw_product, ratio_ok = _nsw_bound(inst, sol.allocation, brute_cap)
     return VerificationReport(
         ef1=ef1,
         pef1=pef1,
@@ -473,75 +458,69 @@ def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[s
     strings; an empty list means the trace is clean.
     """
     problems: list[str] = []
-    previous: dict | None = None
-    for raw in events:
-        ev = _event_fields(raw)
-        tag = f"call k={ev['k']} step {ev['step']}"
-        if ev["min_price"] <= 0:
-            problems.append(f"{tag}: price floor {ev['min_price']} not positive")
-        if ev["min_spend"] >= ev["max_hat"]:
-            problems.append(f"{tag}: stepped although already fair")
-        if len(ev["potential"]) != ev["k"] + 2:
-            problems.append(f"{tag}: potential has wrong arity")
-        if sum(ev["potential"][:-1]) > total_goods:
-            problems.append(f"{tag}: potential counts more goods than exist")
+    for k, call in groupby(map(_event_fields, events), key=itemgetter("k")):
+        previous: dict | None = None
+        for ev in call:
+            tag = f"call k={k} step {ev['step']}"
+            if ev["min_price"] <= 0:
+                problems.append(f"{tag}: price floor {ev['min_price']} not positive")
+            if ev["min_spend"] >= ev["max_hat"]:
+                problems.append(f"{tag}: stepped although already fair")
+            if len(ev["potential"]) != k + 2:
+                problems.append(f"{tag}: potential has wrong arity")
+            if sum(ev["potential"][:-1]) > total_goods:
+                problems.append(f"{tag}: potential counts more goods than exist")
 
-        if ev["kind"] == "price_rise":
-            beta = ev["beta"]
-            if beta is None:
-                problems.append(f"{tag}: price rise without rates")
-            else:
-                rates = [beta[name] for name in ("b1", "b2", "b3") if beta[name] is not None]
-                if not rates:
-                    problems.append(f"{tag}: all rise rates infinite")
+            if ev["kind"] == "price_rise":
+                beta = ev["beta"]
+                if beta is None:
+                    problems.append(f"{tag}: price rise without rates")
                 else:
-                    chosen_value = min(rates)
-                    if chosen_value <= 1:
-                        problems.append(f"{tag}: rise rate {chosen_value} not above 1")
-                    expected = next(
-                        name
-                        for name in ("b3", "b2", "b1")
-                        if beta[name] is not None and beta[name] == chosen_value
-                    )
-                    if beta["chosen"] != expected:
-                        problems.append(f"{tag}: chosen rate label mismatch")
-                for name in ("b1", "b2", "b3"):
-                    if beta is not None and beta[name] is not None and beta[name] <= 1:
-                        problems.append(f"{tag}: candidate rate {name} not above 1")
-        elif ev["kind"] == "transfer":
-            path = ev["path"]
-            if path is None or len(path) < 3 or len(path) % 2 == 0:
-                problems.append(f"{tag}: malformed transfer path")
-            if ev["a"] is None or not 1 <= ev["a"] <= len(path or ()) // 2:
-                problems.append(f"{tag}: bad release index")
-            elif ev["b"] is None or not 0 <= ev["b"] < ev["a"]:
-                problems.append(f"{tag}: bad absorb index")
-        else:
-            problems.append(f"{tag}: unknown event kind {ev['kind']!r}")
+                    rates = [beta[name] for name in ("b1", "b2", "b3") if beta[name] is not None]
+                    if not rates:
+                        problems.append(f"{tag}: all rise rates infinite")
+                    else:
+                        chosen_value = min(rates)
+                        if chosen_value <= 1:
+                            problems.append(f"{tag}: rise rate {chosen_value} not above 1")
+                        expected = next(
+                            name
+                            for name in ("b3", "b2", "b1")
+                            if beta[name] is not None and beta[name] == chosen_value
+                        )
+                        if beta["chosen"] != expected:
+                            problems.append(f"{tag}: chosen rate label mismatch")
+                    for name in ("b1", "b2", "b3"):
+                        if beta is not None and beta[name] is not None and beta[name] <= 1:
+                            problems.append(f"{tag}: candidate rate {name} not above 1")
+            elif ev["kind"] == "transfer":
+                path = ev["path"]
+                if path is None or len(path) < 3 or len(path) % 2 == 0:
+                    problems.append(f"{tag}: malformed transfer path")
+                if ev["a"] is None or not 1 <= ev["a"] <= len(path or ()) // 2:
+                    problems.append(f"{tag}: bad release index")
+                elif ev["b"] is None or not 0 <= ev["b"] < ev["a"]:
+                    problems.append(f"{tag}: bad absorb index")
+            else:
+                problems.append(f"{tag}: unknown event kind {ev['kind']!r}")
 
-        same_call = previous is not None and previous["k"] == ev["k"]
-        if same_call:
-            if ev["step"] != previous["step"] + 1:
-                problems.append(f"{tag}: step numbering gap")
-            if not previous["potential"] < ev["potential"]:
-                problems.append(
-                    f"{tag}: potential did not grow: "
-                    f"{previous['potential']} -> {ev['potential']}"
-                )
-            if previous["kind"] == "price_rise" and ev["max_hat"] != previous["max_hat"]:
-                problems.append(f"{tag}: price rise moved the violation level")
-            if ev["max_hat"] > previous["max_hat"]:
-                problems.append(f"{tag}: violation level increased")
-        else:
-            if ev["step"] != 1:
-                problems.append(f"{tag}: call does not start at step 1")
-            if previous is not None and Fraction(previous["step"]) > iteration_bound(
-                previous["k"], total_goods
-            ):
-                problems.append(f"call k={previous['k']}: iteration count exceeds ceiling")
-        previous = ev
-    if previous is not None and Fraction(previous["step"]) > iteration_bound(
-        previous["k"], total_goods
-    ):
-        problems.append(f"call k={previous['k']}: iteration count exceeds ceiling")
+            if previous is None:
+                if ev["step"] != 1:
+                    problems.append(f"{tag}: call does not start at step 1")
+            else:
+                if ev["step"] != previous["step"] + 1:
+                    problems.append(f"{tag}: step numbering gap")
+                if not previous["potential"] < ev["potential"]:
+                    problems.append(
+                        f"{tag}: potential did not grow: "
+                        f"{previous['potential']} -> {ev['potential']}"
+                    )
+                if previous["kind"] == "price_rise" and ev["max_hat"] != previous["max_hat"]:
+                    problems.append(f"{tag}: price rise moved the violation level")
+                if ev["max_hat"] > previous["max_hat"]:
+                    problems.append(f"{tag}: violation level increased")
+            previous = ev
+        # A call's last step is its iteration count.
+        if previous["step"] > iteration_bound(k, total_goods):
+            problems.append(f"call k={k}: iteration count exceeds ceiling")
     return problems

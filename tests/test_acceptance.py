@@ -18,20 +18,20 @@ from fairmarket import (
     Solution,
     audit_trace,
     brute_force_mnw,
+    brute_force_po,
     check_ef1,
     check_mbb_consistency,
     is_pef1,
-    max_violators,
-    min_spenders,
     nash_product,
     solve,
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.core import bundle_price, hat_price
+from fairmarket.core import spending_profile
 from fairmarket.engine import EngineState, find_solution
-from fairmarket.market import bang_per_buck, compute_alphas
-from fairmarket.oracles import NSW_FLOOR, check_ef1_literal
+from fairmarket.oracles import NSW_FLOOR
+
+from reference import alphas, bang_per_buck, check_ef1_literal, max_violators, min_spenders
 
 F = Fraction
 
@@ -67,8 +67,7 @@ def test_criterion_1_reference_state_quantities():
     started = time.perf_counter()
     inst = Instance.from_values(DEMO_VALUES)
     sol = Solution(Allocation.from_lists(DEMO_BUNDLES), tuple(DEMO_PRICES))
-    spends = [bundle_price(sol.prices, b) for b in sol.allocation]
-    hats = [hat_price(sol.prices, b) for b in sol.allocation]
+    spends, hats = spending_profile(sol.allocation.bundles, sol.prices)
     ok = (
         min_spenders(sol) == (2,)
         and max_violators(sol) == (0,)
@@ -101,8 +100,9 @@ def test_criterion_3_guarantee_sweep(sweep):
     started = time.perf_counter()
     failures = 0
     for inst, solution, _ in sweep["runs"]:
-        rep = verify(inst, solution, nsw=False)
-        if not (rep.ef1 and rep.pef1 and rep.mbb_consistent and rep.brute_po is True):
+        rep = verify(inst, solution, brute_cap=0)
+        po = brute_force_po(inst, solution.allocation)
+        if not (rep.ef1 and rep.pef1 and rep.mbb_consistent and po is True):
             failures += 1
     elapsed = sweep["solve_seconds"] + (time.perf_counter() - started)
     ok = failures == 0 and elapsed < 120.0
@@ -161,12 +161,12 @@ def test_criterion_6_oracle_self_consistency():
         else:
             # steer half the pairs onto ratio-respecting allocations so the
             # implication's premise is exercised, not just vacuous
-            alphas = compute_alphas(inst, prices)
+            best = alphas(inst, prices)
             for g in range(m):
                 takers = [
                     i
                     for i in range(n)
-                    if bang_per_buck(inst.valuations[i][g], prices[g]) == alphas[i]
+                    if bang_per_buck(inst.valuations[i][g], prices[g]) == best[i]
                 ]
                 bundles[rng.choice(takers) if takers else rng.randrange(n)].append(g)
         sol = Solution(Allocation.from_lists(bundles), prices)

@@ -256,19 +256,14 @@ def test_verify_flags_bad_solution(tmp_path, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "verification-failed"
 
-def test_verify_brute_cap_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_verify_brute_cap_flag(tmp_path, capsys):
     inst_path = write_demo(tmp_path)
     sol_path = tmp_path / "sol.json"
     main(["solve", inst_path, "-o", str(sol_path)])
 
     assert main(["verify", inst_path, str(sol_path), "--brute-cap", "0"]) == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["brute_po"] == "skipped"
-
-    monkeypatch.setenv("FAIRMARKET_BRUTE_CAP", "0")
-    assert main(["verify", inst_path, str(sol_path)]) == 0
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["brute_po"] == "skipped"
+    assert report["brute_po"] == "skipped" and report["mnw_product"] == "skipped"
 
 def test_verify_single_agent_many_goods(tmp_path, capsys):
     # one agent: a single allocation, settled without a per-good search

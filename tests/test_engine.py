@@ -32,7 +32,9 @@ from fairmarket.engine import (
     iteration_bound,
     transfer,
 )
-from fairmarket.market import Reachability, compute_alphas, reach_from, shortest_violator_path
+from fairmarket.market import Reachability, reach_from, shortest_violator_path
+
+import reference
 
 F = Fraction
 
@@ -359,6 +361,14 @@ def test_iteration_bound_values():
     assert iteration_bound(3, 5) > iteration_bound(2, 5)
 
 
+def test_iteration_bound_is_the_fraction_power():
+    """The integer-built ceiling equals (k-1)·((m+k)/k·e)^k raised as a `Fraction`."""
+    e_upper = F(27182818285, 10**10)
+    for k in range(1, 9):
+        for m in range(61):
+            assert iteration_bound(k, m) == (k - 1) * (F(m + k, k) * e_upper) ** k
+
+
 @pytest.mark.parametrize("bound, fails", [(F(2), False), (F(19, 10), True)])
 def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound, fails):
     # The demo's last rebalancing call takes two iterations; `step` raises on the
@@ -521,7 +531,7 @@ def test_engine_invariants_hold_after_every_event():
                 if step(state) is None:
                     break
                 prices = state.fraction_prices()
-                alphas = compute_alphas(inst, prices, range(state.num_agents), state.goods)
+                alphas = reference.alphas(inst, prices, state.agents, state.joined)
                 for i in range(state.num_agents):
                     for g in state.bundles[i]:
                         ratio = inst.valuations[i][g] / prices[g]
@@ -567,13 +577,12 @@ def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkey
 
 
 def rebuilt_market(state: EngineState) -> tuple:
+    """The state's edges, spends and hats from their literal `Fraction` definitions."""
     prices = state.fraction_prices()
-    graph = MbbGraph.from_state(
-        state.inst, state.bundles, prices, range(state.num_agents), state.goods
-    )
     return (
-        [set(graph.mbb[i]) for i in graph.agents],
-        *spending_profile(state.bundles, prices),
+        reference.mbb(state.inst, prices, state.agents, state.joined),
+        [reference.bundle_price(prices, b) for b in state.bundles],
+        [reference.hat_price(prices, b) for b in state.bundles],
     )
 
 
@@ -609,7 +618,7 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
         assert (state.mbb, spends, hats) == rebuilt_market(state)
         # searching the maintained state finds what searching a rebuilt graph finds
         graph = MbbGraph.from_state(
-            state.inst, state.bundles, state.fraction_prices(), state.agents, state.goods
+            state.inst, state.bundles, state.fraction_prices(), state.agents, state.joined
         )
         reach = reach_from(state, [state.k])
         assert reach == reach_from(graph, [state.k])
@@ -633,7 +642,7 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
     )
     i = 0
     if target == "edge":
-        state.mbb[i] ^= {state.goods[-1]}
+        state.mbb[i] ^= {state.joined[-1]}
     elif target == "spend":
         state.spends[i] += 1
     else:
@@ -647,15 +656,19 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
 
 
 def test_online_checks_catch_a_price_on_a_good_not_joined():
+    """The owned goods are exactly the goods with a nonzero numerator, each positive."""
     from fairmarket.engine import _check_state
 
-    state = next(
-        s for s in stepped_states(seed=7, count=20, check=True) if len(s.goods) < s.inst.m
-    )
+    state = next(s for s in stepped_states(seed=7, count=20, check=True) if not all(s.nums))
     _check_state(state)
-    state.nums[min(set(range(state.inst.m)) - set(state.goods))] = 1
-    with pytest.raises(InternalInvariantError, match="has not joined"):
-        _check_state(state)
+    nums = list(state.nums)
+    stray, owned = nums.index(0), state.joined[0]
+    # A price on a good nobody owns, an owned good with no price, a negative price.
+    for g, num in [(stray, 1), (owned, 0), (owned, -nums[owned])]:
+        state.nums = list(nums)
+        state.nums[g] = num
+        with pytest.raises(InternalInvariantError, match="not exactly the goods with a positive"):
+            _check_state(state)
 
 
 @pytest.mark.parametrize("target", ["numerator", "denominator"])
@@ -667,7 +680,7 @@ def test_online_checks_catch_a_corrupted_price_vector(target):
     )
     _check_state(state)
     if target == "numerator":
-        state.nums[state.goods[0]] += 1
+        state.nums[state.joined[0]] += 1
         message = "outside its best-ratio set|differs from a rebuild"
     else:
         # Every number doubled: the same prices, spends and hats over an unreduced den.

@@ -22,7 +22,9 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare, check_ef1_literal
+from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare
+
+from reference import alphas, bang_per_buck, check_ef1_literal
 
 F = Fraction
 
@@ -408,19 +410,17 @@ def test_certificate_implies_ef1_on_random_pairs():
             [[rng.randint(1, 10) for _ in range(m)] for _ in range(n)]
         )
         prices = tuple(F(rng.randint(1, 9)) for _ in range(m))
-        from fairmarket.market import compute_alphas, bang_per_buck
-
-        alphas = compute_alphas(inst, prices)
+        best = alphas(inst, prices)
         bundles = [[] for _ in range(n)]
         for g in range(m):
             takers = [
                 i
                 for i in range(n)
-                if bang_per_buck(inst.valuations[i][g], prices[g]) == alphas[i]
+                if bang_per_buck(inst.valuations[i][g], prices[g]) == best[i]
             ]
             bundles[rng.choice(takers) if takers else rng.randrange(n)].append(g)
         sol = Solution(Allocation.from_lists(bundles), prices)
-        report = verify(inst, sol, nsw=False, brute_cap=0)
+        report = verify(inst, sol, brute_cap=0)
         if report.pef1 and report.mbb_consistent:
             witnessed += 1
             assert report.ef1
@@ -503,6 +503,22 @@ def test_audit_flags_each_tampered_field(field):
     tamper, finding = TAMPERS[field]
     tamper(events)
     assert any(finding in problem for problem in audit_trace(events, inst.m))
+
+
+@pytest.mark.parametrize(
+    "bound, expected",
+    [(F(4), []), (F(3), ["call k=2: iteration count exceeds ceiling", "call k=3: iteration count exceeds ceiling"])],
+)
+def test_audit_checks_each_finished_call_against_its_ceiling(monkeypatch, bound, expected):
+    # Both rebalancing calls of this trace take four steps; the last call is checked too.
+    from fairmarket import oracles
+
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    assert [(c.agent_count, c.iterations) for c in trace.calls] == [(1, 0), (2, 4), (3, 4)]
+    monkeypatch.setattr(oracles, "iteration_bound", lambda agent_count, total_goods: bound)
+    assert audit_trace(trace.events, inst.m) == expected
+    assert audit_trace(list(trace.iter_json_dicts()), inst.m) == expected
 
 
 # Tampers applied to the typed events with `dataclasses.replace`, each breaking

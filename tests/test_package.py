@@ -1,0 +1,53 @@
+"""The package's public surface, and the independence of the tests' reference."""
+
+import ast
+import itertools
+import re
+from pathlib import Path
+
+import pytest
+
+import fairmarket
+from fairmarket import core, market
+
+import reference
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_lists_exactly_the_exported_names():
+    lines = _library_section().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("- "))
+    bullets = "\n".join(itertools.takewhile(str.strip, lines[start:]))
+    listed = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", bullets)
+    assert sorted(listed) == sorted(fairmarket.__all__)
+    assert len(fairmarket.__all__) == len(set(fairmarket.__all__)) == 29
+    for name in fairmarket.__all__:
+        assert getattr(fairmarket, name) is not None
+
+
+@pytest.mark.parametrize(
+    "name", ["bundle_price", "hat_price", "min_spenders", "max_violators", "compute_alphas"]
+)
+def test_raw_index_price_helpers_are_gone(name):
+    with pytest.raises(ImportError):
+        exec(f"from fairmarket import {name}", {})
+    assert not hasattr(core, name) and not hasattr(market, name)
+
+
+def test_reference_uses_no_package_kernel():
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & {"best_ratios", "_common_denominator", "_spend_and_hat", "spending_profile"}
