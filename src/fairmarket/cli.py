@@ -260,6 +260,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; its errors exit with their code and one JSON line on stderr."""
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "brute_cap", None) or 0) < 0:  # exit 1 here, not argparse's exit 2
+            raise InvalidInputError("--brute-cap must be at least 0")
         return args.run(args)
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))

@@ -190,6 +190,7 @@ class Solution:
         # function taking a Solution may index `prices` by its bundles' goods.
         if not isinstance(self.prices, (list, tuple)):
             raise InvalidInputError(f"prices must be a list or tuple, got {type(self.prices).__name__}")
+        object.__setattr__(self, "prices", tuple(self.prices))  # hashable, equal for equal prices
         for g in (g for bundle in self.allocation for g in bundle):
             if not isinstance(g, int) or isinstance(g, bool) or g < 0:
                 raise InvalidInputError(f"invalid good index {g!r}")

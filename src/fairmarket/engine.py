@@ -177,6 +177,8 @@ class EngineState:
     hats: list[int] = field(default_factory=list)
     rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
     _prev_potential: tuple[int, ...] | None = None
+    # The last audit's price part, keyed by a copy of (num_agents, den, nums).
+    _price_audit: tuple | None = field(default=None, repr=False, compare=False)
     _current_call: CallStats | None = None
 
     def __post_init__(self) -> None:
@@ -448,22 +450,30 @@ def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None)
     The owned goods are exactly the goods with a nonzero price numerator,
     and each of those numerators is positive.  Also holds the maintained
     edges, spends and hats to a rebuild from the price numerators, `den`
-    and the split valuations.  `floor_level` is a
+    and the split valuations.  The price part (signs, reduction, joined
+    goods, edges) is rebuilt only when the agent count or the prices differ
+    in value from the last audit's, so not after a transfer.  `floor_level` is a
     (numerator, denominator) pair, by default the largest hat.
     """
+    nums, den = state.nums, state.den
+    if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
+        joined = state.joined
+        audit = state._price_audit = (
+            (state.num_agents, den, list(nums)),
+            set(joined) if min(nums, default=0) >= 0 else None,  # None if a price is negative
+            den >= 1 and gcd(den, *nums) == 1,
+            [set(edges) for _, _, edges in best_ratios(state.rows, state.agents, joined, nums)],
+        )
+    _, priced, reduced, mbb = audit
     covered: set[int] = set()
     for bundle in state.bundles:
         if covered & bundle:
             raise InternalInvariantError("bundles overlap")
         covered |= bundle
-    nums, den = state.nums, state.den
-    joined = state.joined
-    if covered != set(joined) or min(nums, default=0) < 0:
+    if covered != priced:
         raise InternalInvariantError("the owned goods are not exactly the goods with a positive price")
-    if den < 1 or gcd(den, *nums) != 1:
+    if not reduced:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
-    ratios = best_ratios(state.rows, state.agents, joined, nums)
-    mbb = [set(edges) for _, _, edges in ratios]
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
             raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")

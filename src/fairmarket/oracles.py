@@ -441,15 +441,16 @@ def _event_fields(event: TraceEvent | dict) -> dict:
             name: None if beta[name] is None else Fraction(beta[name])
             for name in ("b1", "b2", "b3")
         } | {"chosen": beta["chosen"]}
-    parsed["potential"] = tuple(parsed["potential"])
+    parsed["potential"] = tuple(p) if isinstance(p := parsed["potential"], list) else p
     return parsed
 
 
 def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[str]:
     """Re-check every recorded invariant of a solve trace.
 
-    Validates, per event: a positive price floor, an actual violation
-    (minimum spending below the drop-one maximum), well-formed step data;
+    Validates, per event: int `k`, `step`, `a`, `b` and potential (else the
+    event is malformed and checked no further), a positive price floor, an
+    actual violation (minimum spending below the drop-one maximum), well-formed step data;
     per rebalancing call: contiguous step numbering, strict lexicographic
     growth of the potential vector, a non-increasing violation level that
     is exactly preserved by price rises, rise rates strictly between 1 and
@@ -462,6 +463,12 @@ def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[s
         previous: dict | None = None
         for ev in call:
             tag = f"call k={k} step {ev['step']}"
+            counters = (ev["k"], ev["step"], *(x for x in (ev["a"], ev["b"]) if x is not None))
+            if not isinstance(ev["potential"], tuple) or any(
+                type(x) is not int for x in counters + ev["potential"]
+            ):
+                problems.append(f"{tag}: malformed event")
+                continue
             if ev["min_price"] <= 0:
                 problems.append(f"{tag}: price floor {ev['min_price']} not positive")
             if ev["min_spend"] >= ev["max_hat"]:
@@ -521,6 +528,6 @@ def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[s
                     problems.append(f"{tag}: violation level increased")
             previous = ev
         # A call's last step is its iteration count.
-        if previous["step"] > iteration_bound(k, total_goods):
+        if previous is not None and previous["step"] > iteration_bound(k, total_goods):
             problems.append(f"call k={k}: iteration count exceeds ceiling")
     return problems

@@ -265,6 +265,19 @@ def test_verify_brute_cap_flag(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["brute_po"] == "skipped" and report["mnw_product"] == "skipped"
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_negative_brute_cap_is_invalid_input(tmp_path, capsys, command):
+    inst_path = write_demo(tmp_path)
+    sol_path, spec_path = tmp_path / "sol.json", tmp_path / "spec.json"
+    assert main(["solve", inst_path, "-o", str(sol_path)]) == 0
+    spec_path.write_text(json.dumps({"runs": [{"n": 2, "m": 2}]}))
+    capsys.readouterr()
+    args = [inst_path, str(sol_path)] if command == "verify" else ["--spec", str(spec_path)]
+    assert main([command, *args, "--brute-cap", "-5"]) == 1
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-input"
+
 def test_verify_single_agent_many_goods(tmp_path, capsys):
     # one agent: a single allocation, settled without a per-good search
     obj = {"agents": 1, "goods": 1500, "valuations": [[g % 7 + 1 for g in range(1500)]]}

@@ -104,6 +104,14 @@ def test_price_ops_reject_a_price_dict():
     assert build_graph(inst, sol).alphas == {0: F(2, 3), 1: F(3, 2)}
 
 
+def test_solution_prices_are_kept_as_a_tuple():
+    """A price list and the equal tuple give equal, hashable solutions."""
+    alloc = Allocation.from_lists([[0], [1]])
+    listed, tupled = Solution(alloc, [F(1), F(2)]), Solution(alloc, (F(1), F(2)))
+    assert listed.prices == (F(1), F(2))
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
 @given(
     prices=st.lists(st.fractions(min_value=0, max_value=50, max_denominator=20), min_size=1, max_size=8),
     data=st.data(),

@@ -555,6 +555,61 @@ def test_online_audit_runs_once_per_step(monkeypatch):
     assert len(audits) == len(trace.calls) + len(trace.events)
 
 
+def test_online_audit_rebuilds_its_price_part_once_per_price_vector(monkeypatch):
+    import sys
+
+    from fairmarket import engine
+    from fairmarket.cli import generate_instance
+
+    rebuilds = []
+    ratios = engine.best_ratios
+
+    def spy(*args):
+        if sys._getframe(1).f_code.co_name == "_check_state":
+            rebuilds.append(args)
+        return ratios(*args)
+
+    monkeypatch.setattr(engine, "best_ratios", spy)
+    _, trace = solve(generate_instance(3, 8, 10, 0))
+    kinds = [e.kind for e in trace.events]
+    assert kinds.count("transfer") > 0
+    # a rebuild for each new agent and after each price rise; none after a transfer
+    assert len(rebuilds) == len(trace.calls) + kinds.count("price_rise")
+
+
+# Each corruption after a transfer, and the audit failure it must raise.
+POST_TRANSFER_CORRUPTIONS = {
+    "stray numerator": "not exactly the goods with a positive price",
+    "owned numerator": "outside its best-ratio set|differs from a rebuild",
+    "denominator": "not reduced",
+    "edge": "differs from a rebuild",
+}
+
+
+@pytest.mark.parametrize("target", list(POST_TRANSFER_CORRUPTIONS))
+def test_online_checks_catch_a_corruption_right_after_a_transfer(target):
+    from fairmarket.engine import _check_state
+
+    state = next(
+        s
+        for s in stepped_states(seed=7, count=20, check=True)
+        if s._current_call and s.trace.events[-1].kind == "transfer" and not all(s.nums)
+    )
+    _check_state(state)  # the step's own audit saw these prices; this one reuses it
+    nums = state.nums
+    if target == "stray numerator":
+        nums[nums.index(0)] += 1  # in place: a price on a good nobody owns
+    elif target == "owned numerator":
+        nums[state.joined[0]] += 1
+    elif target == "denominator":
+        state.den = -state.den
+    else:
+        state.mbb[0] ^= {state.joined[-1]}
+    assert state.nums is nums
+    with pytest.raises(InternalInvariantError, match=POST_TRANSFER_CORRUPTIONS[target]):
+        _check_state(state)
+
+
 def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkeypatch):
     from fairmarket import engine
     from fairmarket.cli import generate_instance

@@ -506,6 +506,21 @@ def test_audit_flags_each_tampered_field(field):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("k", "2"), ("step", "2"), ("a", 1.0), ("b", "0"), ("b", True), ("potential", ["1", 2]), ("potential", 7)],
+)
+def test_audit_reports_a_non_integer_counter_as_one_malformed_event(field, value):
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    events = list(trace.iter_json_dicts())
+    events[1][field] = value  # a transfer, so `a` and `b` are set
+    tag = f"call k={events[1]['k']} step {events[1]['step']}"
+    problems = audit_trace(events, inst.m)
+    assert [p for p in problems if p.startswith(tag + ":")] == [f"{tag}: malformed event"]
+    assert sum("malformed event" in p for p in problems) == 1
+
+
+@pytest.mark.parametrize(
     "bound, expected",
     [(F(4), []), (F(3), ["call k=2: iteration count exceeds ceiling", "call k=3: iteration count exceeds ceiling"])],
 )
