@@ -20,7 +20,7 @@ from .core import (
     is_pef1,
     normalize_instance,
 )
-from .engine import EngineState, SolveTrace, find_solution, solve
+from .engine import EngineState, SolveTrace, TraceEvent, find_solution, solve
 from .market import MbbGraph, Reachability, build_graph, reach_from
 from .oracles import (
     VerificationReport,
@@ -49,6 +49,7 @@ __all__ = [
     "Reachability",
     "Solution",
     "SolveTrace",
+    "TraceEvent",
     "VerificationReport",
     "audit_trace",
     "build_graph",

@@ -16,7 +16,7 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -29,12 +29,14 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     Solution,
+    _brief,
     _common_denominator,
     _spend_and_hat,
     check_hall,
     denormalize,
     hat_profile,  # unused here, like spending_profile; perfbench's span table names both
     normalize_instance,
+    parse_rational,
     spending_profile,
 )
 from .market import (
@@ -85,6 +87,15 @@ class BetaBreakdown:
             "chosen": self.chosen,
         }
 
+    @classmethod
+    def from_json_dict(cls, obj: object) -> "BetaBreakdown":
+        """The rates `to_json_dict` wrote; `beta` is the rate that `chosen` names, None if infinite."""
+        labels = ("b1", "b2", "b3")
+        if not isinstance(obj, dict) or obj.keys() != {*labels, "chosen"} or obj["chosen"] not in labels:
+            raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(obj))}")
+        rates = [None if obj[name] is None else parse_rational(obj[name]) for name in labels]
+        return cls(*rates, beta=rates[labels.index(obj["chosen"])], chosen=obj["chosen"])
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -116,6 +127,28 @@ class TraceEvent:
             "max_hat": str(self.max_hat),
             "min_price": str(self.min_price),
         }
+
+    @classmethod
+    def from_json_dict(cls, obj: object) -> "TraceEvent":
+        """The event `to_json_dict` wrote; raises `InvalidInputError` on any other record.
+
+        Checks the record's shape only; `audit_trace` checks what its values mean.
+        """
+        names = [f.name for f in fields(cls)]
+        if not isinstance(obj, dict) or obj.keys() != set(names):
+            raise InvalidInputError(f"a trace event needs exactly the keys {', '.join(names)}")
+        shapes = dict(k=int, step=int, a=int, b=int, kind=str, path=list, potential=list)
+        for key, shape in shapes.items():
+            value = obj[key]
+            # The type itself, so a bool is not an int; `a`, `b` and `path` may be null.
+            ok = type(value) is shape and (shape is not list or all(type(x) is int for x in value))
+            if not ok and not (value is None and key in ("a", "b", "path")):
+                what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
+                raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
+        rationals = {key: parse_rational(obj[key]) for key in ("min_spend", "max_hat", "min_price")}
+        beta = None if obj["beta"] is None else BetaBreakdown.from_json_dict(obj["beta"])
+        path = None if obj["path"] is None else tuple(obj["path"])
+        return cls(**dict(obj, **rationals, beta=beta, path=path, potential=tuple(obj["potential"])))
 
 
 @dataclass
@@ -176,10 +209,8 @@ class EngineState:
     spends: list[int] = field(default_factory=list)
     hats: list[int] = field(default_factory=list)
     rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
-    _prev_potential: tuple[int, ...] | None = None
     # The last audit's price part, keyed by a copy of (num_agents, den, nums).
     _price_audit: tuple | None = field(default=None, repr=False, compare=False)
-    _current_call: CallStats | None = None
 
     def __post_init__(self) -> None:
         self.rows = split_valuations(self.inst)
@@ -496,8 +527,8 @@ def step(state: EngineState) -> TraceEvent | None:
     if min_spend >= max_hat:
         return None
 
-    stats = state._current_call
-    if stats is None:
+    stats = state.trace.calls[-1] if state.trace.calls else None
+    if stats is None or stats.agent_count != na:  # the open call is the one of the newest agent
         raise InternalInvariantError("step called outside a rebalancing call")
 
     lowest = [i for i in range(na) if spends[i] == min_spend]
@@ -512,11 +543,10 @@ def step(state: EngineState) -> TraceEvent | None:
 
     reach = reach_from(state, [k])
     potential = compute_potential(state, reach)
-    if state.check and state._prev_potential is not None and not state._prev_potential < potential:
-        raise InternalInvariantError(
-            f"potential did not increase: {state._prev_potential} -> {potential}"
-        )
-    state._prev_potential = potential
+    if state.check and stats.iterations:  # the call's last event holds its previous potential
+        previous = state.trace.events[-1].potential
+        if not previous < potential:
+            raise InternalInvariantError(f"potential did not increase: {previous} -> {potential}")
 
     stats.iterations += 1
     if stats.iterations * stats.bound.denominator > stats.bound.numerator:
@@ -564,14 +594,9 @@ def find_solution(state: EngineState) -> EngineState:
         raise InvalidInputError("no active agents to rebalance")
     if state.check:
         _check_state(state)
-    stats = state.trace.start_call(
-        state.num_agents, iteration_bound(state.num_agents, state.inst.m)
-    )
-    state._current_call = stats
-    state._prev_potential = None
+    state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, state.inst.m))
     while step(state) is not None:
         pass
-    state._current_call = None
     return state
 
 

@@ -138,11 +138,12 @@ def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
     agent-indexed `mbb` and `bundles` (sets), such as the engine's
     maintained state.  Levels do not depend on the order of the sources or
     of any edge set.  Unreachable agents get level `len(graph.agents)`.
+    The sources must be one or more of the graph's agents.
     """
-    frontier = set(sources)
-    if not frontier:
-        raise InvalidInputError("reachability needs at least one source agent")
     levels = dict.fromkeys(graph.agents, len(graph.agents))
+    frontier = set(sources)
+    if not frontier or not frontier <= levels.keys():
+        raise InvalidInputError(f"reachability needs sources among the graph's agents, got {frontier}")
     unreached = set(levels)
     seen_goods: set[int] = set()
     depth = 0

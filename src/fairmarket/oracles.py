@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (
@@ -423,67 +423,43 @@ def verify(
 # trace audit
 
 
-def _event_fields(event: TraceEvent | dict) -> dict:
-    """One event's fields, with its rates and prices as `Fraction`s."""
-    if isinstance(event, TraceEvent):
-        parsed = dict(vars(event))
-        beta = event.beta
-        if beta is not None:
-            parsed["beta"] = {"b1": beta.b1, "b2": beta.b2, "b3": beta.b3, "chosen": beta.chosen}
-        parsed["potential"] = tuple(event.potential)
-        return parsed
-    parsed = dict(event)
-    for key in ("min_spend", "max_hat", "min_price"):
-        parsed[key] = Fraction(parsed[key])
-    beta = parsed.get("beta")
-    if beta is not None:
-        parsed["beta"] = {
-            name: None if beta[name] is None else Fraction(beta[name])
-            for name in ("b1", "b2", "b3")
-        } | {"chosen": beta["chosen"]}
-    parsed["potential"] = tuple(p) if isinstance(p := parsed["potential"], list) else p
-    return parsed
+def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
+    """Re-check every recorded invariant of a solve trace, given as `TraceEvent`s.
 
-
-def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[str]:
-    """Re-check every recorded invariant of a solve trace.
-
-    Validates, per event: int `k`, `step`, `a`, `b` and potential (else the
-    event is malformed and checked no further), a positive price floor, an
-    actual violation (minimum spending below the drop-one maximum), well-formed step data;
-    per rebalancing call: contiguous step numbering, strict lexicographic
-    growth of the potential vector, a non-increasing violation level that
-    is exactly preserved by price rises, rise rates strictly between 1 and
-    infinity that equal the smallest candidate rate, and an iteration
-    count within the watchdog ceiling.  Returns human-readable violation
-    strings; an empty list means the trace is clean.
+    Parse JSON records with `TraceEvent.from_json_dict`.  Validates, per
+    event: a positive price floor, an actual violation (minimum spending
+    below the drop-one maximum), well-formed step data; per rebalancing
+    call: contiguous step numbering, strict lexicographic growth of the
+    potential vector, a non-increasing violation level that is exactly
+    preserved by price rises, rise rates strictly between 1 and infinity
+    that equal the smallest candidate rate, and an iteration count within
+    the watchdog ceiling.  Returns human-readable violation strings; an
+    empty list means the trace is clean.
     """
+    events = list(events)
+    if not all(isinstance(ev, TraceEvent) for ev in events):
+        raise InvalidInputError("audit_trace takes TraceEvents only; see TraceEvent.from_json_dict")
     problems: list[str] = []
-    for k, call in groupby(map(_event_fields, events), key=itemgetter("k")):
-        previous: dict | None = None
+    for k, call in groupby(events, key=attrgetter("k")):
+        previous: TraceEvent | None = None
         for ev in call:
-            tag = f"call k={k} step {ev['step']}"
-            counters = (ev["k"], ev["step"], *(x for x in (ev["a"], ev["b"]) if x is not None))
-            if not isinstance(ev["potential"], tuple) or any(
-                type(x) is not int for x in counters + ev["potential"]
-            ):
-                problems.append(f"{tag}: malformed event")
-                continue
-            if ev["min_price"] <= 0:
-                problems.append(f"{tag}: price floor {ev['min_price']} not positive")
-            if ev["min_spend"] >= ev["max_hat"]:
+            tag = f"call k={k} step {ev.step}"
+            if ev.min_price <= 0:
+                problems.append(f"{tag}: price floor {ev.min_price} not positive")
+            if ev.min_spend >= ev.max_hat:
                 problems.append(f"{tag}: stepped although already fair")
-            if len(ev["potential"]) != k + 2:
+            if len(ev.potential) != k + 2:
                 problems.append(f"{tag}: potential has wrong arity")
-            if sum(ev["potential"][:-1]) > total_goods:
+            if sum(ev.potential[:-1]) > total_goods:
                 problems.append(f"{tag}: potential counts more goods than exist")
 
-            if ev["kind"] == "price_rise":
-                beta = ev["beta"]
+            if ev.kind == "price_rise":
+                beta = ev.beta
                 if beta is None:
                     problems.append(f"{tag}: price rise without rates")
                 else:
-                    rates = [beta[name] for name in ("b1", "b2", "b3") if beta[name] is not None]
+                    named = {"b1": beta.b1, "b2": beta.b2, "b3": beta.b3}
+                    rates = [rate for rate in named.values() if rate is not None]
                     if not rates:
                         problems.append(f"{tag}: all rise rates infinite")
                     else:
@@ -491,43 +467,40 @@ def audit_trace(events: Iterable[TraceEvent | dict], total_goods: int) -> list[s
                         if chosen_value <= 1:
                             problems.append(f"{tag}: rise rate {chosen_value} not above 1")
                         expected = next(
-                            name
-                            for name in ("b3", "b2", "b1")
-                            if beta[name] is not None and beta[name] == chosen_value
+                            name for name in ("b3", "b2", "b1") if named[name] == chosen_value
                         )
-                        if beta["chosen"] != expected:
+                        if beta.chosen != expected:
                             problems.append(f"{tag}: chosen rate label mismatch")
-                    for name in ("b1", "b2", "b3"):
-                        if beta is not None and beta[name] is not None and beta[name] <= 1:
+                    for name, rate in named.items():
+                        if rate is not None and rate <= 1:
                             problems.append(f"{tag}: candidate rate {name} not above 1")
-            elif ev["kind"] == "transfer":
-                path = ev["path"]
+            elif ev.kind == "transfer":
+                path = ev.path
                 if path is None or len(path) < 3 or len(path) % 2 == 0:
                     problems.append(f"{tag}: malformed transfer path")
-                if ev["a"] is None or not 1 <= ev["a"] <= len(path or ()) // 2:
+                if ev.a is None or not 1 <= ev.a <= len(path or ()) // 2:
                     problems.append(f"{tag}: bad release index")
-                elif ev["b"] is None or not 0 <= ev["b"] < ev["a"]:
+                elif ev.b is None or not 0 <= ev.b < ev.a:
                     problems.append(f"{tag}: bad absorb index")
             else:
-                problems.append(f"{tag}: unknown event kind {ev['kind']!r}")
+                problems.append(f"{tag}: unknown event kind {ev.kind!r}")
 
             if previous is None:
-                if ev["step"] != 1:
+                if ev.step != 1:
                     problems.append(f"{tag}: call does not start at step 1")
             else:
-                if ev["step"] != previous["step"] + 1:
+                if ev.step != previous.step + 1:
                     problems.append(f"{tag}: step numbering gap")
-                if not previous["potential"] < ev["potential"]:
+                if not previous.potential < ev.potential:
                     problems.append(
-                        f"{tag}: potential did not grow: "
-                        f"{previous['potential']} -> {ev['potential']}"
+                        f"{tag}: potential did not grow: {previous.potential} -> {ev.potential}"
                     )
-                if previous["kind"] == "price_rise" and ev["max_hat"] != previous["max_hat"]:
+                if previous.kind == "price_rise" and ev.max_hat != previous.max_hat:
                     problems.append(f"{tag}: price rise moved the violation level")
-                if ev["max_hat"] > previous["max_hat"]:
+                if ev.max_hat > previous.max_hat:
                     problems.append(f"{tag}: violation level increased")
             previous = ev
         # A call's last step is its iteration count.
-        if previous is not None and previous["step"] > iteration_bound(k, total_goods):
+        if ev.step > iteration_bound(k, total_goods):
             problems.append(f"call k={k}: iteration count exceeds ceiling")
     return problems

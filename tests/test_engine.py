@@ -248,10 +248,7 @@ def test_transfer_bundle_size_deltas():
         state = EngineState(inst)
         for _ in range(n):
             add_agent(state)
-            state._current_call = state.trace.start_call(
-                state.num_agents, iteration_bound(state.num_agents, inst.m)
-            )
-            state._prev_potential = None
+            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, inst.m))
             while True:
                 sizes = [len(b) for b in state.bundles]
                 na = state.num_agents
@@ -276,7 +273,6 @@ def test_transfer_bundle_size_deltas():
                 for i in range(na):
                     if levels[i] <= outcome.b:
                         assert new_levels[i] == levels[i]
-            state._current_call = None
     assert seen_transfers > 0
 
 
@@ -390,6 +386,46 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
         find_solution(state)
         assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
         assert len(state.trace.events) == 3
+
+
+def test_step_counts_into_the_open_call_of_the_newest_agent(demo_instance):
+    from fairmarket.engine import step
+
+    state = demo_engine_state(demo_instance)  # three agents, one rise short of fair
+    with pytest.raises(InternalInvariantError, match="outside a rebalancing call"):
+        step(state)
+    state.trace.start_call(2, iteration_bound(2, demo_instance.m))
+    with pytest.raises(InternalInvariantError, match="outside a rebalancing call"):
+        step(state)
+    state.trace.start_call(3, iteration_bound(3, demo_instance.m))
+    event = step(state)
+    assert (event.k, event.step, event.kind) == (3, 1, "price_rise")
+    assert state.trace.calls[-1].iterations == 1 and step(state) is None
+
+
+def test_step_compares_its_potential_with_the_last_event_of_its_call():
+    from dataclasses import replace
+
+    from fairmarket.cli import generate_instance
+    from fairmarket.engine import step
+
+    state = EngineState(generate_instance(3, 8, 9, 0))  # each call past the first takes 4 steps
+    for _ in range(2):
+        add_agent(state)
+        find_solution(state)
+    add_agent(state)
+    events = state.trace.events
+    top = (state.inst.m + 1, 0, 0, 0)  # above any potential of three agents
+
+    def inflate_last_potential() -> None:
+        events[-1] = replace(events[-1], potential=top + events[-1].potential[4:])
+
+    inflate_last_potential()  # an event of the previous call, which the next call ignores
+    state.trace.start_call(3, iteration_bound(3, state.inst.m))
+    assert step(state).step == 1
+    inflate_last_potential()
+    with pytest.raises(InternalInvariantError, match="potential did not increase"):
+        step(state)
 
 
 def test_solver_exercises_every_event_kind():
@@ -516,10 +552,7 @@ def test_engine_invariants_hold_after_every_event():
 
         for _ in range(inst.n):
             add_agent(state)
-            state._current_call = state.trace.start_call(
-                state.num_agents, iteration_bound(state.num_agents, inst.m)
-            )
-            state._prev_potential = None
+            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, inst.m))
             while True:
                 spends, hats = spending_profile(state.bundles, state.fraction_prices())
                 if state.num_agents > 1:
@@ -536,7 +569,6 @@ def test_engine_invariants_hold_after_every_event():
                     for g in state.bundles[i]:
                         ratio = inst.valuations[i][g] / prices[g]
                         assert ratio == alphas[i]
-            state._current_call = None
         final = state.to_solution()
         assert is_pef1(final)
         assert check_ef1(inst, final.allocation)
@@ -593,7 +625,9 @@ def test_online_checks_catch_a_corruption_right_after_a_transfer(target):
     state = next(
         s
         for s in stepped_states(seed=7, count=20, check=True)
-        if s._current_call and s.trace.events[-1].kind == "transfer" and not all(s.nums)
+        # right after a transfer step of the newest agent's call
+        if s.trace.events and s.trace.events[-1].k == s.num_agents
+        and s.trace.events[-1].kind == "transfer" and not all(s.nums)
     )
     _check_state(state)  # the step's own audit saw these prices; this one reuses it
     nums = state.nums
@@ -656,13 +690,9 @@ def stepped_states(seed: int, count: int, check: bool):
         for _ in range(n):
             add_agent(state)
             yield state
-            state._current_call = state.trace.start_call(
-                state.num_agents, iteration_bound(state.num_agents, m)
-            )
-            state._prev_potential = None
+            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, m))
             while step(state) is not None:
                 yield state
-            state._current_call = None
 
 
 def test_maintained_market_state_matches_rebuild_after_every_event():
@@ -692,22 +722,26 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
 def test_online_checks_catch_a_corrupted_maintained_state(target):
     from fairmarket.engine import step
 
-    state = next(
-        s for s in stepped_states(seed=7, count=20, check=True) if s.num_agents == 3
-    )
-    i = 0
-    if target == "edge":
-        state.mbb[i] ^= {state.joined[-1]}
-    elif target == "spend":
-        state.spends[i] += 1
-    else:
-        state.hats[i] += 1
-    with pytest.raises(InternalInvariantError):
-        find_solution(state)
-    with pytest.raises(InternalInvariantError):
-        state._current_call = state.trace.start_call(3, iteration_bound(3, state.inst.m))
-        while step(state) is not None:
-            pass
+    def corrupted(i: int) -> EngineState:
+        """A state of three agents before its call, with agent i's maintained `target` corrupted."""
+        state = next(s for s in stepped_states(seed=7, count=20, check=True) if s.num_agents == 3)
+        if target == "edge":
+            state.mbb[i] ^= {state.joined[-1]}
+        elif target == "spend":
+            state.spends[i] += 1
+        else:
+            state.hats[i] += 1
+        return state
+
+    # The audit that opens a call checks every agent.
+    with pytest.raises(InternalInvariantError, match="differs from a rebuild"):
+        find_solution(corrupted(0))
+    # So does the audit after a step.  Agent 0 is unreached, so the next rise would drop
+    # a flipped edge of its own; flip the newcomer's instead.
+    state = corrupted(2 if target == "edge" else 0)
+    state.trace.start_call(3, iteration_bound(3, state.inst.m))
+    with pytest.raises(InternalInvariantError, match="differs from a rebuild"):
+        step(state)
 
 
 def test_online_checks_catch_a_price_on_a_good_not_joined():

@@ -165,6 +165,19 @@ def test_reach_degenerate_graph_without_ratio_edges():
     assert r.levels == {0: 2, 1: 0}
 
 
+@pytest.mark.parametrize("sources", [[], [-1], [3], [2, 3], ["2"]])
+def test_reach_rejects_sources_outside_the_graph(demo_instance, demo_state_solution, sources):
+    # -1 would alias agent 2 and 3 is past the last agent, on either graph shape.
+    from fairmarket import EngineState
+
+    sol = demo_state_solution
+    state = EngineState.from_solution(demo_instance, sol.allocation.bundles, sol.prices)
+    for graph in (build_graph(demo_instance, sol), state):
+        assert reach_from(graph, [2]).agents == frozenset({1, 2})
+        with pytest.raises(InvalidInputError, match="sources among the graph's agents"):
+            reach_from(graph, sources)
+
+
 def test_reach_monotone_in_sources(demo_instance, demo_state_solution):
     g = build_graph(demo_instance, demo_state_solution)
     small = reach_from(g, [2])

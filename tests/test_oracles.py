@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
+from fairmarket.engine import TraceEvent
 from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare
 
 from reference import alphas, bang_per_buck, check_ef1_literal
@@ -431,17 +433,29 @@ def test_certificate_implies_ef1_on_random_pairs():
 # trace audit
 
 
+def parsed(records):
+    """Trace events read back from their JSON records."""
+    return [TraceEvent.from_json_dict(record) for record in records]
+
+
+def round_trip(event: TraceEvent) -> TraceEvent:
+    """`event` written to JSON text and parsed back."""
+    return TraceEvent.from_json_dict(json.loads(json.dumps(event.to_json_dict())))
+
+
 def test_audit_accepts_clean_trace(demo_instance):
     _, trace = solve(demo_instance)
     assert audit_trace(trace.events, demo_instance.m) == []
 
 
 def test_audit_round_trips_through_json(demo_instance):
-    import json
-
     _, trace = solve(demo_instance)
     lines = [json.loads(json.dumps(ev)) for ev in trace.iter_json_dicts()]
-    assert audit_trace(lines, demo_instance.m) == []
+    assert parsed(lines) == trace.events
+    assert audit_trace(parsed(lines), demo_instance.m) == []
+    # The audit takes parsed events only.
+    with pytest.raises(InvalidInputError, match="TraceEvent.from_json_dict"):
+        audit_trace(lines, demo_instance.m)
 
 
 def test_audit_flags_tampered_events(demo_instance):
@@ -449,15 +463,15 @@ def test_audit_flags_tampered_events(demo_instance):
     events = [ev.to_json_dict() for ev in trace.events]
     bad = [dict(ev) for ev in events]
     bad[0]["beta"] = dict(bad[0]["beta"], b3="1", chosen="b3")
-    assert audit_trace(bad, demo_instance.m)
+    assert audit_trace(parsed(bad), demo_instance.m)
 
     worse = [dict(ev) for ev in events]
     worse[0]["min_price"] = "0"
-    assert audit_trace(worse, demo_instance.m)
+    assert audit_trace(parsed(worse), demo_instance.m)
 
     clock = [dict(ev) for ev in events]
     clock[-1]["step"] = 5
-    assert audit_trace(clock, demo_instance.m)
+    assert audit_trace(parsed(clock), demo_instance.m)
 
 
 # One tamper per event field, each breaking an invariant `audit_trace` documents,
@@ -499,25 +513,45 @@ def test_audit_flags_each_tampered_field(field):
     events = list(trace.iter_json_dicts())
     assert set(TAMPERS) == set(events[0])  # every field has its tamper
     assert [ev["kind"] for ev in events[1:4]] == ["transfer", "price_rise", "transfer"]
-    assert audit_trace(events, inst.m) == []
+    assert audit_trace(parsed(events), inst.m) == []
     tamper, finding = TAMPERS[field]
     tamper(events)
-    assert any(finding in problem for problem in audit_trace(events, inst.m))
+    assert any(finding in problem for problem in audit_trace(parsed(events), inst.m))
+
+
+MISSING = object()  # the field is left out of the record
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("k", "2"), ("step", "2"), ("a", 1.0), ("b", "0"), ("b", True), ("potential", ["1", 2]), ("potential", 7)],
+    [
+        ("k", "2"),
+        ("step", "2"),
+        ("a", 1.0),
+        ("b", "0"),
+        ("b", True),
+        ("potential", ["1", 2]),
+        ("potential", 7),
+        ("min_price", "abc"),
+        ("beta", {"b1": None}),
+        ("path", 5),
+        pytest.param("potential", MISSING, id="potential-missing"),
+    ],
 )
 def test_audit_reports_a_non_integer_counter_as_one_malformed_event(field, value):
+    # A malformed record is rejected when it is parsed, so the audit never sees it.
     inst = generate_instance(3, 8, 9, 0)
     _, trace = solve(inst)
-    events = list(trace.iter_json_dicts())
-    events[1][field] = value  # a transfer, so `a` and `b` are set
-    tag = f"call k={events[1]['k']} step {events[1]['step']}"
-    problems = audit_trace(events, inst.m)
-    assert [p for p in problems if p.startswith(tag + ":")] == [f"{tag}: malformed event"]
-    assert sum("malformed event" in p for p in problems) == 1
+    records = list(trace.iter_json_dicts())
+    if value is MISSING:
+        del records[1][field]
+    else:
+        records[1][field] = value  # a transfer, so `a`, `b` and `path` are set
+    parsed(records[:1] + records[2:])  # the other records are well formed
+    with pytest.raises(InvalidInputError):
+        TraceEvent.from_json_dict(records[1])
+    with pytest.raises(InvalidInputError, match="TraceEvent.from_json_dict"):
+        audit_trace(records, inst.m)
 
 
 @pytest.mark.parametrize(
@@ -533,7 +567,18 @@ def test_audit_checks_each_finished_call_against_its_ceiling(monkeypatch, bound,
     assert [(c.agent_count, c.iterations) for c in trace.calls] == [(1, 0), (2, 4), (3, 4)]
     monkeypatch.setattr(oracles, "iteration_bound", lambda agent_count, total_goods: bound)
     assert audit_trace(trace.events, inst.m) == expected
-    assert audit_trace(list(trace.iter_json_dicts()), inst.m) == expected
+    assert audit_trace(parsed(trace.iter_json_dicts()), inst.m) == expected
+
+
+def test_every_trace_event_parses_back_equal_to_itself():
+    # Seeded solves whose events cover transfers and rises at each of the three rates.
+    seen = set()
+    for seed in range(5):
+        _, trace = solve(generate_instance(4, 10, 9, seed))
+        for ev in trace.events:
+            assert round_trip(ev) == ev
+            seen.add(ev.kind if ev.beta is None else ev.beta.chosen)
+    assert seen == {"transfer", "b1", "b2", "b3"}
 
 
 # Tampers applied to the typed events with `dataclasses.replace`, each breaking
@@ -561,4 +606,5 @@ def test_audit_flags_tampered_trace_events_like_their_dicts(field):
         events[index] = event
     problems = audit_trace(events, inst.m)
     assert any(TAMPERS[field][1] in problem for problem in problems)
-    assert problems == audit_trace([ev.to_json_dict() for ev in events], inst.m)
+    # The tampered trace written to JSON and parsed back gets the same findings.
+    assert problems == audit_trace([round_trip(ev) for ev in events], inst.m)
