@@ -317,9 +317,8 @@ class NormalizationRecord:
 
     @property
     def is_identity(self) -> bool:
-        return len(self.kept_agents) == self.original_agent_count and len(
-            self.kept_goods
-        ) == self.original_good_count
+        kept = (self.kept_agents, self.kept_goods)
+        return kept == (tuple(range(self.original_agent_count)), tuple(range(self.original_good_count)))
 
 
 def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRecord]:
@@ -359,8 +358,7 @@ def denormalize(sol: Solution, rec: NormalizationRecord) -> Solution:
     if dropped:
         # No surviving agent only happens when every good was dropped too;
         # park the worthless goods on agent 0 in that degenerate case.
-        anchor = rec.kept_agents[0] if rec.kept_agents else 0
-        bundles[anchor].update(dropped)
+        bundles[min(rec.kept_agents, default=0)].update(dropped)
     prices = [Fraction(0)] * rec.original_good_count
     for ci, g in enumerate(rec.kept_goods):
         prices[g] = sol.prices[ci]

@@ -16,7 +16,7 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -50,6 +50,14 @@ from .market import (
 # Rational upper bound on Euler's number as a (numerator, denominator) pair;
 # only used to over-approximate the iteration watchdog, so erring high is safe.
 E_UPPER = (27182818285, 10**10)
+
+
+def _parse_named(obj: dict, key: str) -> Fraction:
+    """`obj[key]` parsed as a rational; a parse error names `key`."""
+    try:
+        return parse_rational(obj[key])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"trace event {key!r}: {exc}") from None
 
 
 def iteration_bound(agent_count: int, total_goods: int) -> Fraction:
@@ -93,7 +101,7 @@ class BetaBreakdown:
         labels = ("b1", "b2", "b3")
         if not isinstance(obj, dict) or obj.keys() != {*labels, "chosen"} or obj["chosen"] not in labels:
             raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(obj))}")
-        rates = [None if obj[name] is None else parse_rational(obj[name]) for name in labels]
+        rates = [None if obj[name] is None else _parse_named(obj, name) for name in labels]
         return cls(*rates, beta=rates[labels.index(obj["chosen"])], chosen=obj["chosen"])
 
 
@@ -145,7 +153,7 @@ class TraceEvent:
             if not ok and not (value is None and key in ("a", "b", "path")):
                 what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
                 raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
-        rationals = {key: parse_rational(obj[key]) for key in ("min_spend", "max_hat", "min_price")}
+        rationals = {key: _parse_named(obj, key) for key in ("min_spend", "max_hat", "min_price")}
         beta = None if obj["beta"] is None else BetaBreakdown.from_json_dict(obj["beta"])
         path = None if obj["path"] is None else tuple(obj["path"])
         return cls(**dict(obj, **rationals, beta=beta, path=path, potential=tuple(obj["potential"])))
@@ -308,15 +316,7 @@ def initial_prices_for_agent(
 
 def add_agent(state: EngineState) -> None:
     """Activate the next agent, hand it its new goods, and price them."""
-    agent = state.num_agents
-    new_goods, new_prices = initial_prices_for_agent(state, agent)
-    if state.check:
-        for j in range(agent):
-            for g in new_goods:
-                if state.rows[j][g][0]:
-                    raise InternalInvariantError(
-                        f"agent {j} values good {g} which only joined with agent {agent}"
-                    )
+    new_goods, new_prices = initial_prices_for_agent(state, state.num_agents)
     # Rebase every price onto the lcm of the old and the new denominators, which stays reduced.
     den = lcm(state.den, *(p.denominator for p in new_prices.values()))
     scale, state.den = den // state.den, den
@@ -475,27 +475,30 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
     return (*counts, state.hats.count(max_hat))
 
 
-def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None) -> None:
-    """Post-step audit: partition, positive reduced prices, ratio containment, fairness.
+def _check_state(state: EngineState) -> None:
+    """Audit the state and the open call's last step, read from its event.
 
-    The owned goods are exactly the goods with a nonzero price numerator,
-    and each of those numerators is positive.  Also holds the maintained
-    edges, spends and hats to a rebuild from the price numerators, `den`
-    and the split valuations.  The price part (signs, reduction, joined
-    goods, edges) is rebuilt only when the agent count or the prices differ
-    in value from the last audit's, so not after a transfer.  `floor_level` is a
-    (numerator, denominator) pair, by default the largest hat.
+    The owned goods are exactly those with a nonzero numerator, each
+    positive; `den` is reduced; no active agent values a good that has not
+    joined; the maintained edges, spends and hats equal a rebuild.  The
+    price part is rebuilt only when the agent count or the prices differ in
+    value from the last audit's, so not after a transfer.  The step's event
+    holds the level it started from: a rise keeps it, a transfer does not
+    raise it, and every agent but the newest spends at least it.  While
+    unfair, the newest agent alone spends least and 1 to n-1 agents are
+    maximum violators.  The potential grew over the call's previous event.
     """
-    nums, den = state.nums, state.den
+    nums, den, hats = state.nums, state.den, state.hats
     if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
-        joined = state.joined
+        joined, unjoined = state.joined, [g for g, num in enumerate(nums) if not num]
         audit = state._price_audit = (
             (state.num_agents, den, list(nums)),
             set(joined) if min(nums, default=0) >= 0 else None,  # None if a price is negative
             den >= 1 and gcd(den, *nums) == 1,
+            next(((i, g) for i in state.agents for g in unjoined if state.rows[i][g][0]), None),
             [set(edges) for _, _, edges in best_ratios(state.rows, state.agents, joined, nums)],
         )
-    _, priced, reduced, mbb = audit
+    _, priced, reduced, stray, mbb = audit
     covered: set[int] = set()
     for bundle in state.bundles:
         if covered & bundle:
@@ -505,75 +508,72 @@ def _check_state(state: EngineState, floor_level: tuple[int, int] | None = None)
         raise InternalInvariantError("the owned goods are not exactly the goods with a positive price")
     if not reduced:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
+    if stray:
+        raise InternalInvariantError("agent {} values good {}, which has not joined".format(*stray))
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
             raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
     pairs = [_spend_and_hat([nums[g] for g in bundle]) for bundle in state.bundles]
     if (mbb, pairs) != (state.mbb, list(zip(state.spends, state.hats))):
         raise InternalInvariantError("maintained market state differs from a rebuild")
-    level, scale = floor_level or (max(state.hats), den)
-    for i, (spend, _) in enumerate(pairs):
-        if i != state.k and spend * scale < level * den:
+    calls, events = state.trace.calls, state.trace.events
+    # The open call's steps so far; `step` records each one before its audit.
+    steps = calls[-1].iterations if calls and calls[-1].agent_count == state.num_agents else 0
+    spends, k, min_spend, max_hat = state.spends, state.k, min(state.spends), max(hats)
+    level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
+    if steps:
+        start = events[-1].max_hat  # the level the step started from
+        level, scale = start.numerator, start.denominator
+        if events[-1].kind == "price_rise" and max_hat * scale != level * den:
+            raise InternalInvariantError(
+                f"price rise moved the violation level: {start} -> {Fraction(max_hat, den)}"
+            )
+        if max_hat * scale > level * den:
+            raise InternalInvariantError("transfer raised the violation level")
+    if min_spend < max_hat:
+        lowest = [i for i, spend in enumerate(spends) if spend == min_spend]
+        if lowest != [k]:
+            raise InternalInvariantError(f"minimum spenders {lowest} should be exactly the newest agent {k}")
+        if not 1 <= (violators := hats.count(max_hat)) <= state.num_agents - 1:
+            raise InternalInvariantError(f"violator count {violators} out of range")
+    for i, spend in enumerate(spends):
+        if i != k and spend * scale < level * den:
             raise InternalInvariantError(f"agent {i} fell below the violation level")
+    if steps > 1:  # the call's previous event
+        previous, potential = events[-2].potential, events[-1].potential
+        if not previous < potential:
+            raise InternalInvariantError(f"potential did not increase: {previous} -> {potential}")
 
 
 def step(state: EngineState) -> TraceEvent | None:
-    """Run one rebalancing iteration and return its event; None when already fair."""
+    """Run one rebalancing iteration, record its event and audit it; None when already fair."""
     na = state.num_agents
-    k = state.k
     spends, hats, den = state.spends, state.hats, state.den  # a price rise changes den
-    min_spend = min(spends)
-    max_hat = max(hats)
+    min_spend, max_hat = min(spends), max(hats)
     if min_spend >= max_hat:
         return None
 
     stats = state.trace.calls[-1] if state.trace.calls else None
     if stats is None or stats.agent_count != na:  # the open call is the one of the newest agent
         raise InternalInvariantError("step called outside a rebalancing call")
-
-    lowest = [i for i in range(na) if spends[i] == min_spend]
-    violators = [i for i in range(na) if hats[i] == max_hat]
-    if state.check:
-        if lowest != [k]:
-            raise InternalInvariantError(
-                f"minimum spenders {lowest} should be exactly the newest agent {k}"
-            )
-        if not 1 <= len(violators) <= na - 1:
-            raise InternalInvariantError(f"violator count {len(violators)} out of range")
-
-    reach = reach_from(state, [k])
-    potential = compute_potential(state, reach)
-    if state.check and stats.iterations:  # the call's last event holds its previous potential
-        previous = state.trace.events[-1].potential
-        if not previous < potential:
-            raise InternalInvariantError(f"potential did not increase: {previous} -> {potential}")
-
-    stats.iterations += 1
-    if stats.iterations * stats.bound.denominator > stats.bound.numerator:
+    if (stats.iterations + 1) * stats.bound.denominator > stats.bound.numerator:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
+
+    violators = [i for i in range(na) if hats[i] == max_hat]
+    reach = reach_from(state, [state.k])
+    potential = compute_potential(state, reach)
     min_price = min(filter(None, state.nums))
     betas = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)
         a, b = transfer(state, path)
-        stats.transfers += 1
     else:
         betas = compute_betas(state, reach)
         apply_price_rise(state, reach, betas)
-        stats.price_rises += 1
-    if state.check:
-        # A price rise keeps the violation level exactly; a transfer does not raise it.
-        _check_state(state, (max_hat, den))
-        new_level, old_level = max(state.hats) * den, max_hat * state.den
-        if path is None and new_level != old_level:
-            moved = f"{max_hat}/{den} -> {max(state.hats)}/{state.den}"
-            raise InternalInvariantError(f"price rise moved the violation level: {moved}")
-        if new_level > old_level:
-            raise InternalInvariantError("transfer raised the violation level")
 
     event = TraceEvent(
         k=na,
-        step=stats.iterations,
+        step=stats.iterations + 1,
         kind="price_rise" if path is None else "transfer",
         beta=betas,
         path=path,
@@ -585,6 +585,11 @@ def step(state: EngineState) -> TraceEvent | None:
         min_price=Fraction(min_price, den),
     )
     state.trace.events.append(event)
+    stats.iterations += 1
+    stats.transfers += path is not None
+    stats.price_rises += path is None
+    if state.check:
+        _check_state(state)
     return event
 
 
@@ -592,9 +597,9 @@ def find_solution(state: EngineState) -> EngineState:
     """Rebalance until price envy-free up to one good; returns the same state."""
     if state.num_agents < 1:
         raise InvalidInputError("no active agents to rebalance")
+    state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, state.inst.m))
     if state.check:
         _check_state(state)
-    state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, state.inst.m))
     while step(state) is not None:
         pass
     return state
@@ -629,20 +634,13 @@ def solve(
         raise HallViolationError(
             "some agent set values fewer goods than its size; instance rejected"
         )
-    # The order on core indices, skipping dropped agents.
-    core_index = {orig: ci for ci, orig in enumerate(rec.kept_agents)}
-    raw_order = range(inst.n) if order is None else order
-    insertion = [core_index[orig] for orig in raw_order if orig in core_index]
-
-    permuted = Instance(tuple(core.valuations[c] for c in insertion))
-    state = EngineState(permuted, check=check)
-    for _ in range(permuted.n):
+    if order is not None:
+        # Add the kept agents in `order`: reorder the core and the record that re-embeds it.
+        rows = dict(zip(rec.kept_agents, core.valuations))
+        kept = tuple(i for i in order if i in rows)
+        core, rec = Instance(tuple(rows[i] for i in kept)), replace(rec, kept_agents=kept)
+    state = EngineState(core, check=check)
+    for _ in range(core.n):
         add_agent(state)
         find_solution(state)
-    permuted_sol = state.to_solution()
-
-    core_bundles: list[frozenset[int]] = [frozenset()] * core.n
-    for pos, c in enumerate(insertion):
-        core_bundles[c] = permuted_sol.allocation[pos]
-    core_sol = Solution(Allocation(tuple(core_bundles)), permuted_sol.prices)
-    return denormalize(core_sol, rec), state.trace
+    return denormalize(state.to_solution(), rec), state.trace

@@ -368,7 +368,8 @@ def test_iteration_bound_is_the_fraction_power():
 @pytest.mark.parametrize("bound, fails", [(F(2), False), (F(19, 10), True)])
 def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound, fails):
     # The demo's last rebalancing call takes two iterations; `step` raises on the
-    # iteration past the ceiling before it moves or records anything.
+    # iteration past the ceiling before it moves, records or counts anything, so
+    # each call's iteration count equals its recorded events.
     from fairmarket import engine
 
     monkeypatch.setattr(engine, "iteration_bound", lambda agent_count, total_goods: bound)
@@ -380,7 +381,7 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
     if fails:
         with pytest.raises(InternalInvariantError, match="iteration ceiling 19/10"):
             find_solution(state)
-        assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
+        assert [c.iterations for c in state.trace.calls] == [0, 1, 1]
         assert len(state.trace.events) == 2
     else:
         find_solution(state)
@@ -537,6 +538,16 @@ def test_solve_handles_dropped_goods_and_agents():
     assert sol.prices[0] == 0 and sol.prices[2] == 0
 
 
+def test_solve_order_reembeds_worthless_goods_on_the_lowest_kept_agent():
+    # Agent 0 values nothing and good 2 is worthless; agents 2 and 1 join in that order.
+    inst = Instance.from_values([[0, 0, 0], [1, 2, 0], [2, 1, 0]])
+    sol, _ = solve(inst, order=[2, 1, 0])
+    sol.validate(inst)
+    assert 2 in sol.allocation[1] and sol.prices[2] == 0
+    assert sol.allocation[0] == frozenset()
+    assert check_ef1(inst, sol.allocation)
+
+
 def test_engine_invariants_hold_after_every_event():
     # replay a few seeded runs step by step, re-checking state between events
     rng = random.Random(17)
@@ -659,6 +670,77 @@ def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkey
     monkeypatch.setattr(engine, "compute_betas", overshoot)
     with pytest.raises(InternalInvariantError, match="moved the violation level"):
         solve(generate_instance(3, 8, 10, 2))
+
+
+def uniform_state(bundles: list[list[int]]) -> EngineState:
+    """Agents who value every good 1, every good priced 1: each good is a best-ratio good of everyone."""
+    m = sum(map(len, bundles))
+    inst = Instance.from_values([[1] * m for _ in bundles])
+    return EngineState.from_solution(inst, bundles, [F(1)] * m)
+
+
+def test_online_checks_catch_overlapping_bundles():
+    state = uniform_state([[0, 1], [2, 3], []])
+    state.bundles[2].add(0)  # held by agents 0 and 2 at once
+    with pytest.raises(InternalInvariantError, match="bundles overlap"):
+        find_solution(state)
+
+
+def test_online_checks_catch_an_agent_below_the_violation_level():
+    # Agent 0 spends 1 under agent 1's drop-one price 2; only the newcomer spends less.
+    state = uniform_state([[0], [1, 2, 3], []])
+    with pytest.raises(InternalInvariantError, match="agent 0 fell below the violation level"):
+        find_solution(state)
+
+
+def test_online_checks_catch_a_lowest_spender_besides_the_newcomer():
+    state = uniform_state([[0], [1, 2, 3], [4]])  # agents 0 and 2 both spend 1
+    with pytest.raises(InternalInvariantError, match=r"minimum spenders \[0, 2\] should be exactly"):
+        find_solution(state)
+
+
+def test_online_checks_catch_every_agent_at_the_violation_level(monkeypatch):
+    from fairmarket import engine
+
+    # A drop-one kernel that prices every hat at 2 makes both agents maximum violators
+    # while the newcomer spends nothing; the rebuild agrees, as it runs the same kernel.
+    monkeypatch.setattr(engine, "_spend_and_hat", lambda nums: (sum(nums), 2))
+    state = uniform_state([[0, 1], []])
+    with pytest.raises(InternalInvariantError, match="violator count 2 out of range"):
+        find_solution(state)
+
+
+def test_online_checks_catch_a_transfer_that_raises_the_violation_level(monkeypatch):
+    from fairmarket import engine
+    from fairmarket.core import _spend_and_hat
+
+    def overfill(state, path):
+        # The transfer, then the newcomer's goods handed on to agent 1, past the level.
+        cut = transfer(state, path)
+        state.bundles[1] |= state.bundles[path[0]]
+        state.bundles[path[0]] = set()
+        for i in (path[0], 1):
+            state.spends[i], state.hats[i] = _spend_and_hat([state.nums[g] for g in state.bundles[i]])
+        return cut
+
+    monkeypatch.setattr(engine, "transfer", overfill)
+    state = uniform_state([[0, 1, 2], [3, 4, 5], []])
+    with pytest.raises(InternalInvariantError, match="transfer raised the violation level"):
+        find_solution(state)
+    assert state.trace.events[-1].kind == "transfer"
+
+
+def test_online_checks_catch_a_valued_good_that_has_not_joined(demo_instance, monkeypatch):
+    from fairmarket import engine
+
+    def withhold(state, agent):
+        # The newcomer's introduction without its last new good.
+        goods, prices = initial_prices_for_agent(state, agent)
+        return goods[:-1], {g: prices[g] for g in goods[:-1]}
+
+    monkeypatch.setattr(engine, "initial_prices_for_agent", withhold)
+    with pytest.raises(InternalInvariantError, match="agent 0 values good 1, which has not joined"):
+        solve(demo_instance)
 
 
 # ---------------------------------------------------------------------------

@@ -554,6 +554,19 @@ def test_audit_reports_a_non_integer_counter_as_one_malformed_event(field, value
         audit_trace(records, inst.m)
 
 
+@pytest.mark.parametrize("key", ["min_spend", "max_hat", "min_price", "b1", "b2", "b3"])
+def test_a_price_or_rate_that_does_not_parse_is_named(key):
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    record = next(r for r in trace.iter_json_dicts() if r["beta"] is not None)
+    if key in record:
+        record[key] = "abc"
+    else:
+        record["beta"][key] = "abc"
+    with pytest.raises(InvalidInputError, match=f"'{key}': expected an int"):
+        TraceEvent.from_json_dict(record)
+
+
 @pytest.mark.parametrize(
     "bound, expected",
     [(F(4), []), (F(3), ["call k=2: iteration count exceeds ceiling", "call k=3: iteration count exceeds ceiling"])],
