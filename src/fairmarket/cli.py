@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .core import (
@@ -111,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
         _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
         if args.trace is not None:
-            lines = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
+            lines = "".join(json.dumps(ev) + "\n" for ev in trace.iter_json_dicts())
             Path(args.trace).write_text(lines, encoding="utf-8")
         if args.dump_graph is not None:
             from .market import build_graph, reach_from
@@ -215,6 +216,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairmarket",

@@ -65,9 +65,7 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
 
 def rational_to_json(q: Fraction) -> int | str:
     """Canonical JSON form: plain int when integral, reduced "p/q" otherwise."""
-    if q.denominator == 1:
-        return q.numerator
-    return f"{q.numerator}/{q.denominator}"
+    return q.numerator if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------

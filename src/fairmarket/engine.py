@@ -122,18 +122,19 @@ class TraceEvent:
     min_price: Fraction
 
     def to_json_dict(self) -> dict:
+        """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
         return {
-            "k": self.k,
-            "step": self.step,
-            "kind": self.kind,
-            "beta": None if self.beta is None else self.beta.to_json_dict(),
-            "path": None if self.path is None else list(self.path),
             "a": self.a,
             "b": self.b,
-            "potential": list(self.potential),
-            "min_spend": str(self.min_spend),
+            "beta": None if self.beta is None else self.beta.to_json_dict(),
+            "k": self.k,
+            "kind": self.kind,
             "max_hat": str(self.max_hat),
             "min_price": str(self.min_price),
+            "min_spend": str(self.min_spend),
+            "path": None if self.path is None else list(self.path),
+            "potential": list(self.potential),
+            "step": self.step,
         }
 
     @classmethod
@@ -187,8 +188,7 @@ class SolveTrace:
         return sum(c.iterations for c in self.calls)
 
     def iter_json_dicts(self) -> Iterable[dict]:
-        for event in self.events:
-            yield event.to_json_dict()
+        return map(TraceEvent.to_json_dict, self.events)
 
 
 @dataclass
@@ -382,18 +382,18 @@ def apply_price_rise(
     move.  Reachable agents own and point only into reachable goods, so their
     edges stay and their spends and hats grow by the rate; at rate b1 they
     gain the edges attaining it.  Unreachable agents lose their edges into
-    the reachable goods.  With the rate p/q, reachable numerators multiply
-    by p, the others and `den` by q, and one common factor reduces them all.
+    the reachable goods.  With the rate p/q, `den` and the other numerators
+    multiply by q, the reachable ones by p, and their one gcd reduces them.
     """
     up, down = betas.beta.numerator, betas.beta.denominator
     if up <= down:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {betas.beta}")
-    nums, den, reached = state.nums, state.den, reach.goods
-    # As gcd(p, q) = 1 and the prices were reduced, each prime of the common
-    # factor divides q and every reached numerator, or p, den and every other one.
-    unreached = [num for g, num in enumerate(nums) if g not in reached]
-    common = gcd(down, *(nums[g] for g in reached)) * gcd(up, den, *unreached)
-    state.nums = [n * (up if g in reached else down) // common for g, n in enumerate(nums)]
+    nums, den = state.nums, state.den
+    scaled = [num * down for num in nums]
+    for g in reach.goods:
+        scaled[g] = nums[g] * up
+    common = gcd(den * down, *scaled)
+    state.nums = [num // common for num in scaled] if common > 1 else scaled
     state.den = den * down // common
     stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
@@ -401,7 +401,7 @@ def apply_price_rise(
         state.spends[i] = state.spends[i] * factor // common
         state.hats[i] = state.hats[i] * factor // common
         if i not in reach.agents:
-            state.mbb[i] -= reached
+            state.mbb[i] -= reach.goods
             if not state.mbb[i]:
                 stranded.append(i)
     ratios = best_ratios(state.rows, stranded, state.joined, state.nums)

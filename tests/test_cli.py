@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmarket import Instance, Solution, check_hall, normalize_instance, solve
-from fairmarket.cli import generate_instance, main
+from fairmarket.cli import build_parser, generate_instance, main
 
 DEMO = {
     "agents": 3,
@@ -176,6 +176,40 @@ def test_solve_with_order_flag(tmp_path):
     assert main(["solve", inst_path, "--order", "2,1,0", "-o", str(out)]) == 0
     assert main(["solve", inst_path, "--order", "2,2,0", "-o", str(out)]) == 1
     assert main(["solve", inst_path, "--order", "2,x,0", "-o", str(out)]) == 1
+
+def test_solve_trace_file_holds_each_record_with_sorted_keys(tmp_path):
+    # The demo in this order takes both transfers and price rises.
+    inst_path, trace_path = write_demo(tmp_path), tmp_path / "trace.jsonl"
+    assert main(["solve", inst_path, "--order", "2,0,1", "--trace", str(trace_path)]) == 0
+    _, trace = solve(Instance.from_json_dict(DEMO), order=[2, 0, 1])
+    assert {ev.kind for ev in trace.events} == {"transfer", "price_rise"}
+    expected = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
+    assert trace_path.read_text() == expected
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    """Calls in one process answer as each does on a freshly built parser."""
+    assert build_parser() is build_parser()
+    inst_path, trace_path = write_demo(tmp_path), tmp_path / "trace.jsonl"
+    calls = [
+        ["solve", inst_path, "--order", "2,0,1", "--trace", str(trace_path)],
+        ["solve", inst_path],
+        ["solve", write_demo(tmp_path, "bad.json", {"agents": 1})],
+        ["solve", inst_path],
+    ]
+
+    def run(argv):
+        trace_path.unlink(missing_ok=True)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, trace_path.read_text() if trace_path.exists() else None
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, *_ in first] == [0, 0, 1, 0]
+    assert first[0][1] != first[1][1]  # the order changes the solution, so a kept order shows
+    assert [run(argv) for argv in calls] == first
 
 def test_module_entry_point(tmp_path):
     """`python -m fairmarket` end to end, in a fresh interpreter."""

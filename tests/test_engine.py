@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fairmarket import (
@@ -174,6 +174,12 @@ shared_factors = st.builds(
     reached=st.sets(st.integers(0, 7)),
     rate=st.tuples(shared_factors, shared_factors).filter(lambda r: r[0] != r[1]),
 )
+# Rises by 3/2 on good 0: [1, 2] over 1 scales to [3, 4] over 2, whose gcd of 1 skips the
+# divide pass, and [1, 3] over 3 to [3, 6] over 6, which the divide pass reduces by 3.
+@example(nums=[1, 2], den=1, reached={0}, rate=(3, 2))
+@example(nums=[1, 3], den=3, reached={0}, rate=(3, 2))
+# Nothing reached: [2, 3] over 5 scales to [4, 6] over 10, and the divide pass halves it back.
+@example(nums=[2, 3], den=5, reached=set(), rate=(3, 2))
 def test_price_rise_reduces_like_the_plain_gcd_fold(nums, den, reached, rate):
     """The rise's split common factor against one gcd over every scaled number."""
     common = gcd(den, *nums)

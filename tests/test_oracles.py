@@ -594,6 +594,15 @@ def test_every_trace_event_parses_back_equal_to_itself():
     assert seen == {"transfer", "b1", "b2", "b3"}
 
 
+def test_trace_records_emit_their_keys_sorted():
+    # The CLI writes each record with a plain `json.dumps`, so this order is the file's.
+    for seed in range(5):
+        _, trace = solve(generate_instance(4, 10, 9, seed))
+        for ev in trace.events:
+            for record in (ev.to_json_dict(), ev.beta and ev.beta.to_json_dict()):
+                assert record is None or list(record) == sorted(record)
+
+
 # Tampers applied to the typed events with `dataclasses.replace`, each breaking
 # the same invariant as its entry in TAMPERS (same instance, same events).
 TYPED_TAMPERS = {
