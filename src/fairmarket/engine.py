@@ -69,45 +69,71 @@ def iteration_bound(agent_count: int, total_goods: int) -> Fraction:
     return Fraction((k - 1) * ((total_goods + k) * e_num) ** k, (k * e_den) ** k)
 
 
+RATES = ("b1", "b2", "b3")
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """The ratio p/q, q > 0, as a pair in lowest terms."""
+    common = gcd(p, q)
+    return p // common, q // common
+
+
+def _text(p: int, q: int) -> str:
+    """`str(Fraction(p, q))`, q > 0, without building the `Fraction`."""
+    p, q = _reduced(p, q)
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 @dataclass(frozen=True)
 class BetaBreakdown:
     """The three candidate price-rise rates and the chosen minimum.
 
     `b1` stops when a new best-ratio edge would appear out of the reachable
     set, `b2` when a reachable agent would become a maximum violator, `b3`
-    when the newcomer's spending would reach the violation level.  None
-    means the event cannot occur (no finite rate).
+    when the newcomer's spending would reach the violation level.  `rates`
+    holds them in that order as integer pairs (p, q) for p/q, reduced on
+    construction; None means the event cannot occur (no finite rate).  `b1`,
+    `b2`, `b3` and `beta`, the rate `chosen` names, are built as `Fraction`s on read.
     """
 
-    b1: Fraction | None
-    b2: Fraction | None
-    b3: Fraction | None
-    beta: Fraction
+    rates: tuple[tuple[int, int] | None, ...]
     chosen: str
     # The (agent, good) best-ratio edges this rise adds: those attaining b1 when b1 is beta.
     b1_edges: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rates", tuple(r if r is None else _reduced(*r) for r in self.rates))
+
+    def pair(self, name: str) -> tuple[int, int] | None:
+        """Rate `name` ("b1", "b2" or "b3") as its integer pair, None if infinite."""
+        return self.rates[RATES.index(name)]
+
+    # Each reads as a `Fraction`, or None when infinite.
+    b1 = property(lambda self: self.rates[0] and Fraction(*self.rates[0]))
+    b2 = property(lambda self: self.rates[1] and Fraction(*self.rates[1]))
+    b3 = property(lambda self: self.rates[2] and Fraction(*self.rates[2]))
+    beta = property(lambda self: self.pair(self.chosen) and Fraction(*self.pair(self.chosen)))
+
     def to_json_dict(self) -> dict:
-        return {
-            "b1": None if self.b1 is None else str(self.b1),
-            "b2": None if self.b2 is None else str(self.b2),
-            "b3": None if self.b3 is None else str(self.b3),
-            "chosen": self.chosen,
-        }
+        return dict(zip(RATES, (r if r is None else _text(*r) for r in self.rates)), chosen=self.chosen)
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "BetaBreakdown":
         """The rates `to_json_dict` wrote; `beta` is the rate that `chosen` names, None if infinite."""
-        labels = ("b1", "b2", "b3")
-        if not isinstance(obj, dict) or obj.keys() != {*labels, "chosen"} or obj["chosen"] not in labels:
+        if not isinstance(obj, dict) or obj.keys() != {*RATES, "chosen"} or obj["chosen"] not in RATES:
             raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(obj))}")
-        rates = [None if obj[name] is None else _parse_named(obj, name) for name in labels]
-        return cls(*rates, beta=rates[labels.index(obj["chosen"])], chosen=obj["chosen"])
+        rates = [None if obj[name] is None else _parse_named(obj, name).as_integer_ratio() for name in RATES]
+        return cls(tuple(rates), obj["chosen"])
 
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """Snapshot of one iteration, taken just before its step executes."""
+    """Snapshot of one iteration, taken just before its step executes.
+
+    `spend`, `hat` and `price` are the numerators over `den` of `min_spend`, `max_hat` (the
+    violation level) and `min_price`, which are built as `Fraction`s on read.  The four
+    integers are reduced jointly on construction, so equal events have equal fields.
+    """
 
     k: int
     step: int
@@ -117,9 +143,19 @@ class TraceEvent:
     a: int | None
     b: int | None
     potential: tuple[int, ...]
-    min_spend: Fraction
-    max_hat: Fraction
-    min_price: Fraction
+    spend: int
+    hat: int
+    price: int
+    den: int
+
+    def __post_init__(self) -> None:
+        if (common := gcd(self.spend, self.hat, self.price, self.den)) > 1:
+            for name in ("spend", "hat", "price", "den"):
+                object.__setattr__(self, name, getattr(self, name) // common)
+
+    min_spend = property(lambda self: Fraction(self.spend, self.den))
+    max_hat = property(lambda self: Fraction(self.hat, self.den))
+    min_price = property(lambda self: Fraction(self.price, self.den))
 
     def to_json_dict(self) -> dict:
         """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
@@ -129,9 +165,9 @@ class TraceEvent:
             "beta": None if self.beta is None else self.beta.to_json_dict(),
             "k": self.k,
             "kind": self.kind,
-            "max_hat": str(self.max_hat),
-            "min_price": str(self.min_price),
-            "min_spend": str(self.min_spend),
+            "max_hat": _text(self.hat, self.den),
+            "min_price": _text(self.price, self.den),
+            "min_spend": _text(self.spend, self.den),
             "path": None if self.path is None else list(self.path),
             "potential": list(self.potential),
             "step": self.step,
@@ -143,7 +179,7 @@ class TraceEvent:
 
         Checks the record's shape only; `audit_trace` checks what its values mean.
         """
-        names = [f.name for f in fields(cls)]
+        names = [f.name for f in fields(cls)][:8] + ["min_spend", "max_hat", "min_price"]
         if not isinstance(obj, dict) or obj.keys() != set(names):
             raise InvalidInputError(f"a trace event needs exactly the keys {', '.join(names)}")
         shapes = dict(k=int, step=int, a=int, b=int, kind=str, path=list, potential=list)
@@ -154,10 +190,11 @@ class TraceEvent:
             if not ok and not (value is None and key in ("a", "b", "path")):
                 what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
                 raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
-        rationals = {key: _parse_named(obj, key) for key in ("min_spend", "max_hat", "min_price")}
+        nums, den = _common_denominator(_parse_named(obj, key) for key in names[8:])
         beta = None if obj["beta"] is None else BetaBreakdown.from_json_dict(obj["beta"])
         path = None if obj["path"] is None else tuple(obj["path"])
-        return cls(**dict(obj, **rationals, beta=beta, path=path, potential=tuple(obj["potential"])))
+        values = dict(obj, beta=beta, path=path, potential=tuple(obj["potential"]))
+        return cls(*map(values.get, names[:8]), *nums, den)
 
 
 @dataclass
@@ -361,21 +398,16 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     reach_hat = max((hats[j] for j in reach.agents), default=0)
     b2 = (max_hat, reach_hat) if reach_hat > 0 else None
     b3 = (max_hat, state.spends[k]) if state.spends[k] > 0 else None
-    rates = {"b1": b1, "b2": b2, "b3": b3}
-    chosen, beta = "", None
-    for name in ("b3", "b2", "b1"):  # the smallest finite rate, b3 and then b2 first on ties
-        if below(rates[name], beta):
-            chosen, beta = name, rates[name]
+    chosen, beta = "", None  # the smallest finite rate, b3 and then b2 first on ties
+    for name, rate in (("b3", b3), ("b2", b2), ("b1", b1)):
+        if below(rate, beta):
+            chosen, beta = name, rate
     if beta is None:
         raise InternalInvariantError("no finite price-rise rate exists")
-    fracs = {name: None if r is None else Fraction(*r) for name, r in rates.items()}
-    edges = () if below(beta, b1) else tuple(b1_edges)
-    return BetaBreakdown(fracs["b1"], fracs["b2"], fracs["b3"], fracs[chosen], chosen, edges)
+    return BetaBreakdown((b1, b2, b3), chosen, () if below(beta, b1) else tuple(b1_edges))
 
 
-def apply_price_rise(
-    state: EngineState, reach: Reachability, betas: BetaBreakdown
-) -> None:
+def apply_price_rise(state: EngineState, reach: Reachability, betas: BetaBreakdown) -> None:
     """Multiply the prices of exactly the reachable goods by the chosen rate.
 
     The allocation is untouched; the maximum drop-one bundle price must not
@@ -385,7 +417,7 @@ def apply_price_rise(
     the reachable goods.  With the rate p/q, `den` and the other numerators
     multiply by q, the reachable ones by p, and their one gcd reduces them.
     """
-    up, down = betas.beta.numerator, betas.beta.denominator
+    up, down = betas.pair(betas.chosen)
     if up <= down:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {betas.beta}")
     nums, den = state.nums, state.den
@@ -404,9 +436,9 @@ def apply_price_rise(
             state.mbb[i] -= reach.goods
             if not state.mbb[i]:
                 stranded.append(i)
-    ratios = best_ratios(state.rows, stranded, state.joined, state.nums)
-    for i, (_, _, edges) in zip(stranded, ratios):
-        state.mbb[i] = set(edges)
+    if stranded:  # list the joined goods only for agents whose edges need a rebuild
+        for i, (_, _, edges) in zip(stranded, best_ratios(state.rows, stranded, state.joined, state.nums)):
+            state.mbb[i] = set(edges)
     for j, g in betas.b1_edges:
         state.mbb[j].add(g)
 
@@ -522,11 +554,10 @@ def _check_state(state: EngineState) -> None:
     spends, k, min_spend, max_hat = state.spends, state.k, min(state.spends), max(hats)
     level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
     if steps:
-        start = events[-1].max_hat  # the level the step started from
-        level, scale = start.numerator, start.denominator
+        level, scale = events[-1].hat, events[-1].den  # the level the step started from
         if events[-1].kind == "price_rise" and max_hat * scale != level * den:
             raise InternalInvariantError(
-                f"price rise moved the violation level: {start} -> {Fraction(max_hat, den)}"
+                f"price rise moved the violation level: {events[-1].max_hat} -> {Fraction(max_hat, den)}"
             )
         if max_hat * scale > level * den:
             raise InternalInvariantError("transfer raised the violation level")
@@ -572,17 +603,9 @@ def step(state: EngineState) -> TraceEvent | None:
         apply_price_rise(state, reach, betas)
 
     event = TraceEvent(
-        k=na,
-        step=stats.iterations + 1,
-        kind="price_rise" if path is None else "transfer",
-        beta=betas,
-        path=path,
-        a=a,
-        b=b,
-        potential=potential,
-        min_spend=Fraction(min_spend, den),
-        max_hat=Fraction(max_hat, den),
-        min_price=Fraction(min_price, den),
+        k=na, step=stats.iterations + 1, kind="price_rise" if path is None else "transfer",
+        beta=betas, path=path, a=a, b=b, potential=potential,
+        spend=min_spend, hat=max_hat, price=min_price, den=den,
     )
     state.trace.events.append(event)
     stats.iterations += 1
@@ -610,10 +633,7 @@ def find_solution(state: EngineState) -> EngineState:
 
 
 def solve(
-    inst: Instance,
-    *,
-    order: Sequence[int] | None = None,
-    check: bool = True,
+    inst: Instance, *, order: Sequence[int] | None = None, check: bool = True
 ) -> tuple[Solution, SolveTrace]:
     """Compute an EF1 and fractionally Pareto optimal solution for `inst`.
 
@@ -631,9 +651,7 @@ def solve(
     if core is None:
         return denormalize(Solution(Allocation(()), ()), rec), SolveTrace()
     if not check_hall(core):
-        raise HallViolationError(
-            "some agent set values fewer goods than its size; instance rejected"
-        )
+        raise HallViolationError("some agent set values fewer goods than its size; instance rejected")
     if order is not None:
         # Add the kept agents in `order`: reorder the core and the record that re-embeds it.
         rows = dict(zip(rec.kept_agents, core.valuations))

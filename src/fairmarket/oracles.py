@@ -27,7 +27,7 @@ from .core import (
     is_pef1,
     normalize_instance,
 )
-from .engine import TraceEvent, iteration_bound
+from .engine import RATES, TraceEvent, iteration_bound
 from .market import MbbGraph
 
 DEFAULT_BRUTE_CAP = 10_000_000
@@ -120,9 +120,7 @@ def _most(shares: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
     return _suffix_sums([[max(column) for column in zip(*shares)]], order)[0]
 
 
-def brute_force_po(
-    inst: Instance, alloc: Allocation, cap: int | None = None
-) -> bool | None:
+def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) -> bool | None:
     """Exhaustive integral Pareto check; None when the state space exceeds `cap`.
 
     Searches for any allocation giving every agent at least its current
@@ -194,9 +192,7 @@ def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     return Fraction(product, den)
 
 
-def brute_force_mnw(
-    inst: Instance, cap: int | None = None
-) -> tuple[Fraction, Allocation] | None:
+def brute_force_mnw(inst: Instance, cap: int | None = None) -> tuple[Fraction, Allocation] | None:
     """Maximum value-product over all integral allocations, with one maximizer.
 
     Enumerates assignments in lexicographic order (good 0 outermost) and
@@ -294,9 +290,7 @@ def _nsw_bound(
     return product, result[0], product >= NSW_FLOOR**inst.n * result[0]
 
 
-def check_nsw_ratio(
-    inst: Instance, alloc: Allocation, cap: int | None = None
-) -> bool | None:
+def check_nsw_ratio(inst: Instance, alloc: Allocation, cap: int | None = None) -> bool | None:
     """Exact-rational welfare bound: value product within NSW_FLOOR^n of optimal.
 
     None when the brute-force optimum is size-gated away.
@@ -373,12 +367,7 @@ def _core_projection(inst: Instance, sol: Solution) -> tuple[Instance, Solution 
     return core, Solution(Allocation(core_bundles), prices)
 
 
-def verify(
-    inst: Instance,
-    sol: Solution,
-    *,
-    brute_cap: int | None = None,
-) -> VerificationReport:
+def verify(inst: Instance, sol: Solution, *, brute_cap: int | None = None) -> VerificationReport:
     """Run every checker against a solution and aggregate the results.
 
     The price-level checks (pEF1 and the ratio certificate) are evaluated
@@ -389,23 +378,17 @@ def verify(
     sol.validate(inst)
     projection = _core_projection(inst, sol)
     if projection is None:
-        pef1 = True
-        mbb = True
+        pef1 = mbb = True
     else:
         core, core_sol = projection
         if core_sol is None:
-            pef1 = False
-            mbb = False
+            pef1 = mbb = False
         else:
             pef1 = is_pef1(core_sol)
-            mbb = all(p > 0 for p in core_sol.prices) and check_mbb_consistency(
-                core, core_sol
-            )
+            mbb = all(p > 0 for p in core_sol.prices) and check_mbb_consistency(core, core_sol)
     ef1 = check_ef1(inst, sol.allocation)
     if pef1 and mbb and not ef1:
-        raise InternalInvariantError(
-            "price certificate holds but EF1 fails; a checker is broken"
-        )
+        raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")
     po = brute_force_po(inst, sol.allocation, brute_cap)
     product, mnw_product, ratio_ok = _nsw_bound(inst, sol.allocation, brute_cap)
     return VerificationReport(
@@ -443,62 +426,61 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
     for k, call in groupby(events, key=attrgetter("k")):
         previous: TraceEvent | None = None
         for ev in call:
-            tag = f"call k={k} step {ev.step}"
-            if ev.min_price <= 0:
-                problems.append(f"{tag}: price floor {ev.min_price} not positive")
-            if ev.min_spend >= ev.max_hat:
-                problems.append(f"{tag}: stepped although already fair")
+            found = []  # the event's findings; its tag is built only when there are some
+            # Levels and floors share the event's positive `den`; rates are pairs (p, q), q > 0.
+            if ev.price <= 0:
+                found.append(f"price floor {ev.min_price} not positive")
+            if ev.spend >= ev.hat:
+                found.append("stepped although already fair")
             if len(ev.potential) != k + 2:
-                problems.append(f"{tag}: potential has wrong arity")
+                found.append("potential has wrong arity")
             if sum(ev.potential[:-1]) > total_goods:
-                problems.append(f"{tag}: potential counts more goods than exist")
+                found.append("potential counts more goods than exist")
 
             if ev.kind == "price_rise":
                 beta = ev.beta
                 if beta is None:
-                    problems.append(f"{tag}: price rise without rates")
+                    found.append("price rise without rates")
                 else:
-                    named = {"b1": beta.b1, "b2": beta.b2, "b3": beta.b3}
-                    rates = [rate for rate in named.values() if rate is not None]
-                    if not rates:
-                        problems.append(f"{tag}: all rise rates infinite")
+                    least = None  # (name, p, q) of the smallest finite rate, b3 and then b2 first on ties
+                    for name, rate in reversed([*zip(RATES, beta.rates)]):
+                        if rate is not None and (least is None or rate[0] * least[2] < least[1] * rate[1]):
+                            least = (name, *rate)
+                    if least is None:
+                        found.append("all rise rates infinite")
                     else:
-                        chosen_value = min(rates)
-                        if chosen_value <= 1:
-                            problems.append(f"{tag}: rise rate {chosen_value} not above 1")
-                        expected = next(
-                            name for name in ("b3", "b2", "b1") if named[name] == chosen_value
-                        )
-                        if beta.chosen != expected:
-                            problems.append(f"{tag}: chosen rate label mismatch")
-                    for name, rate in named.items():
-                        if rate is not None and rate <= 1:
-                            problems.append(f"{tag}: candidate rate {name} not above 1")
+                        if least[1] <= least[2]:
+                            found.append(f"rise rate {Fraction(*least[1:])} not above 1")
+                        if beta.chosen != least[0]:
+                            found.append("chosen rate label mismatch")
+                    for name, rate in zip(RATES, beta.rates):
+                        if rate is not None and rate[0] <= rate[1]:
+                            found.append(f"candidate rate {name} not above 1")
             elif ev.kind == "transfer":
                 path = ev.path
                 if path is None or len(path) < 3 or len(path) % 2 == 0:
-                    problems.append(f"{tag}: malformed transfer path")
+                    found.append("malformed transfer path")
                 if ev.a is None or not 1 <= ev.a <= len(path or ()) // 2:
-                    problems.append(f"{tag}: bad release index")
+                    found.append("bad release index")
                 elif ev.b is None or not 0 <= ev.b < ev.a:
-                    problems.append(f"{tag}: bad absorb index")
+                    found.append("bad absorb index")
             else:
-                problems.append(f"{tag}: unknown event kind {ev.kind!r}")
+                found.append(f"unknown event kind {ev.kind!r}")
 
             if previous is None:
                 if ev.step != 1:
-                    problems.append(f"{tag}: call does not start at step 1")
+                    found.append("call does not start at step 1")
             else:
                 if ev.step != previous.step + 1:
-                    problems.append(f"{tag}: step numbering gap")
+                    found.append("step numbering gap")
                 if not previous.potential < ev.potential:
-                    problems.append(
-                        f"{tag}: potential did not grow: {previous.potential} -> {ev.potential}"
-                    )
-                if previous.kind == "price_rise" and ev.max_hat != previous.max_hat:
-                    problems.append(f"{tag}: price rise moved the violation level")
-                if ev.max_hat > previous.max_hat:
-                    problems.append(f"{tag}: violation level increased")
+                    found.append(f"potential did not grow: {previous.potential} -> {ev.potential}")
+                level, start = ev.hat * previous.den, previous.hat * ev.den
+                if previous.kind == "price_rise" and level != start:
+                    found.append("price rise moved the violation level")
+                if level > start:
+                    found.append("violation level increased")
+            problems += [f"call k={k} step {ev.step}: {text}" for text in found]
             previous = ev
         # A call's last step is its iteration count.
         if ev.step > iteration_bound(k, total_goods):

@@ -146,7 +146,7 @@ def test_price_rise_rejects_rate_at_most_one(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
     rates = compute_betas(state, reach)
-    bogus = type(rates)(rates.b1, rates.b2, rates.b3, F(1), "b3")
+    bogus = BetaBreakdown((*rates.rates[:2], (1, 1)), "b3")  # the chosen rate reads 1
     with pytest.raises(InternalInvariantError):
         apply_price_rise(state, reach, bogus)
 
@@ -157,7 +157,7 @@ def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
     state = EngineState.from_solution(inst, [[0], [], [1]], [F(1), F(1)])
     reach = reach_from(state, [2])
     assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
-    apply_price_rise(state, reach, BetaBreakdown(None, None, F(3), F(3), "b3"))
+    apply_price_rise(state, reach, BetaBreakdown((None, None, (3, 1)), "b3"))
     assert state.mbb == [{0}, {0}, {1}]
 
 
@@ -189,7 +189,7 @@ def test_price_rise_reduces_like_the_plain_gcd_fold(nums, den, reached, rate):
     state = EngineState.from_solution(Instance.from_values([[1] * m]), [range(m)], [F(1)] * m)
     state.nums, state.den = nums, den
     reach = Reachability(frozenset(), frozenset(g for g in reached if g < m), {0: 1})
-    apply_price_rise(state, reach, BetaBreakdown(None, None, F(up, down), F(up, down), "b3"))
+    apply_price_rise(state, reach, BetaBreakdown((None, None, (up, down)), "b3"))
     scaled = [num * (up if g in reach.goods else down) for g, num in enumerate(nums)]
     plain = gcd(den * down, *scaled)
     assert state.nums == [num // plain for num in scaled]
@@ -393,6 +393,41 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
         find_solution(state)
         assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
         assert len(state.trace.events) == 3
+
+
+def test_step_builds_no_fraction(monkeypatch):
+    # Every rational a step computes or records stays an integer; a `Fraction` is
+    # built only when a caller reads one.  Counts constructions through the engine's
+    # `Fraction` name while `step` is on the stack, with the online checks on and off.
+    from fairmarket import engine
+    from fairmarket.cli import generate_instance
+
+    built = {"in step": 0, "elsewhere": 0}
+    depth = []  # one entry per `step` call on the stack
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built["in step" if depth else "elsewhere"] += 1
+            return super().__new__(cls, *args, **kwargs)
+
+    def counted_step(state):
+        depth.append(state)
+        try:
+            return real_step(state)
+        finally:
+            depth.pop()
+
+    real_step = engine.step
+    monkeypatch.setattr(engine, "Fraction", CountingFraction)
+    monkeypatch.setattr(engine, "step", counted_step)
+    kinds = set()
+    for seed in range(5):
+        for check in (True, False):
+            _, trace = solve(generate_instance(4, 10, 9, seed), check=check)
+            kinds.update(ev.kind if ev.beta is None else ev.beta.chosen for ev in trace.events)
+    assert kinds == {"transfer", "b1", "b2", "b3"}
+    assert built["elsewhere"] > 0  # the counter sees the engine's constructions, e.g. the prices
+    assert built["in step"] == 0
 
 
 def test_step_counts_into_the_open_call_of_the_newest_agent(demo_instance):
@@ -671,7 +706,7 @@ def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkey
         if b.b2 is None or (b.b1 is not None and b.b1 <= b.b2):
             return b
         beta = b.b2 * 2 if b.b1 is None else (b.b2 + b.b1) / 2
-        return BetaBreakdown(b.b1, b.b2, b.b3, beta, "b2")
+        return BetaBreakdown((b.pair("b1"), beta.as_integer_ratio(), b.pair("b3")), "b2")
 
     monkeypatch.setattr(engine, "compute_betas", overshoot)
     with pytest.raises(InternalInvariantError, match="moved the violation level"):

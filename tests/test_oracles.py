@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fairmarket import (
     Allocation,
@@ -23,7 +25,7 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.engine import TraceEvent
+from fairmarket.engine import BetaBreakdown, TraceEvent
 from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare
 
 from reference import alphas, bang_per_buck, check_ef1_literal
@@ -594,6 +596,50 @@ def test_every_trace_event_parses_back_equal_to_itself():
     assert seen == {"transfer", "b1", "b2", "b3"}
 
 
+# Positive integers of up to about 4000 digits: small primes times one of a few
+# factors, so numerators often share factors with the denominator.
+shared = st.builds(
+    lambda twos, threes, factor: 2**twos * 3**threes * factor,
+    st.integers(0, 30),
+    st.integers(0, 20),
+    st.sampled_from([1, 5, 7, 10**3999 + 1, 3**8000]),
+)
+
+
+def integer_event(spend: int, hat: int, price: int, den: int, rate: tuple[int, int]) -> TraceEvent:
+    """A price-rise event with the given integers and rate b2."""
+    beta = BetaBreakdown((None, rate, None), "b2")
+    return TraceEvent(2, 1, "price_rise", beta, None, None, None, (0, 2, 1, 1), spend, hat, price, den)
+
+
+@given(
+    spend=st.one_of(st.just(0), shared),
+    hat=shared,
+    price=shared,
+    den=shared,
+    rate=st.tuples(shared, shared),
+    scale=st.one_of(st.integers(2, 10**6), shared),
+)
+@example(spend=0, hat=3, price=1, den=1, rate=(5, 4), scale=2)
+@example(spend=6, hat=9, price=12, den=3, rate=(6, 4), scale=1)
+@example(spend=2**13288, hat=3**8000, price=7, den=6**4000, rate=(10**3999 + 1, 3), scale=10**3999 + 1)
+def test_trace_events_store_reduced_integers(spend, hat, price, den, rate, scale):
+    event = integer_event(spend, hat, price, den, rate)
+    # The writer gives each rational the bytes of `str(Fraction)`, and a read builds that `Fraction`.
+    record = event.to_json_dict()
+    levels = {"min_spend": spend, "max_hat": hat, "min_price": price}
+    assert {key: record[key] for key in levels} == {key: str(F(num, den)) for key, num in levels.items()}
+    assert {key: getattr(event, key) for key in levels} == {key: F(num, den) for key, num in levels.items()}
+    assert record["beta"]["b2"] == str(F(*rate)) and event.beta.beta == event.beta.b2 == F(*rate)
+    # The same values over a multiple of the denominator make an equal event.
+    scaled_rate = (rate[0] * scale, rate[1] * scale)
+    scaled = integer_event(spend * scale, hat * scale, price * scale, den * scale, scaled_rate)
+    assert scaled == event and hash(scaled) == hash(event)
+    # So does the event parsed back from its JSON text.
+    back = round_trip(event)
+    assert back == event and hash(back) == hash(event)
+
+
 def test_trace_records_emit_their_keys_sorted():
     # The CLI writes each record with a plain `json.dumps`, so this order is the file's.
     for seed in range(5):
@@ -614,8 +660,8 @@ TYPED_TAMPERS = {
     },
     "path": lambda evs: {1: replace(evs[1], path=evs[1].path[:-1])},
     "potential": lambda evs: {2: replace(evs[2], potential=evs[1].potential)},
-    "max_hat": lambda evs: {3: replace(evs[3], max_hat=2 * evs[3].max_hat)},
-    "min_price": lambda evs: {2: replace(evs[2], min_price=F(0))},
+    "max_hat": lambda evs: {3: replace(evs[3], hat=2 * evs[3].hat)},
+    "min_price": lambda evs: {2: replace(evs[2], price=0)},
 }
 
 
