@@ -1,4 +1,4 @@
-"""Command-line interface: solve, verify, gen, and bench.
+"""Command-line interface: solve, verify, and gen.
 
 Exit codes: 0 success, 1 invalid input, 2 matching-condition violation,
 3 internal invariant breach, 4 verification found a failing check.
@@ -7,11 +7,9 @@ Exit codes: 0 success, 1 invalid input, 2 matching-condition violation,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
-import time
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
@@ -24,7 +22,7 @@ from .core import (
     Solution,
 )
 from .engine import solve
-from .oracles import _nsw_bound, verify
+from .oracles import verify
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -128,6 +126,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if (args.brute_cap or 0) < 0:  # exit 1 here, not argparse's exit 2
+        raise InvalidInputError("--brute-cap must be at least 0")
     inst = load_json(args.instance, Instance.from_json_dict)
     solution = load_json(args.solution, Solution.from_json_dict)
     report = verify(inst, solution, brute_cap=args.brute_cap)
@@ -143,72 +143,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     inst = generate_instance(args.n, args.m, args.max, args.seed)
     _write_text(args.output, json.dumps(inst.to_json_dict(), sort_keys=True))
-    return EXIT_OK
-
-
-def _bench_one(inst: Instance, label: dict, cap: int | None) -> dict:
-    started = time.perf_counter()
-    solution, trace = solve(inst)
-    elapsed = time.perf_counter() - started
-    row = dict(label)
-    row.update(
-        {
-            "n": inst.n,
-            "m": inst.m,
-            "iterations_per_call": [c.iterations for c in trace.calls],
-            "total_iterations": trace.total_iterations,
-            "bound_ratio_max": max(
-                (float(c.iterations / c.bound) for c in trace.calls if c.bound > 0),
-                default=0.0,
-            ),
-            "wall_time_s": round(elapsed, 6),
-        }
-    )
-    product, optimum, _ = _nsw_bound(inst, solution.allocation, cap)
-    row["nsw_ratio"] = float(product / optimum) if optimum else None
-    return row
-
-
-def _bench_cells(spec: object) -> tuple[list[tuple[int, int, int, int]], list[str]]:
-    """A bench spec's (n, m, max_value, seed) cells, in run order, and its instance paths."""
-    try:
-        cells = [
-            (run["n"], m, run.get("max_value", 10), seed)
-            for run in spec.get("runs", [])
-            for m in (run["m"] if isinstance(run["m"], list) else [run["m"]])
-            for seed in run.get("seeds", [0])
-        ]
-        paths = spec.get("instances", [])
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed bench spec: {exc!r}") from None
-    if not all(type(x) is int for cell in cells for x in cell):
-        raise InvalidInputError("bench spec 'n', 'm', 'max_value' and 'seeds' must be integers")
-    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
-        raise InvalidInputError("bench spec 'instances' must be a list of file paths")
-    return cells, paths
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cells, paths = load_json(args.spec, _bench_cells)
-    rows = []
-    for n, m, max_value, seed in cells:
-        rows.append(_bench_one(generate_instance(n, m, max_value, seed), {"seed": seed}, args.brute_cap))
-    for path in paths:
-        rows.append(_bench_one(load_json(path, Instance.from_json_dict), {"path": path}, args.brute_cap))
-    if args.output is not None and args.output.endswith(".csv"):
-        fields = [
-            "n", "m", "seed", "path", "iterations_per_call", "total_iterations",
-            "bound_ratio_max", "wall_time_s", "nsw_ratio",
-        ]
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in rows:
-                flat = dict(row)
-                flat["iterations_per_call"] = ";".join(map(str, row["iterations_per_call"]))
-                writer.writerow({f: flat.get(f, "") for f in fields})
-    else:
-        _write_text(args.output, json.dumps({"rows": rows}, sort_keys=True))
     return EXIT_OK
 
 
@@ -249,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", help="instance JSON path (default: stdout)")
     p_gen.set_defaults(run=cmd_gen)
 
-    p_bench = sub.add_parser("bench", help="benchmark iteration counts and welfare ratios")
-    p_bench.add_argument("--spec", required=True, help="bench specification JSON path")
-    p_bench.add_argument("-o", "--output", help="report path (.json or .csv; default stdout)")
-    p_bench.add_argument("--brute-cap", type=int, help="state cap for the welfare oracle")
-    p_bench.set_defaults(run=cmd_bench)
-
     return parser
 
 
@@ -262,8 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; its errors exit with their code and one JSON line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        if (getattr(args, "brute_cap", None) or 0) < 0:  # exit 1 here, not argparse's exit 2
-            raise InvalidInputError("--brute-cap must be at least 0")
         return args.run(args)
     except InvalidInputError as exc:
         return _fail(EXIT_INVALID_INPUT, "invalid-input", str(exc))

@@ -204,8 +204,6 @@ class CallStats:
     agent_count: int
     bound: Fraction
     iterations: int = 0
-    transfers: int = 0
-    price_rises: int = 0
 
 
 class SolveTrace:
@@ -219,10 +217,6 @@ class SolveTrace:
         stats = CallStats(agent_count=agent_count, bound=bound)
         self.calls.append(stats)
         return stats
-
-    @property
-    def total_iterations(self) -> int:
-        return sum(c.iterations for c in self.calls)
 
     def iter_json_dicts(self) -> Iterable[dict]:
         return map(TraceEvent.to_json_dict, self.events)
@@ -516,9 +510,11 @@ def _check_state(state: EngineState) -> None:
     price part is rebuilt only when the agent count or the prices differ in
     value from the last audit's, so not after a transfer.  The step's event
     holds the level it started from: a rise keeps it, a transfer does not
-    raise it, and every agent but the newest spends at least it.  While
-    unfair, the newest agent alone spends least and 1 to n-1 agents are
-    maximum violators.  The potential grew over the call's previous event.
+    raise it, and every agent but the newest spends at least it, so no
+    other agent spends least while the state is unfair.  While unfair, 1 to
+    n-1 agents are maximum violators: the rebuild runs the same drop-one
+    kernel, so only this count catches one that prices a hat above its
+    spend.  The potential grew over the call's previous event.
     """
     nums, den, hats = state.nums, state.den, state.hats
     if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
@@ -562,9 +558,6 @@ def _check_state(state: EngineState) -> None:
         if max_hat * scale > level * den:
             raise InternalInvariantError("transfer raised the violation level")
     if min_spend < max_hat:
-        lowest = [i for i, spend in enumerate(spends) if spend == min_spend]
-        if lowest != [k]:
-            raise InternalInvariantError(f"minimum spenders {lowest} should be exactly the newest agent {k}")
         if not 1 <= (violators := hats.count(max_hat)) <= state.num_agents - 1:
             raise InternalInvariantError(f"violator count {violators} out of range")
     for i, spend in enumerate(spends):
@@ -609,8 +602,6 @@ def step(state: EngineState) -> TraceEvent | None:
     )
     state.trace.events.append(event)
     stats.iterations += 1
-    stats.transfers += path is not None
-    stats.price_rises += path is None
     if state.check:
         _check_state(state)
     return event

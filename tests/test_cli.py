@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from fairmarket import Instance, Solution, check_hall, normalize_instance, solve
 from fairmarket.cli import build_parser, generate_instance, main
+from fairmarket.engine import iteration_bound
 
 DEMO = {
     "agents": 3,
@@ -99,13 +101,7 @@ def test_input_past_the_int_digit_limit_exits_cleanly(tmp_path, capsys):
     inst_path.write_text(f'{{"agents": 1, "goods": 1, "valuations": [[{huge}]]}}')
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(json.dumps({"bundles": [[0]], "prices": ["1"]}))
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(f'{{"runs": [], "instances": [], "pad": {huge}}}')
-    for argv in (
-        ["solve", str(inst_path)],
-        ["verify", str(inst_path), str(sol_path)],
-        ["bench", "--spec", str(spec_path)],
-    ):
+    for argv in (["solve", str(inst_path)], ["verify", str(inst_path), str(sol_path)]):
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
@@ -299,15 +295,13 @@ def test_verify_brute_cap_flag(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["brute_po"] == "skipped" and report["mnw_product"] == "skipped"
 
-@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("command", ["verify"])  # the one command with a --brute-cap
 def test_negative_brute_cap_is_invalid_input(tmp_path, capsys, command):
     inst_path = write_demo(tmp_path)
-    sol_path, spec_path = tmp_path / "sol.json", tmp_path / "spec.json"
+    sol_path = tmp_path / "sol.json"
     assert main(["solve", inst_path, "-o", str(sol_path)]) == 0
-    spec_path.write_text(json.dumps({"runs": [{"n": 2, "m": 2}]}))
     capsys.readouterr()
-    args = [inst_path, str(sol_path)] if command == "verify" else ["--spec", str(spec_path)]
-    assert main([command, *args, "--brute-cap", "-5"]) == 1
+    assert main([command, inst_path, str(sol_path), "--brute-cap", "-5"]) == 1
     out, err = capsys.readouterr()
     lines = err.strip().splitlines()
     assert out == "" and len(lines) == 1 and json.loads(lines[0])["error"] == "invalid-input"
@@ -355,23 +349,35 @@ def test_verify_rejects_mismatched_solution(tmp_path):
     assert main(["verify", inst_path, str(bad_path)]) == 1
 
 # ---------------------------------------------------------------------------
-# bench
+# sweeps
 
-def test_bench_report(tmp_path):
-    spec = {"runs": [{"n": 2, "m": [2, 4], "max_value": 6, "seeds": [0, 1]}]}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    report_path = tmp_path / "report.json"
-    assert main(["bench", "--spec", str(spec_path), "-o", str(report_path)]) == 0
-    report = json.loads(report_path.read_text())
-    assert len(report["rows"]) == 4
-    for row in report["rows"]:
-        assert row["bound_ratio_max"] <= 1.0
-        assert row["total_iterations"] == sum(row["iterations_per_call"])
-        assert row["nsw_ratio"] is None or row["nsw_ratio"] >= 0.6922
+def test_bench_command_is_gone(capsys):
+    # Sweeps run gen, solve --trace and verify; argparse rejects the old command.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--spec", "spec.json"])
+    assert exc.value.code == 2 and "invalid choice: 'bench'" in capsys.readouterr().err
 
-def test_bench_rows_match_the_unseeded_welfare_search(tmp_path, monkeypatch):
-    # bench seeds its welfare search with the solve's allocation; the rows stay as before.
+def sweep_figures(instance: dict, trace_lines: list[str], report: dict) -> dict:
+    """A sweep cell's figures, derived from its files as README "Sweeps" says."""
+    valued = [[Fraction(v) > 0 for v in row] for row in instance["valuations"]]
+    calls, core_goods = sum(map(any, valued)), sum(map(any, zip(*valued)))
+    steps = {}
+    for line in trace_lines:
+        event = json.loads(line)
+        steps[event["k"]] = max(steps.get(event["k"], 0), event["step"])
+    nsw, mnw = report["nsw_product"], report["mnw_product"]
+    return {
+        "iterations_per_call": [steps.get(k, 0) for k in range(1, calls + 1)],
+        "total_iterations": len(trace_lines),
+        "bound_ratio_max": max(
+            (float(s / iteration_bound(k, core_goods)) for k, s in steps.items() if k > 1), default=0.0
+        ),
+        "nsw_ratio": None if mnw in ("skipped", "0") else float(Fraction(nsw) / Fraction(mnw)),
+    }
+
+def test_sweep_recipe_gives_the_library_figures(tmp_path, capsys, monkeypatch):
+    # gen, solve --trace and verify per cell; verify seeds its welfare search with the
+    # certified allocation, and the figures match the library's unseeded search.
     from fairmarket import brute_force_mnw, nash_product, oracles
 
     search, incumbents = oracles._max_nash_welfare, []
@@ -381,73 +387,36 @@ def test_bench_rows_match_the_unseeded_welfare_search(tmp_path, monkeypatch):
         return search(inst, cap, incumbent)
 
     monkeypatch.setattr(oracles, "_max_nash_welfare", spy)
-    spec = {"runs": [{"n": 3, "m": [3, 5, 6], "max_value": 4, "seeds": [0, 1, 2]}]}
-    spec_path, report_path = tmp_path / "spec.json", tmp_path / "report.json"
-    spec_path.write_text(json.dumps(spec))
-    assert main(["bench", "--spec", str(spec_path), "-o", str(report_path)]) == 0
-    rows = json.loads(report_path.read_text())["rows"]
-    cells = [(m, seed) for m in (3, 5, 6) for seed in (0, 1, 2)]
-    assert len(rows) == len(incumbents) == len(cells)
-    for row, incumbent, (m, seed) in zip(rows, incumbents, cells):
-        inst = generate_instance(3, m, 4, seed)
-        sol, trace = solve(inst)
-        optimum, _ = brute_force_mnw(inst)
-        assert incumbent == sol.allocation
-        del row["wall_time_s"]
-        assert row == {
-            "seed": seed,
-            "n": 3,
-            "m": m,
-            "iterations_per_call": [c.iterations for c in trace.calls],
-            "total_iterations": trace.total_iterations,
-            "bound_ratio_max": max(float(c.iterations / c.bound) for c in trace.calls[1:]),
-            "nsw_ratio": float(nash_product(inst, sol.allocation) / optimum),
-        }
+    for m in (3, 5, 6):
+        for seed in (0, 1, 2):
+            inst = generate_instance(3, m, 4, seed)
+            sol, trace = solve(inst)
+            core_goods = normalize_instance(inst)[0].m
+            optimum, _ = brute_force_mnw(inst)
+            iterations = [c.iterations for c in trace.calls]
 
-
-def test_bench_single_agent_rows_never_iterate(tmp_path):
-    spec = {"runs": [{"n": 1, "m": [1, 3, 5], "max_value": 4, "seeds": [0]}]}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    report_path = tmp_path / "report.json"
-    assert main(["bench", "--spec", str(spec_path), "-o", str(report_path)]) == 0
-    for row in json.loads(report_path.read_text())["rows"]:
-        assert row["total_iterations"] == 0
-
-def test_bench_csv_and_instance_paths(tmp_path):
-    inst_path = write_demo(tmp_path)
-    spec = {"instances": [inst_path]}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    report_path = tmp_path / "report.csv"
-    assert main(["bench", "--spec", str(spec_path), "-o", str(report_path)]) == 0
-    text = report_path.read_text().splitlines()
-    assert text[0].startswith("n,m,")
-    assert len(text) == 2
-
-def test_bench_rejects_malformed_specs(tmp_path, capsys):
-    spec_path = tmp_path / "spec.json"
-    for spec in (
-        {"runs": [{}]},
-        {"runs": [{"n": "x", "m": 5}]},
-        [1],
-        {"runs": [{"n": 2, "m": 5, "seeds": 3}]},
-        {"runs": [{"n": True, "m": 5}]},
-        {"runs": [{"n": 2, "m": [3, 4.5]}]},
-        {"runs": "n=2"},
-        {"instances": [5]},
-        {"instances": [0]},  # not a file descriptor: stdin stays open
-        {"instances": "inst.json"},
-    ):
-        spec_path.write_text(json.dumps(spec))
-        assert main(["bench", "--spec", str(spec_path)]) == 1, spec
-        captured = capsys.readouterr()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input", spec
-        assert captured.out == ""
+            cell = tmp_path / f"m{m}-s{seed}"
+            inst_path, sol_path, trace_path = (f"{cell}{ext}" for ext in (".json", ".sol.json", ".trace.jsonl"))
+            assert main(["gen", "-n", "3", "-m", str(m), "--max", "4", "--seed", str(seed), "-o", inst_path]) == 0
+            assert main(["solve", inst_path, "-o", sol_path, "--trace", trace_path]) == 0
+            capsys.readouterr()
+            incumbents.clear()
+            assert main(["verify", inst_path, sol_path]) == 0
+            assert incumbents == [sol.allocation]
+            report = json.loads(capsys.readouterr().out)
+            assert report["ok"] is True
+            trace_lines = Path(trace_path).read_text().splitlines()
+            assert sweep_figures(json.loads(Path(inst_path).read_text()), trace_lines, report) == {
+                "iterations_per_call": iterations,
+                "total_iterations": sum(iterations),
+                "bound_ratio_max": max(
+                    float(i / iteration_bound(k, core_goods)) for k, i in enumerate(iterations[1:], 2)
+                ),
+                "nsw_ratio": float(nash_product(inst, sol.allocation) / optimum),
+            }
 
 # ---------------------------------------------------------------------------
-# fuzzing solve, verify and bench with mutated documents
+# fuzzing solve and verify with mutated documents
 
 DEMO_SOLUTION = solve(Instance.from_json_dict(DEMO))[0].to_json_dict()
 
@@ -477,7 +446,6 @@ large_leaves = (
     | st.integers(4301, 4400).map(lambda k: "7" * k)
 )
 json_values = nested(small_leaves | st.integers() | large_leaves)
-small_values = nested(small_leaves)  # bench builds instances as large as its integers ask
 
 def _slots(node):
     """(container, key) for every value nested in a JSON document."""
@@ -490,7 +458,7 @@ def _slots(node):
         yield from _slots(node[key])
 
 @st.composite
-def mutated(draw, doc, values=json_values):
+def mutated(draw, doc):
     """`doc` with up to three values replaced, deleted or duplicated, or replaced whole."""
     root = [copy.deepcopy(doc)]
     for _ in range(draw(st.integers(1, 3))):
@@ -498,7 +466,7 @@ def mutated(draw, doc, values=json_values):
         container, key = draw(st.sampled_from(list(_slots(root))[::-1]))
         action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
         if action == "replace" or container is root:
-            container[key] = draw(st.integers(0, 12) | values)
+            container[key] = draw(st.integers(0, 12) | json_values)
         elif action == "delete":
             del container[key]
         elif isinstance(container, list):
@@ -530,20 +498,3 @@ def test_cli_exits_cleanly_on_mutated_documents(instance, solution):
             if code:
                 lines = err.splitlines()
                 assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
-
-BENCH_SPEC = {"runs": [{"n": 2, "m": [2, 3], "max_value": 4, "seeds": [0, 1]}], "instances": []}
-
-@settings(max_examples=40, deadline=None)
-@given(mutated(BENCH_SPEC, small_values), st.booleans())
-def test_bench_exits_cleanly_on_mutated_specs(spec, with_instance):
-    with tempfile.TemporaryDirectory() as tmp:
-        spec_path = Path(tmp, "spec.json")
-        if with_instance and isinstance(spec, dict) and isinstance(spec.get("instances"), list):
-            spec["instances"].append(write_demo(Path(tmp)))
-        spec_path.write_text(json.dumps(spec))
-        code, err = _run(["bench", "--spec", str(spec_path), "--brute-cap", "10000"])
-        assert 0 <= code <= 4
-        assert "Traceback" not in err
-        if code:
-            lines = err.splitlines()
-            assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
