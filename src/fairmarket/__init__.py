@@ -21,7 +21,7 @@ from .core import (
     normalize_instance,
 )
 from .engine import EngineState, SolveTrace, TraceEvent, find_solution, solve
-from .market import MbbGraph, Reachability, build_graph, reach_from
+from .market import MbbGraph, Reachability, reach_from
 from .oracles import (
     VerificationReport,
     audit_trace,
@@ -52,7 +52,6 @@ __all__ = [
     "TraceEvent",
     "VerificationReport",
     "audit_trace",
-    "build_graph",
     "brute_force_mnw",
     "brute_force_po",
     "check_ef1",

@@ -64,11 +64,16 @@ def _unlimited_digits():
 
 
 def _write_text(path: str | None, text: str) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+    """Write `text` to `path`, or to stdout if None, ending a non-empty text with a newline."""
+    if text and not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from None
 
 
 def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
@@ -110,18 +115,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
         _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
         if args.trace is not None:
-            lines = "".join(json.dumps(ev) + "\n" for ev in trace.iter_json_dicts())
-            Path(args.trace).write_text(lines, encoding="utf-8")
-        if args.dump_graph is not None:
-            from .market import build_graph, reach_from
-
-            dump = {"note": "zero-priced goods present; graph restricted to none"}
-            if all(p > 0 for p in solution.prices):
-                graph = build_graph(inst, solution)
-                dump = graph.as_dict()
-                levels = reach_from(graph, [inst.n - 1]).levels
-                dump["levels"] = {str(i): levels[i] for i in graph.agents}
-            Path(args.dump_graph).write_text(json.dumps(dump, sort_keys=True) + "\n", encoding="utf-8")
+            _write_text(args.trace, "".join(json.dumps(ev) + "\n" for ev in trace.iter_json_dicts()))
     return EXIT_OK
 
 
@@ -162,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="instance JSON path")
     p_solve.add_argument("-o", "--output", help="solution JSON path (default: stdout)")
     p_solve.add_argument("--trace", help="write the event trace as JSON lines")
-    p_solve.add_argument("--dump-graph", help="write the final ratio graph as JSON")
     p_solve.add_argument(
         "--order",
         help="agent insertion order as comma-separated original indices, e.g. 2,0,1",

@@ -10,7 +10,6 @@ shortest alternating paths over that graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -18,7 +17,6 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     Prices,
-    Solution,
     _common_denominator,
 )
 
@@ -71,10 +69,8 @@ class MbbGraph:
     """
 
     agents: tuple[int, ...]
-    goods: tuple[int, ...]
     mbb: dict[int, tuple[int, ...]]
     bundles: dict[int, frozenset[int]]
-    alphas: dict[int, Fraction]
 
     @classmethod
     def from_state(
@@ -87,31 +83,10 @@ class MbbGraph:
     ) -> "MbbGraph":
         """Graph of a state whose bundles partition `goods`, all priced (not re-checked)."""
         agents = tuple(sorted(agents))
-        goods = tuple(sorted(goods))
-        scaled, den = _common_denominator(prices)
-        ratios = best_ratios(split_valuations(inst), agents, goods, scaled)
-        alphas, mbb = {}, {}
-        for i, (v, p, attaining) in zip(agents, ratios):
-            alphas[i], mbb[i] = Fraction(v * den, p), tuple(attaining)
-        return cls(agents, goods, mbb, {i: frozenset(bundles[i]) for i in agents}, alphas)
-
-    def as_dict(self) -> dict:
-        """JSON-ready dump for debugging and test assertions."""
-        return {
-            "agents": list(self.agents),
-            "goods": list(self.goods),
-            "mbb_edges": [[i, g] for i in self.agents for g in self.mbb[i]],
-            "allocation_edges": sorted([g, i] for i in self.agents for g in self.bundles[i]),
-            "alphas": {str(i): str(self.alphas[i]) for i in self.agents},
-        }
-
-
-def build_graph(inst: Instance, sol: Solution) -> MbbGraph:
-    """Graph for a full-instance solution (every agent and good in play)."""
-    sol.validate(inst)
-    return MbbGraph.from_state(
-        inst, sol.allocation.bundles, sol.prices, range(inst.n), range(inst.m)
-    )
+        scaled, _ = _common_denominator(prices)
+        ratios = best_ratios(split_valuations(inst), agents, sorted(goods), scaled)
+        mbb = {i: tuple(attaining) for i, (_, _, attaining) in zip(agents, ratios)}
+        return cls(agents, mbb, {i: frozenset(bundles[i]) for i in agents})
 
 
 @dataclass(frozen=True)

@@ -145,13 +145,12 @@ def test_outputs_past_the_int_digit_limit_are_written(tmp_path, capsys):
         for _ in range(3)
     ]
     inst_path = write_demo(tmp_path, obj={"agents": 3, "goods": 6, "valuations": values})
-    sol, trace, graph = tmp_path / "sol.json", tmp_path / "trace.jsonl", tmp_path / "graph.json"
+    sol, trace = tmp_path / "sol.json", tmp_path / "trace.jsonl"
     limit = sys.get_int_max_str_digits()
-    argv = ["solve", inst_path, "-o", str(sol), "--trace", str(trace), "--dump-graph", str(graph)]
-    assert main(argv) == 0
+    assert main(["solve", inst_path, "-o", str(sol), "--trace", str(trace)]) == 0
     assert sys.get_int_max_str_digits() == limit  # restored, so input keeps the limit
     assert max(len(p) for p in json.loads(sol.read_text())["prices"]) > 4300
-    assert trace.read_text() and json.loads(graph.read_text())["levels"]
+    assert trace.read_text()
     capsys.readouterr()
     code = main(["verify", inst_path, str(sol)])  # the solution's own numbers exceed the limit
     out, err = capsys.readouterr()
@@ -181,6 +180,31 @@ def test_solve_trace_file_holds_each_record_with_sorted_keys(tmp_path):
     assert {ev.kind for ev in trace.events} == {"transfer", "price_rise"}
     expected = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
     assert trace_path.read_text() == expected
+
+def test_a_solve_without_events_writes_an_empty_trace(tmp_path):
+    # One agent takes every good without a step; its trace file stays at 0 bytes.
+    inst_path = write_demo(tmp_path, obj={"agents": 1, "goods": 2, "valuations": [[1, 2]]})
+    trace_path = tmp_path / "t.jsonl"
+    assert main(["solve", inst_path, "-o", str(tmp_path / "s.json"), "--trace", str(trace_path)]) == 0
+    assert trace_path.read_bytes() == b""
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{inst}", "-o", "{tmp}/missing/s.json"],
+        ["solve", "{inst}", "-o", "{tmp}/s.json", "--trace", "{tmp}/missing/t.jsonl"],
+        ["gen", "-n", "2", "-m", "3", "-o", "{tmp}"],  # a directory
+    ],
+)
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, argv):
+    inst_path = write_demo(tmp_path)
+    argv = [arg.format(inst=inst_path, tmp=tmp_path) for arg in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert out == "" and error["error"] == "invalid-input"
+    assert error["detail"].startswith(f"cannot write {argv[-1]}: ")
 
 def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     """Calls in one process answer as each does on a freshly built parser."""
@@ -226,42 +250,6 @@ def test_module_entry_point(tmp_path):
     assert (failed.returncode, failed.stdout) == (1, "")
     [line] = failed.stderr.splitlines()
     assert json.loads(line)["error"] == "invalid-input"
-
-def test_solve_graph_dump(tmp_path):
-    inst_path = write_demo(tmp_path)
-    graph_path = tmp_path / "graph.json"
-    assert main(["solve", inst_path, "-o", str(tmp_path / "s.json"), "--dump-graph", str(graph_path)]) == 0
-    dump = json.loads(graph_path.read_text())
-    assert "mbb_edges" in dump and "alphas" in dump and "levels" in dump
-    assert dump["levels"]["2"] == 0  # levels are measured from the newest agent
-
-# The exact graph dumps, recorded before the graph kept bundles instead of an
-# owner map; the second instance has agent 2 holding good 0, so its
-# allocation edges are ordered by good, not by agent.
-PINNED_DUMPS = [
-    (
-        DEMO["valuations"],
-        '{"agents": [0, 1, 2], "allocation_edges": [[0, 0], [1, 0], [2, 1], [3, 1], [4, 2]], '
-        '"alphas": {"0": "30", "1": "24", "2": "24"}, "goods": [0, 1, 2, 3, 4], '
-        '"levels": {"0": 3, "1": 1, "2": 0}, '
-        '"mbb_edges": [[0, 0], [0, 1], [1, 2], [1, 3], [2, 3], [2, 4]]}\n',
-    ),
-    (
-        [[6, 6, 1, 4, 8, 7], [6, 4, 7, 5, 9, 3], [8, 2, 4, 2, 1, 9]],
-        '{"agents": [0, 1, 2], "allocation_edges": [[0, 2], [1, 0], [2, 1], [3, 1], [4, 0], [5, 2]], '
-        '"alphas": {"0": "48", "1": "54", "2": "432/7"}, "goods": [0, 1, 2, 3, 4, 5], '
-        '"levels": {"0": 3, "1": 3, "2": 0}, '
-        '"mbb_edges": [[0, 1], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [2, 0], [2, 5]]}\n',
-    ),
-]
-
-@pytest.mark.parametrize("valuations, expected", PINNED_DUMPS)
-def test_solve_graph_dump_is_pinned(tmp_path, valuations, expected):
-    obj = {"agents": len(valuations), "goods": len(valuations[0]), "valuations": valuations}
-    inst_path = write_demo(tmp_path, obj=obj)
-    graph_path = tmp_path / "graph.json"
-    assert main(["solve", inst_path, "-o", str(tmp_path / "s.json"), "--dump-graph", str(graph_path)]) == 0
-    assert graph_path.read_text() == expected
 
 # ---------------------------------------------------------------------------
 # verify
@@ -356,6 +344,12 @@ def test_bench_command_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--spec", "spec.json"])
     assert exc.value.code == 2 and "invalid choice: 'bench'" in capsys.readouterr().err
+
+def test_dump_graph_flag_is_gone(tmp_path, capsys):
+    # The engine's graph is the one graph; argparse rejects the old dump flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", write_demo(tmp_path), "--dump-graph", str(tmp_path / "g.json")])
+    assert exc.value.code == 2 and "unrecognized arguments: --dump-graph" in capsys.readouterr().err
 
 def sweep_figures(instance: dict, trace_lines: list[str], report: dict) -> dict:
     """A sweep cell's figures, derived from its files as README "Sweeps" says."""

@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairmarket import (
-    Allocation,
+    EngineState,
     Instance,
     InternalInvariantError,
     InvalidInputError,
-    Solution,
-    build_graph,
+    MbbGraph,
     reach_from,
 )
 from fairmarket.core import _common_denominator
@@ -31,43 +30,27 @@ def test_bang_per_buck_conventions():
         reference.bang_per_buck(F(1), F(0))
 
 
-def test_alphas_on_demo_state(demo_instance, demo_state_solution):
-    alphas = build_graph(demo_instance, demo_state_solution).alphas
-    assert alphas == reference.alphas(demo_instance, demo_state_solution.prices)
-    assert alphas == {0: F(1), 1: F(1), 2: F(1)}
+@pytest.fixture
+def demo_state(demo_instance, demo_state_solution) -> EngineState:
+    """The demo state as the engine holds and searches it."""
+    sol = demo_state_solution
+    return EngineState.from_solution(demo_instance, sol.allocation.bundles, sol.prices)
 
 
-def test_alpha_single_agent():
-    inst = Instance.from_values([[2]])
-    assert build_graph(inst, Solution(Allocation.from_lists([[0]]), (F(1),))).alphas == {0: F(2)}
-
-
-def test_alphas_scale_inversely_with_prices(demo_instance, demo_state_solution):
-    doubled = Solution(demo_state_solution.allocation, tuple(2 * p for p in demo_state_solution.prices))
-    base = build_graph(demo_instance, demo_state_solution).alphas
-    halved = build_graph(demo_instance, doubled).alphas
-    assert halved == {i: a / 2 for i, a in base.items()}
-
-
-def test_graph_on_demo_state(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    assert g.mbb == {0: (0, 1), 1: (2, 3), 2: (3, 4)}
-    assert g.bundles == {0: frozenset({0, 1}), 1: frozenset({2, 3}), 2: frozenset({4})}
+def test_graph_on_demo_state(demo_state):
+    assert demo_state.mbb == [{0, 1}, {2, 3}, {3, 4}]
+    assert demo_state.bundles == [{0, 1}, {2, 3}, {4}]
 
 
 def test_uniform_everything_gives_complete_mbb_edges():
     inst = Instance.from_values([[1, 1, 1]])
-    sol = Solution(Allocation.from_lists([[0, 1, 2]]), (F(1), F(1), F(1)))
-    g = build_graph(inst, sol)
-    assert g.mbb[0] == (0, 1, 2)
+    assert EngineState.from_solution(inst, [[0, 1, 2]], [F(1)] * 3).mbb == [{0, 1, 2}]
 
 
 def test_price_raise_removes_mbb_edge():
     inst = Instance.from_values([[1, 1]])
-    cheap = build_graph(inst, Solution(Allocation.from_lists([[0, 1]]), (F(1), F(1))))
-    assert cheap.mbb[0] == (0, 1)
-    raised = build_graph(inst, Solution(Allocation.from_lists([[0, 1]]), (F(1), F(2))))
-    assert raised.mbb[0] == (0,)
+    assert EngineState.from_solution(inst, [[0, 1]], [F(1), F(1)]).mbb == [{0, 1}]
+    assert EngineState.from_solution(inst, [[0, 1]], [F(1), F(2)]).mbb == [{0}]
 
 
 @pytest.mark.parametrize(
@@ -78,17 +61,9 @@ def test_price_raise_removes_mbb_edge():
     ],
 )
 def test_build_graph_validates_its_solution(demo_instance, bundles, prices):
-    sol = Solution(Allocation.from_lists(bundles), tuple(F(p) for p in prices))
+    # Building the searched graph from a solution checks the solution first.
     with pytest.raises(InvalidInputError):
-        build_graph(demo_instance, sol)
-
-
-def test_graph_dump_is_json_ready(demo_instance, demo_state_solution):
-    import json
-
-    dump = build_graph(demo_instance, demo_state_solution).as_dict()
-    assert json.loads(json.dumps(dump)) == dump
-    assert [2, 3] in dump["mbb_edges"] or [2, 3] == dump["mbb_edges"][2]
+        EngineState.from_solution(demo_instance, bundles, [F(p) for p in prices])
 
 
 # Few distinct values and prices, so ties and zeros are common.
@@ -131,23 +106,21 @@ def test_best_ratio_rejects_positive_value_over_zero_price():
 # reachability
 
 
-def test_reach_on_demo_state(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [2])
+def test_reach_on_demo_state(demo_state):
+    r = reach_from(demo_state, [2])
     assert r.agents == frozenset({1, 2})
     assert r.goods == frozenset({2, 3, 4})
     assert r.levels == {0: 3, 1: 1, 2: 0}
 
 
-def test_reach_with_all_sources(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [0, 1, 2])
+def test_reach_with_all_sources(demo_state):
+    r = reach_from(demo_state, [0, 1, 2])
     assert r.agents == frozenset({0, 1, 2})
 
 
 def test_reach_without_edges_returns_sources():
     inst = Instance.from_values([[0, 1], [1, 0]])
-    g = build_graph(inst, Solution(Allocation.from_lists([[1], [0]]), (F(1), F(1))))
+    g = EngineState.from_solution(inst, [[1], [0]], [F(1), F(1)])
     # agent 0's best-ratio edge goes to its own good 1 only
     r = reach_from(g, [0])
     assert r.agents == frozenset({0})
@@ -155,10 +128,7 @@ def test_reach_without_edges_returns_sources():
 
 
 def test_reach_degenerate_graph_without_ratio_edges():
-    from fairmarket import MbbGraph
-
-    bundles = {0: frozenset(), 1: frozenset()}
-    bare = MbbGraph(agents=(0, 1), goods=(), mbb={0: (), 1: ()}, bundles=bundles, alphas={0: F(0), 1: F(0)})
+    bare = MbbGraph(agents=(0, 1), mbb={0: (), 1: ()}, bundles={0: frozenset(), 1: frozenset()})
     r = reach_from(bare, [1])
     assert r.agents == frozenset({1})
     assert r.goods == frozenset()
@@ -166,39 +136,34 @@ def test_reach_degenerate_graph_without_ratio_edges():
 
 
 @pytest.mark.parametrize("sources", [[], [-1], [3], [2, 3], ["2"]])
-def test_reach_rejects_sources_outside_the_graph(demo_instance, demo_state_solution, sources):
+def test_reach_rejects_sources_outside_the_graph(demo_instance, demo_state_solution, demo_state, sources):
     # -1 would alias agent 2 and 3 is past the last agent, on either graph shape.
-    from fairmarket import EngineState
-
     sol = demo_state_solution
-    state = EngineState.from_solution(demo_instance, sol.allocation.bundles, sol.prices)
-    for graph in (build_graph(demo_instance, sol), state):
+    rebuilt = MbbGraph.from_state(demo_instance, sol.allocation.bundles, sol.prices, range(3), range(5))
+    for graph in (rebuilt, demo_state):
         assert reach_from(graph, [2]).agents == frozenset({1, 2})
         with pytest.raises(InvalidInputError, match="sources among the graph's agents"):
             reach_from(graph, sources)
 
 
-def test_reach_monotone_in_sources(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    small = reach_from(g, [2])
-    big = reach_from(g, [1, 2])
+def test_reach_monotone_in_sources(demo_state):
+    small = reach_from(demo_state, [2])
+    big = reach_from(demo_state, [1, 2])
     assert small.agents <= big.agents
     assert small.goods <= big.goods
 
 
-def test_reach_idempotent(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    first = reach_from(g, [2])
-    again = reach_from(g, sorted(first.agents))
+def test_reach_idempotent(demo_state):
+    first = reach_from(demo_state, [2])
+    again = reach_from(demo_state, sorted(first.agents))
     assert again.agents == first.agents
     assert again.goods == first.goods
 
 
-def test_no_mbb_edge_leaves_reachable_set(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
-    r = reach_from(g, [2])
+def test_no_mbb_edge_leaves_reachable_set(demo_state):
+    r = reach_from(demo_state, [2])
     for i in r.agents:
-        assert set(g.mbb[i]) <= r.goods
+        assert demo_state.mbb[i] <= r.goods
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +172,7 @@ def test_no_mbb_edge_leaves_reachable_set(demo_instance, demo_state_solution):
 
 def _two_agent_hoard_graph():
     inst = Instance.from_values([[1, 1, 1], [1, 1, 1]])
-    sol = Solution(Allocation.from_lists([[0, 1, 2], []]), (F(1), F(1), F(1)))
-    return build_graph(inst, sol)
+    return EngineState.from_solution(inst, [[0, 1, 2], []], [F(1)] * 3)
 
 
 def test_shortest_path_two_agents():
@@ -218,22 +182,21 @@ def test_shortest_path_two_agents():
 
 def test_shortest_path_unreachable_target():
     inst = Instance.from_values([[1, 0], [0, 1]])
-    g = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
+    g = EngineState.from_solution(inst, [[0], [1]], [F(1), F(1)])
     assert shortest_violator_path(g, reach_from(g, [0]), [1]) is None
 
 
 def test_shortest_path_rejects_reach_of_another_graph():
     hoard = _two_agent_hoard_graph()
     inst = Instance.from_values([[1, 0], [0, 1]])
-    apart = build_graph(inst, Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1))))
+    apart = EngineState.from_solution(inst, [[0], [1]], [F(1), F(1)])
     with pytest.raises(InternalInvariantError, match="lost the trail"):
         shortest_violator_path(apart, reach_from(hoard, [1]), [0])
 
 
-def test_shortest_path_adjacent_is_length_two(demo_instance, demo_state_solution):
-    g = build_graph(demo_instance, demo_state_solution)
+def test_shortest_path_adjacent_is_length_two(demo_state):
     # agent 2's best goods include good 3, owned by agent 1
-    path = shortest_violator_path(g, reach_from(g, [2]), [1])
+    path = shortest_violator_path(demo_state, reach_from(demo_state, [2]), [1])
     assert path == (2, 3, 1)
     assert len(path) == 3
 
@@ -246,12 +209,11 @@ def test_path_alternates_and_respects_edges():
         inst = Instance.from_values(
             [[rng.randint(0, 5) for _ in range(m)] for _ in range(n)]
         )
-        prices = tuple(F(rng.randint(1, 6)) for _ in range(m))
+        prices = [F(rng.randint(1, 6)) for _ in range(m)]
         bundles = [[] for _ in range(n)]
         for g in range(m):
             bundles[rng.randrange(n)].append(g)
-        sol = Solution(Allocation.from_lists(bundles), prices)
-        graph = build_graph(inst, sol)
+        graph = EngineState.from_solution(inst, bundles, prices)
         source = 0
         targets = [i for i in range(1, n)]
         reach = reach_from(graph, [source])
