@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from contextlib import contextmanager
@@ -67,13 +68,18 @@ def _write_text(path: str | None, text: str) -> None:
     """Write `text` to `path`, or to stdout if None, ending a non-empty text with a newline."""
     if text and not text.endswith("\n"):
         text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
+        else:
+            Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}") from None
+        if path is None:  # the text stays buffered: send it, and the exit-time flush, nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise InvalidInputError(f"cannot write {path or 'stdout'}: {exc}") from None
 
 
 def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
@@ -127,7 +133,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = verify(inst, solution, brute_cap=args.brute_cap)
     with _unlimited_digits():
         checks = report.to_json_dict()
-        print(json.dumps(checks, sort_keys=True))
+        _write_text(None, json.dumps(checks, sort_keys=True))
     if not report.ok:
         failed = [c for c, passed in checks.items() if passed is False and c != "ok"]
         return _fail(EXIT_VERIFY_FAILED, "verification-failed", ", ".join(failed))

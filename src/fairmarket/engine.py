@@ -16,7 +16,7 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -60,13 +60,13 @@ def _parse_named(obj: dict, key: str) -> Fraction:
         raise InvalidInputError(f"trace event {key!r}: {exc}") from None
 
 
-def iteration_bound(agent_count: int, total_goods: int) -> Fraction:
-    """Watchdog ceiling (k-1)·((m+k)/k·e)^k on rebalancing iterations, for k agents and m goods."""
+def iteration_bound(agent_count: int, total_goods: int) -> int:
+    """Watchdog ceiling ⌊(k-1)·((m+k)/k·e)^k⌋ on rebalancing iterations, for k agents and m goods."""
     k = agent_count
     if k <= 1:
-        return Fraction(0)
+        return 0
     e_num, e_den = E_UPPER
-    return Fraction((k - 1) * ((total_goods + k) * e_num) ** k, (k * e_den) ** k)
+    return (k - 1) * ((total_goods + k) * e_num) ** k // (k * e_den) ** k
 
 
 RATES = ("b1", "b2", "b3")
@@ -85,60 +85,24 @@ def _text(p: int, q: int) -> str:
 
 
 @dataclass(frozen=True)
-class BetaBreakdown:
-    """The three candidate price-rise rates and the chosen minimum.
-
-    `b1` stops when a new best-ratio edge would appear out of the reachable
-    set, `b2` when a reachable agent would become a maximum violator, `b3`
-    when the newcomer's spending would reach the violation level.  `rates`
-    holds them in that order as integer pairs (p, q) for p/q, reduced on
-    construction; None means the event cannot occur (no finite rate).  `b1`,
-    `b2`, `b3` and `beta`, the rate `chosen` names, are built as `Fraction`s on read.
-    """
-
-    rates: tuple[tuple[int, int] | None, ...]
-    chosen: str
-    # The (agent, good) best-ratio edges this rise adds: those attaining b1 when b1 is beta.
-    b1_edges: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rates", tuple(r if r is None else _reduced(*r) for r in self.rates))
-
-    def pair(self, name: str) -> tuple[int, int] | None:
-        """Rate `name` ("b1", "b2" or "b3") as its integer pair, None if infinite."""
-        return self.rates[RATES.index(name)]
-
-    # Each reads as a `Fraction`, or None when infinite.
-    b1 = property(lambda self: self.rates[0] and Fraction(*self.rates[0]))
-    b2 = property(lambda self: self.rates[1] and Fraction(*self.rates[1]))
-    b3 = property(lambda self: self.rates[2] and Fraction(*self.rates[2]))
-    beta = property(lambda self: self.pair(self.chosen) and Fraction(*self.pair(self.chosen)))
-
-    def to_json_dict(self) -> dict:
-        return dict(zip(RATES, (r if r is None else _text(*r) for r in self.rates)), chosen=self.chosen)
-
-    @classmethod
-    def from_json_dict(cls, obj: object) -> "BetaBreakdown":
-        """The rates `to_json_dict` wrote; `beta` is the rate that `chosen` names, None if infinite."""
-        if not isinstance(obj, dict) or obj.keys() != {*RATES, "chosen"} or obj["chosen"] not in RATES:
-            raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(obj))}")
-        rates = [None if obj[name] is None else _parse_named(obj, name).as_integer_ratio() for name in RATES]
-        return cls(tuple(rates), obj["chosen"])
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     """Snapshot of one iteration, taken just before its step executes.
 
-    `spend`, `hat` and `price` are the numerators over `den` of `min_spend`, `max_hat` (the
-    violation level) and `min_price`, which are built as `Fraction`s on read.  The four
-    integers are reduced jointly on construction, so equal events have equal fields.
+    `spend`, `hat` and `price` are the numerators over `den` of the minimum spending, the
+    violation level and the minimum price, reduced jointly on construction, so equal events
+    have equal fields.  A price rise holds its rates b1, b2 and b3 in `rates`, each a reduced
+    integer pair (p, q) for p/q or None when infinite, and the label of the smallest in
+    `chosen`; a transfer holds None in both, and its path and cut indices in `path`, `a`, `b`.
+    `b1` stops when a new best-ratio edge would appear out of the reachable set, `b2` when a
+    reachable agent would become a maximum violator, `b3` when the newcomer's spending would
+    reach the violation level.
     """
 
     k: int
     step: int
     kind: str
-    beta: BetaBreakdown | None
+    rates: tuple[tuple[int, int] | None, ...] | None
+    chosen: str | None
     path: tuple[int, ...] | None
     a: int | None
     b: int | None
@@ -149,20 +113,19 @@ class TraceEvent:
     den: int
 
     def __post_init__(self) -> None:
+        if self.rates is not None:
+            object.__setattr__(self, "rates", tuple(r if r is None else _reduced(*r) for r in self.rates))
         if (common := gcd(self.spend, self.hat, self.price, self.den)) > 1:
             for name in ("spend", "hat", "price", "den"):
                 object.__setattr__(self, name, getattr(self, name) // common)
 
-    min_spend = property(lambda self: Fraction(self.spend, self.den))
-    max_hat = property(lambda self: Fraction(self.hat, self.den))
-    min_price = property(lambda self: Fraction(self.price, self.den))
-
     def to_json_dict(self) -> dict:
         """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
+        rates = None if self.rates is None else (r if r is None else _text(*r) for r in self.rates)
         return {
             "a": self.a,
             "b": self.b,
-            "beta": None if self.beta is None else self.beta.to_json_dict(),
+            "beta": None if rates is None else dict(zip(RATES, rates), chosen=self.chosen),
             "k": self.k,
             "kind": self.kind,
             "max_hat": _text(self.hat, self.den),
@@ -179,7 +142,7 @@ class TraceEvent:
 
         Checks the record's shape only; `audit_trace` checks what its values mean.
         """
-        names = [f.name for f in fields(cls)][:8] + ["min_spend", "max_hat", "min_price"]
+        names = ["k", "step", "kind", "beta", "path", "a", "b", "potential", "min_spend", "max_hat", "min_price"]
         if not isinstance(obj, dict) or obj.keys() != set(names):
             raise InvalidInputError(f"a trace event needs exactly the keys {', '.join(names)}")
         shapes = dict(k=int, step=int, a=int, b=int, kind=str, path=list, potential=list)
@@ -191,10 +154,16 @@ class TraceEvent:
                 what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
                 raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
         nums, den = _common_denominator(_parse_named(obj, key) for key in names[8:])
-        beta = None if obj["beta"] is None else BetaBreakdown.from_json_dict(obj["beta"])
+        rates = chosen = None
+        if (beta := obj["beta"]) is not None:
+            if not isinstance(beta, dict) or beta.keys() != {*RATES, "chosen"} or beta["chosen"] not in RATES:
+                raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(beta))}")
+            # `is None`, not truthiness, so a rate of 0 is parsed (and kept) too.
+            rates = tuple(None if beta[n] is None else _parse_named(beta, n).as_integer_ratio() for n in RATES)
+            chosen = beta["chosen"]
         path = None if obj["path"] is None else tuple(obj["path"])
-        values = dict(obj, beta=beta, path=path, potential=tuple(obj["potential"]))
-        return cls(*map(values.get, names[:8]), *nums, den)
+        kind, potential = obj["kind"], tuple(obj["potential"])
+        return cls(obj["k"], obj["step"], kind, rates, chosen, path, obj["a"], obj["b"], potential, *nums, den)
 
 
 @dataclass
@@ -202,7 +171,7 @@ class CallStats:
     """Per-rebalancing-call counters (one call per added agent)."""
 
     agent_count: int
-    bound: Fraction
+    bound: int
     iterations: int = 0
 
 
@@ -213,7 +182,7 @@ class SolveTrace:
         self.events: list[TraceEvent] = []
         self.calls: list[CallStats] = []
 
-    def start_call(self, agent_count: int, bound: Fraction) -> CallStats:
+    def start_call(self, agent_count: int, bound: int) -> CallStats:
         stats = CallStats(agent_count=agent_count, bound=bound)
         self.calls.append(stats)
         return stats
@@ -304,14 +273,11 @@ class EngineState:
             self.spends.append(spend)
             self.hats.append(hat)
 
-    def fraction_prices(self) -> tuple[Fraction, ...]:
-        """Every good's price as a `Fraction` (0 if not active yet), built afresh on every call."""
-        return tuple(Fraction(num, self.den) for num in self.nums)
-
     def to_solution(self) -> Solution:
         if not all(self.nums):
             raise InternalInvariantError("state does not cover every good yet")
-        return Solution(Allocation(tuple(frozenset(b) for b in self.bundles)), self.fraction_prices())
+        prices = tuple(Fraction(num, self.den) for num in self.nums)
+        return Solution(Allocation(tuple(frozenset(b) for b in self.bundles)), prices)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +286,8 @@ class EngineState:
 
 def initial_prices_for_agent(
     state: EngineState, agent: int
-) -> tuple[tuple[int, ...], dict[int, Fraction]]:
-    """New goods brought by `agent` and their introduction prices.
+) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """New goods brought by `agent` and their introduction prices, as reduced pairs (p, q) for p/q.
 
     Each new good g gets price v[agent][g] * (min existing price) divided
     by (total good count * the agent's largest value), which keeps the
@@ -342,18 +308,18 @@ def initial_prices_for_agent(
     low = min(filter(None, state.nums), default=0)
     low, low_den = (low, state.den) if low else (1, 1)
     p, q = low * top_den, low_den * state.inst.m * top
-    return new_goods, {g: Fraction(row[g][0] * p, row[g][1] * q) for g in new_goods}
+    return new_goods, {g: _reduced(row[g][0] * p, row[g][1] * q) for g in new_goods}
 
 
 def add_agent(state: EngineState) -> None:
     """Activate the next agent, hand it its new goods, and price them."""
     new_goods, new_prices = initial_prices_for_agent(state, state.num_agents)
     # Rebase every price onto the lcm of the old and the new denominators, which stays reduced.
-    den = lcm(state.den, *(p.denominator for p in new_prices.values()))
+    den = lcm(state.den, *(q for _, q in new_prices.values()))
     scale, state.den = den // state.den, den
     state.nums = [num * scale for num in state.nums]
-    for g, p in new_prices.items():
-        state.nums[g] = p.numerator * (den // p.denominator)
+    for g, (p, q) in new_prices.items():
+        state.nums[g] = p * (den // q)
     state.spends = [spend * scale for spend in state.spends]
     state.hats = [hat * scale for hat in state.hats]
     state.bundles.append(set(new_goods))
@@ -365,8 +331,12 @@ def add_agent(state: EngineState) -> None:
 # one rebalancing iteration
 
 
-def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
-    """Candidate uniform price-rise rates for the reachable goods."""
+def compute_betas(state: EngineState, reach: Reachability) -> tuple[tuple, str, tuple]:
+    """Candidate uniform price-rise rates for the reachable goods.
+
+    Returns the `rates` and `chosen` of the rise's `TraceEvent`, and the (agent, good)
+    best-ratio edges the rise adds: those attaining b1 when b1 is chosen.
+    """
     k, rows, nums, hats = state.k, state.rows, state.nums, state.hats
     max_hat = max(hats)
 
@@ -377,7 +347,7 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
     # Agent j's b1 rate is its best ratio, that of any good g in its `mbb`, over
     # its best ratio outside the reach, attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
     b1: tuple[int, int] | None = None
-    b1_edges: list[tuple[int, int]] = []
+    new_edges: list[tuple[int, int]] = []
     outside = [g for g in state.joined if g not in reach.goods]
     agents = sorted(reach.agents)
     for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
@@ -385,9 +355,9 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
             g = next(iter(state.mbb[j]))
             rate = (rows[j][g][0] * p_h, rows[j][g][1] * nums[g] * v_h)
             if below(rate, b1):
-                b1, b1_edges = rate, []
+                b1, new_edges = rate, []
             if not below(b1, rate):
-                b1_edges.extend((j, h) for h in attaining)
+                new_edges.extend((j, h) for h in attaining)
 
     reach_hat = max((hats[j] for j in reach.agents), default=0)
     b2 = (max_hat, reach_hat) if reach_hat > 0 else None
@@ -398,22 +368,25 @@ def compute_betas(state: EngineState, reach: Reachability) -> BetaBreakdown:
             chosen, beta = name, rate
     if beta is None:
         raise InternalInvariantError("no finite price-rise rate exists")
-    return BetaBreakdown((b1, b2, b3), chosen, () if below(beta, b1) else tuple(b1_edges))
+    return (b1, b2, b3), chosen, () if below(beta, b1) else tuple(new_edges)
 
 
-def apply_price_rise(state: EngineState, reach: Reachability, betas: BetaBreakdown) -> None:
-    """Multiply the prices of exactly the reachable goods by the chosen rate.
+def apply_price_rise(
+    state: EngineState, reach: Reachability, rate: tuple[int, int], new_edges: Iterable[tuple[int, int]]
+) -> None:
+    """Multiply the prices of exactly the reachable goods by `rate`, a pair (p, q) for p/q.
 
     The allocation is untouched; the maximum drop-one bundle price must not
     move.  Reachable agents own and point only into reachable goods, so their
-    edges stay and their spends and hats grow by the rate; at rate b1 they
-    gain the edges attaining it.  Unreachable agents lose their edges into
-    the reachable goods.  With the rate p/q, `den` and the other numerators
-    multiply by q, the reachable ones by p, and their one gcd reduces them.
+    edges stay and their spends and hats grow by the rate; they gain the
+    (agent, good) edges `new_edges`, those attaining b1 at rate b1.
+    Unreachable agents lose their edges into the reachable goods.  With the
+    rate p/q, `den` and the other numerators multiply by q, the reachable
+    ones by p, and their one gcd reduces them.
     """
-    up, down = betas.pair(betas.chosen)
+    up, down = rate
     if up <= down:
-        raise InternalInvariantError(f"price-rise rate must exceed 1, got {betas.beta}")
+        raise InternalInvariantError(f"price-rise rate must exceed 1, got {_text(up, down)}")
     nums, den = state.nums, state.den
     scaled = [num * down for num in nums]
     for g in reach.goods:
@@ -433,7 +406,7 @@ def apply_price_rise(state: EngineState, reach: Reachability, betas: BetaBreakdo
     if stranded:  # list the joined goods only for agents whose edges need a rebuild
         for i, (_, _, edges) in zip(stranded, best_ratios(state.rows, stranded, state.joined, state.nums)):
             state.mbb[i] = set(edges)
-    for j, g in betas.b1_edges:
+    for j, g in new_edges:
         state.mbb[j].add(g)
 
 
@@ -449,8 +422,7 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     """
     if len(path) < 3 or len(path) % 2 == 0:
         raise InvalidInputError("path must alternate agent, good, ..., agent")
-    agents_on = path[0::2]
-    goods_on = path[1::2]
+    agents_on, goods_on = path[0::2], path[1::2]
     length = len(goods_on)
     for c in range(1, length + 1):
         holder = agents_on[c]
@@ -553,7 +525,7 @@ def _check_state(state: EngineState) -> None:
         level, scale = events[-1].hat, events[-1].den  # the level the step started from
         if events[-1].kind == "price_rise" and max_hat * scale != level * den:
             raise InternalInvariantError(
-                f"price rise moved the violation level: {events[-1].max_hat} -> {Fraction(max_hat, den)}"
+                f"price rise moved the violation level: {_text(level, scale)} -> {_text(max_hat, den)}"
             )
         if max_hat * scale > level * den:
             raise InternalInvariantError("transfer raised the violation level")
@@ -580,24 +552,24 @@ def step(state: EngineState) -> TraceEvent | None:
     stats = state.trace.calls[-1] if state.trace.calls else None
     if stats is None or stats.agent_count != na:  # the open call is the one of the newest agent
         raise InternalInvariantError("step called outside a rebalancing call")
-    if (stats.iterations + 1) * stats.bound.denominator > stats.bound.numerator:
+    if stats.iterations >= stats.bound:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
 
     violators = [i for i in range(na) if hats[i] == max_hat]
     reach = reach_from(state, [state.k])
     potential = compute_potential(state, reach)
     min_price = min(filter(None, state.nums))
-    betas = path = a = b = None
+    rates = chosen = path = a = b = None
     if set(violators) & reach.agents:
         path = shortest_violator_path(state, reach, violators)
         a, b = transfer(state, path)
     else:
-        betas = compute_betas(state, reach)
-        apply_price_rise(state, reach, betas)
+        rates, chosen, new_edges = compute_betas(state, reach)
+        apply_price_rise(state, reach, rates[RATES.index(chosen)], new_edges)
 
     event = TraceEvent(
         k=na, step=stats.iterations + 1, kind="price_rise" if path is None else "transfer",
-        beta=betas, path=path, a=a, b=b, potential=potential,
+        rates=rates, chosen=chosen, path=path, a=a, b=b, potential=potential,
         spend=min_spend, hat=max_hat, price=min_price, den=den,
     )
     state.trace.events.append(event)

@@ -411,13 +411,13 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
 
     Parse JSON records with `TraceEvent.from_json_dict`.  Validates, per
     event: a positive price floor, an actual violation (minimum spending
-    below the drop-one maximum), well-formed step data; per rebalancing
-    call: contiguous step numbering, strict lexicographic growth of the
-    potential vector, a non-increasing violation level that is exactly
-    preserved by price rises, rise rates strictly between 1 and infinity
-    that equal the smallest candidate rate, and an iteration count within
-    the watchdog ceiling.  Returns human-readable violation strings; an
-    empty list means the trace is clean.
+    below the drop-one maximum), well-formed step data of its kind and none
+    of the other kind's; per rebalancing call: contiguous step numbering,
+    strict lexicographic growth of the potential vector, a non-increasing
+    violation level that is exactly preserved by price rises, rise rates
+    strictly between 1 and infinity that equal the smallest candidate rate,
+    and an iteration count within the watchdog ceiling.  Returns
+    human-readable violation strings; an empty list means the trace is clean.
     """
     events = list(events)
     if not all(isinstance(ev, TraceEvent) for ev in events):
@@ -429,7 +429,7 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
             found = []  # the event's findings; its tag is built only when there are some
             # Levels and floors share the event's positive `den`; rates are pairs (p, q), q > 0.
             if ev.price <= 0:
-                found.append(f"price floor {ev.min_price} not positive")
+                found.append(f"price floor {Fraction(ev.price, ev.den)} not positive")
             if ev.spend >= ev.hat:
                 found.append("stepped although already fair")
             if len(ev.potential) != k + 2:
@@ -438,12 +438,13 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
                 found.append("potential counts more goods than exist")
 
             if ev.kind == "price_rise":
-                beta = ev.beta
-                if beta is None:
+                if (ev.path, ev.a, ev.b) != (None, None, None):
+                    found.append("price rise with a path or cut indices")
+                if ev.rates is None:
                     found.append("price rise without rates")
                 else:
                     least = None  # (name, p, q) of the smallest finite rate, b3 and then b2 first on ties
-                    for name, rate in reversed([*zip(RATES, beta.rates)]):
+                    for name, rate in reversed([*zip(RATES, ev.rates)]):
                         if rate is not None and (least is None or rate[0] * least[2] < least[1] * rate[1]):
                             least = (name, *rate)
                     if least is None:
@@ -451,12 +452,14 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
                     else:
                         if least[1] <= least[2]:
                             found.append(f"rise rate {Fraction(*least[1:])} not above 1")
-                        if beta.chosen != least[0]:
+                        if ev.chosen != least[0]:
                             found.append("chosen rate label mismatch")
-                    for name, rate in zip(RATES, beta.rates):
+                    for name, rate in zip(RATES, ev.rates):
                         if rate is not None and rate[0] <= rate[1]:
                             found.append(f"candidate rate {name} not above 1")
             elif ev.kind == "transfer":
+                if (ev.rates, ev.chosen) != (None, None):
+                    found.append("transfer with rates")
                 path = ev.path
                 if path is None or len(path) < 3 or len(path) % 2 == 0:
                     found.append("malformed transfer path")

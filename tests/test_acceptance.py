@@ -87,9 +87,8 @@ def test_criterion_2_single_rise_trace_reproduction():
     ok = (
         len(events) == 1
         and events[0].kind == "price_rise"
-        and (events[0].beta.b1, events[0].beta.b2, events[0].beta.b3)
-        == (F(5, 3), F(5, 3), F(5, 4))
-        and events[0].beta.beta == F(5, 4)
+        and events[0].rates == ((5, 3), (5, 3), (5, 4))
+        and events[0].chosen == "b3"
         and final.prices == (F(6), F(5), F(35, 4), F(15, 4), F(5))
         and is_pef1(final)
     )

@@ -231,15 +231,44 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert first[0][1] != first[1][1]  # the order changes the solution, so a kept order shows
     assert [run(argv) for argv in calls] == first
 
+def run_module(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m fairmarket` with `args`, in a fresh interpreter that imports this checkout's `src`."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "fairmarket", *args]
+    return subprocess.run(cmd, text=True, env=env, timeout=120, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "-n", "2", "-m", "3"], ["gen", "-n", "3", "-m", "3000"], ["verify", "{inst}", "{sol}"]],
+    ids=["gen-small", "gen-large", "verify"],
+)
+def test_a_failed_write_to_stdout_is_one_error_line(tmp_path, buffered, argv):
+    # Stdout on a full device fails the write, or with a buffered stdout only the flush
+    # of a short text; either way the run exits 1 with one JSON line and nothing more.
+    inst_path, sol_path = write_demo(tmp_path), str(tmp_path / "sol.json")
+    assert run_module("solve", inst_path, "-o", sol_path).returncode == 0
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [arg.format(inst=inst_path, sol=sol_path) for arg in argv]
+    with open("/dev/full", "w") as full:
+        done = run_module(*argv, env=env, stdout=full, stderr=subprocess.PIPE)
+    [line] = done.stderr.splitlines()
+    error = json.loads(line)
+    assert done.returncode == 1 and error["error"] == "invalid-input"
+    assert error["detail"].startswith("cannot write stdout: ")
+
+
 def test_module_entry_point(tmp_path):
     """`python -m fairmarket` end to end, in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
 
     def run(*args):
-        cmd = [sys.executable, "-m", "fairmarket", *args]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        return run_module(*args, capture_output=True)
 
     inst, sol = str(tmp_path / "inst.json"), str(tmp_path / "sol.json")
     assert run("gen", "-n", "3", "-m", "6", "--seed", "4", "-o", inst).returncode == 0

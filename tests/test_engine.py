@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -21,7 +22,7 @@ from fairmarket import (
 )
 from fairmarket.core import spending_profile
 from fairmarket.engine import (
-    BetaBreakdown,
+    RATES,
     EngineState,
     add_agent,
     apply_price_rise,
@@ -37,6 +38,16 @@ from fairmarket.market import Reachability, reach_from, shortest_violator_path
 import reference
 
 F = Fraction
+
+
+def prices_of(state: EngineState) -> list[Fraction]:
+    """Every good's price as a `Fraction`, 0 for a good that has not joined."""
+    return [F(num, state.den) for num in state.nums]
+
+
+def as_fractions(rates) -> tuple:
+    """Rate pairs as `Fraction`s, None where infinite."""
+    return tuple(None if r is None else F(*r) for r in rates)
 
 
 def demo_engine_state(demo_instance) -> EngineState:
@@ -55,7 +66,7 @@ def test_first_agent_introduction_prices(demo_instance):
     state = EngineState(demo_instance)
     goods, prices = initial_prices_for_agent(state, 0)
     assert goods == (0, 1)
-    assert prices == {0: F(1, 5), 1: F(1, 6)}
+    assert prices == {0: (1, 5), 1: (1, 6)}
 
 
 def test_agent_with_no_new_goods(demo_instance):
@@ -83,11 +94,12 @@ def test_new_batch_cheaper_than_any_existing_good():
         add_agent(state)
         find_solution(state)
         for _ in range(n - 1):
-            floor = min(p for p in state.fraction_prices() if p)
+            floor = min(p for p in prices_of(state) if p)
             goods, prices = initial_prices_for_agent(state, state.num_agents)
+            assert all(gcd(*pair) == 1 for pair in prices.values())
             if goods:
-                batch = sum(prices.values(), F(0))
-                assert batch <= inst.m * max(prices.values()) <= floor
+                new = [F(*pair) for pair in prices.values()]
+                assert sum(new) <= inst.m * max(new) <= floor
             add_agent(state)
             find_solution(state)
 
@@ -99,9 +111,9 @@ def test_new_batch_cheaper_than_any_existing_good():
 def test_rates_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
-    rates = compute_betas(state, reach)
-    assert (rates.b1, rates.b2, rates.b3) == (F(5, 3), F(5, 3), F(5, 4))
-    assert rates.beta == F(5, 4) and rates.chosen == "b3"
+    rates, chosen, _ = compute_betas(state, reach)
+    assert as_fractions(rates) == (F(5, 3), F(5, 3), F(5, 4))
+    assert chosen == "b3"
 
 
 def test_rate_three_alone_when_others_infinite():
@@ -109,31 +121,30 @@ def test_rate_three_alone_when_others_infinite():
     inst = Instance.from_values([[1, 1, 0], [0, 0, 1]])
     state = EngineState.from_solution(inst, [[0, 1], [2]], [F(1), F(1), F(1, 100)])
     reach = reach_from(state, [1])
-    rates = compute_betas(state, reach)
-    assert rates.b1 is None and rates.b2 is None
-    assert rates.beta == rates.b3 == F(100)
-    assert rates.chosen == "b3"
+    rates, chosen, edges = compute_betas(state, reach)
+    assert as_fractions(rates) == (None, None, F(100))
+    assert chosen == "b3" and edges == ()
 
 
 def test_rate_one_invariant_under_uniform_price_scaling(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
-    base = compute_betas(state, reach)
+    base, _, _ = compute_betas(state, reach)
     scaled = EngineState.from_solution(
         demo_instance,
         [[0, 1], [2, 3], [4]],
         [p * 3 for p in (F(6), F(5), F(7), F(3), F(4))],
     )
     r2 = reach_from(scaled, [2])
-    assert compute_betas(scaled, r2).b1 == base.b1
+    assert as_fractions(compute_betas(scaled, r2)[0])[0] == as_fractions(base)[0]
 
 
 def test_price_rise_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
-    rates = compute_betas(state, reach)
-    apply_price_rise(state, reach, rates)
-    prices = state.fraction_prices()
+    rates, chosen, edges = compute_betas(state, reach)
+    apply_price_rise(state, reach, rates[RATES.index(chosen)], edges)
+    prices = prices_of(state)
     assert [prices[g] for g in range(5)] == [F(6), F(5), F(35, 4), F(15, 4), F(5)]
     assert is_pef1(state.to_solution())
     # afterwards nobody outside the reachable set has a best-ratio edge into it
@@ -145,10 +156,9 @@ def test_price_rise_on_demo_state(demo_instance):
 def test_price_rise_rejects_rate_at_most_one(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
-    rates = compute_betas(state, reach)
-    bogus = BetaBreakdown((*rates.rates[:2], (1, 1)), "b3")  # the chosen rate reads 1
-    with pytest.raises(InternalInvariantError):
-        apply_price_rise(state, reach, bogus)
+    _, _, edges = compute_betas(state, reach)
+    with pytest.raises(InternalInvariantError, match="must exceed 1, got 1"):
+        apply_price_rise(state, reach, (2, 2), edges)
 
 
 def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
@@ -157,7 +167,7 @@ def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
     state = EngineState.from_solution(inst, [[0], [], [1]], [F(1), F(1)])
     reach = reach_from(state, [2])
     assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
-    apply_price_rise(state, reach, BetaBreakdown((None, None, (3, 1)), "b3"))
+    apply_price_rise(state, reach, (3, 1), ())
     assert state.mbb == [{0}, {0}, {1}]
 
 
@@ -189,7 +199,7 @@ def test_price_rise_reduces_like_the_plain_gcd_fold(nums, den, reached, rate):
     state = EngineState.from_solution(Instance.from_values([[1] * m]), [range(m)], [F(1)] * m)
     state.nums, state.den = nums, den
     reach = Reachability(frozenset(), frozenset(g for g in reached if g < m), {0: 1})
-    apply_price_rise(state, reach, BetaBreakdown((None, None, (up, down)), "b3"))
+    apply_price_rise(state, reach, (up, down), ())
     scaled = [num * (up if g in reach.goods else down) for g, num in enumerate(nums)]
     plain = gcd(den * down, *scaled)
     assert state.nums == [num // plain for num in scaled]
@@ -292,9 +302,8 @@ def test_rebalance_demo_state_single_rise(demo_instance):
     events = list(state.trace.events)
     assert len(events) == 1
     assert events[0].kind == "price_rise"
-    betas = events[0].beta
-    assert (betas.b1, betas.b2, betas.b3) == (F(5, 3), F(5, 3), F(5, 4))
-    assert betas.chosen == "b3"
+    assert events[0].rates == ((5, 3), (5, 3), (5, 4))
+    assert events[0].chosen == "b3"
     out = state.to_solution()
     assert out.prices == (F(6), F(5), F(35, 4), F(15, 4), F(5))
     assert is_pef1(out)
@@ -364,14 +373,15 @@ def test_iteration_bound_values():
 
 
 def test_iteration_bound_is_the_fraction_power():
-    """The integer-built ceiling equals (k-1)·((m+k)/k·e)^k raised as a `Fraction`."""
+    """The integer-built ceiling is the floor of (k-1)·((m+k)/k·e)^k raised as a `Fraction`."""
     e_upper = F(27182818285, 10**10)
     for k in range(1, 9):
         for m in range(61):
-            assert iteration_bound(k, m) == (k - 1) * (F(m + k, k) * e_upper) ** k
+            bound = iteration_bound(k, m)
+            assert type(bound) is int and bound == math.floor((k - 1) * (F(m + k, k) * e_upper) ** k)
 
 
-@pytest.mark.parametrize("bound, fails", [(F(2), False), (F(19, 10), True)])
+@pytest.mark.parametrize("bound, fails", [(2, False), (1, True)])
 def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound, fails):
     # The demo's last rebalancing call takes two iterations; `step` raises on the
     # iteration past the ceiling before it moves, records or counts anything, so
@@ -385,7 +395,7 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
         find_solution(state)
     add_agent(state)
     if fails:
-        with pytest.raises(InternalInvariantError, match="iteration ceiling 19/10"):
+        with pytest.raises(InternalInvariantError, match="iteration ceiling 1$"):
             find_solution(state)
         assert [c.iterations for c in state.trace.calls] == [0, 1, 1]
         assert len(state.trace.events) == 2
@@ -396,38 +406,42 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
 
 
 def test_step_builds_no_fraction(monkeypatch):
-    # Every rational a step computes or records stays an integer; a `Fraction` is
-    # built only when a caller reads one.  Counts constructions through the engine's
-    # `Fraction` name while `step` is on the stack, with the online checks on and off.
+    # Every rational a solve computes or records stays an integer until `to_solution`
+    # builds the prices.  Counts constructions through the engine's `Fraction` name
+    # while `add_agent`, `find_solution` or `step` is on the stack, with the online
+    # checks on and off: the introduction prices, the ceiling and every step included.
     from fairmarket import engine
     from fairmarket.cli import generate_instance
 
-    built = {"in step": 0, "elsewhere": 0}
-    depth = []  # one entry per `step` call on the stack
+    built = {"in the solver": 0, "elsewhere": 0}
+    depth = []  # one entry per counted call on the stack
 
     class CountingFraction(Fraction):
         def __new__(cls, *args, **kwargs):
-            built["in step" if depth else "elsewhere"] += 1
+            built["in the solver" if depth else "elsewhere"] += 1
             return super().__new__(cls, *args, **kwargs)
 
-    def counted_step(state):
-        depth.append(state)
-        try:
-            return real_step(state)
-        finally:
-            depth.pop()
+    def counted(real):
+        def call(state):
+            depth.append(state)
+            try:
+                return real(state)
+            finally:
+                depth.pop()
 
-    real_step = engine.step
+        return call
+
     monkeypatch.setattr(engine, "Fraction", CountingFraction)
-    monkeypatch.setattr(engine, "step", counted_step)
+    for name in ("add_agent", "find_solution", "step"):
+        monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
     kinds = set()
     for seed in range(5):
         for check in (True, False):
             _, trace = solve(generate_instance(4, 10, 9, seed), check=check)
-            kinds.update(ev.kind if ev.beta is None else ev.beta.chosen for ev in trace.events)
+            kinds.update(ev.chosen or ev.kind for ev in trace.events)
     assert kinds == {"transfer", "b1", "b2", "b3"}
-    assert built["elsewhere"] > 0  # the counter sees the engine's constructions, e.g. the prices
-    assert built["in step"] == 0
+    assert built["elsewhere"] > 0  # the counter sees the engine's constructions: the prices
+    assert built["in the solver"] == 0
 
 
 def test_step_counts_into_the_open_call_of_the_newest_agent(demo_instance):
@@ -482,8 +496,8 @@ def test_solver_exercises_every_event_kind():
         _, trace = solve(inst)
         for event in trace.events:
             kinds[event.kind] += 1
-            if event.beta is not None:
-                chosen[event.beta.chosen] += 1
+            if event.chosen is not None:
+                chosen[event.chosen] += 1
     assert kinds["transfer"] > 0 and kinds["price_rise"] > 0
     assert set(chosen) == {"b1", "b2", "b3"}
 
@@ -606,7 +620,7 @@ def test_engine_invariants_hold_after_every_event():
             add_agent(state)
             state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, inst.m))
             while True:
-                spends, hats = spending_profile(state.bundles, state.fraction_prices())
+                spends, hats = spending_profile(state.bundles, prices_of(state))
                 if state.num_agents > 1:
                     level = max(hats)
                     assert all(
@@ -615,7 +629,7 @@ def test_engine_invariants_hold_after_every_event():
                     ) or min(spends) >= level
                 if step(state) is None:
                     break
-                prices = state.fraction_prices()
+                prices = prices_of(state)
                 alphas = reference.alphas(inst, prices, state.agents, state.joined)
                 for i in range(state.num_agents):
                     for g in state.bundles[i]:
@@ -702,11 +716,12 @@ def test_online_audit_catches_a_price_rise_that_moves_the_violation_level(monkey
 
     def overshoot(state, reach):
         # A rate past b2 (and short of b1) lifts a reachable hat over the level.
-        b = compute_betas(state, reach)
-        if b.b2 is None or (b.b1 is not None and b.b1 <= b.b2):
-            return b
-        beta = b.b2 * 2 if b.b1 is None else (b.b2 + b.b1) / 2
-        return BetaBreakdown((b.pair("b1"), beta.as_integer_ratio(), b.pair("b3")), "b2")
+        rates, chosen, edges = compute_betas(state, reach)
+        b1, b2, _ = as_fractions(rates)
+        if b2 is None or (b1 is not None and b1 <= b2):
+            return rates, chosen, edges
+        beta = b2 * 2 if b1 is None else (b2 + b1) / 2
+        return (rates[0], beta.as_integer_ratio(), rates[2]), "b2", ()
 
     monkeypatch.setattr(engine, "compute_betas", overshoot)
     with pytest.raises(InternalInvariantError, match="moved the violation level"):
@@ -791,7 +806,7 @@ def test_online_checks_catch_a_valued_good_that_has_not_joined(demo_instance, mo
 
 def rebuilt_market(state: EngineState) -> tuple:
     """The state's edges, spends and hats from their literal `Fraction` definitions."""
-    prices = state.fraction_prices()
+    prices = prices_of(state)
     return (
         reference.mbb(state.inst, prices, state.agents, state.joined),
         [reference.bundle_price(prices, b) for b in state.bundles],
@@ -827,7 +842,7 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
         assert (state.mbb, spends, hats) == rebuilt_market(state)
         # searching the maintained state finds what searching a rebuilt graph finds
         graph = MbbGraph.from_state(
-            state.inst, state.bundles, state.fraction_prices(), state.agents, state.joined
+            state.inst, state.bundles, prices_of(state), state.agents, state.joined
         )
         reach = reach_from(state, [state.k])
         assert reach == reach_from(graph, [state.k])
@@ -837,8 +852,7 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
         )
         if state.trace.events:
             kinds.add(state.trace.events[-1].kind)
-            beta = state.trace.events[-1].beta
-            kinds.add(beta and beta.chosen)
+            kinds.add(state.trace.events[-1].chosen)
     assert {"transfer", "price_rise", "b1", "b2", "b3"} <= kinds
 
 

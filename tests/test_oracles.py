@@ -1,8 +1,9 @@
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -25,7 +26,7 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.engine import BetaBreakdown, TraceEvent
+from fairmarket.engine import TraceEvent
 from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare
 
 from reference import alphas, bang_per_buck, check_ef1_literal
@@ -477,9 +478,10 @@ def test_audit_flags_tampered_events(demo_instance):
 
 
 # One tamper per event field, each breaking an invariant `audit_trace` documents,
-# and the finding it must raise.  The trace of `generate_instance(3, 8, 9, 0)` has
-# two calls alternating transfers and rises: event 1 is a transfer, 2 a price rise
-# and 3 the transfer right after it.
+# and the finding it must raise; a key naming a field and a kind gives that kind the
+# field of the other.  The trace of `generate_instance(3, 8, 9, 0)` has two calls
+# alternating transfers and rises: event 1 is a transfer, 2 a price rise and 3 the
+# transfer right after it.
 TAMPERS = {
     "k": (lambda evs: evs[2].update(k=evs[2]["k"] + 1), "does not start at step 1"),
     "step": (lambda evs: evs[2].update(step=evs[2]["step"] + 2), "step numbering gap"),
@@ -490,7 +492,12 @@ TAMPERS = {
         ),
         "chosen rate label mismatch",
     ),
+    "beta on a transfer": (lambda evs: evs[1].update(beta=evs[2]["beta"]), "transfer with rates"),
     "path": (lambda evs: evs[1].update(path=evs[1]["path"][:-1]), "malformed transfer path"),
+    "path on a rise": (
+        lambda evs: evs[2].update({key: evs[1][key] for key in ("path", "a", "b")}),
+        "price rise with a path or cut indices",
+    ),
     # a release index past the path's last good
     "a": (lambda evs: evs[1].update(a=len(evs[1]["path"]) // 2 + 1), "bad release index"),
     "b": (lambda evs: evs[1].update(b=evs[1]["a"]), "bad absorb index"),
@@ -513,7 +520,7 @@ def test_audit_flags_each_tampered_field(field):
     inst = generate_instance(3, 8, 9, 0)
     _, trace = solve(inst)
     events = list(trace.iter_json_dicts())
-    assert set(TAMPERS) == set(events[0])  # every field has its tamper
+    assert {name.split()[0] for name in TAMPERS} == set(events[0])  # every field has its tamper
     assert [ev["kind"] for ev in events[1:4]] == ["transfer", "price_rise", "transfer"]
     assert audit_trace(parsed(events), inst.m) == []
     tamper, finding = TAMPERS[field]
@@ -592,7 +599,9 @@ def test_every_trace_event_parses_back_equal_to_itself():
         _, trace = solve(generate_instance(4, 10, 9, seed))
         for ev in trace.events:
             assert round_trip(ev) == ev
-            seen.add(ev.kind if ev.beta is None else ev.beta.chosen)
+            # Field by field too: the event holds nothing its JSON record does not.
+            assert astuple(round_trip(ev)) == astuple(ev)
+            seen.add(ev.chosen or ev.kind)
     assert seen == {"transfer", "b1", "b2", "b3"}
 
 
@@ -608,8 +617,8 @@ shared = st.builds(
 
 def integer_event(spend: int, hat: int, price: int, den: int, rate: tuple[int, int]) -> TraceEvent:
     """A price-rise event with the given integers and rate b2."""
-    beta = BetaBreakdown((None, rate, None), "b2")
-    return TraceEvent(2, 1, "price_rise", beta, None, None, None, (0, 2, 1, 1), spend, hat, price, den)
+    rates = (None, rate, None)
+    return TraceEvent(2, 1, "price_rise", rates, "b2", None, None, None, (0, 2, 1, 1), spend, hat, price, den)
 
 
 @given(
@@ -625,12 +634,14 @@ def integer_event(spend: int, hat: int, price: int, den: int, rate: tuple[int, i
 @example(spend=2**13288, hat=3**8000, price=7, den=6**4000, rate=(10**3999 + 1, 3), scale=10**3999 + 1)
 def test_trace_events_store_reduced_integers(spend, hat, price, den, rate, scale):
     event = integer_event(spend, hat, price, den, rate)
-    # The writer gives each rational the bytes of `str(Fraction)`, and a read builds that `Fraction`.
+    # The event keeps each value in lowest terms; the writer gives it the bytes of `str(Fraction)`.
     record = event.to_json_dict()
     levels = {"min_spend": spend, "max_hat": hat, "min_price": price}
     assert {key: record[key] for key in levels} == {key: str(F(num, den)) for key, num in levels.items()}
-    assert {key: getattr(event, key) for key in levels} == {key: F(num, den) for key, num in levels.items()}
-    assert record["beta"]["b2"] == str(F(*rate)) and event.beta.beta == event.beta.b2 == F(*rate)
+    stored = (event.spend, event.hat, event.price)
+    assert gcd(*stored, event.den) == 1
+    assert [F(num, event.den) for num in stored] == [F(num, den) for num in levels.values()]
+    assert record["beta"]["b2"] == str(F(*rate)) and event.rates == (None, F(*rate).as_integer_ratio(), None)
     # The same values over a multiple of the denominator make an equal event.
     scaled_rate = (rate[0] * scale, rate[1] * scale)
     scaled = integer_event(spend * scale, hat * scale, price * scale, den * scale, scaled_rate)
@@ -645,20 +656,19 @@ def test_trace_records_emit_their_keys_sorted():
     for seed in range(5):
         _, trace = solve(generate_instance(4, 10, 9, seed))
         for ev in trace.events:
-            for record in (ev.to_json_dict(), ev.beta and ev.beta.to_json_dict()):
-                assert record is None or list(record) == sorted(record)
+            record = ev.to_json_dict()
+            for keys in (record, record["beta"] or ()):
+                assert list(keys) == sorted(keys)
 
 
 # Tampers applied to the typed events with `dataclasses.replace`, each breaking
 # the same invariant as its entry in TAMPERS (same instance, same events).
 TYPED_TAMPERS = {
     "step": lambda evs: {2: replace(evs[2], step=evs[2].step + 2)},
-    "beta": lambda evs: {
-        2: replace(
-            evs[2], beta=replace(evs[2].beta, chosen="b2" if evs[2].beta.chosen == "b1" else "b1")
-        )
-    },
+    "beta": lambda evs: {2: replace(evs[2], chosen="b2" if evs[2].chosen == "b1" else "b1")},
+    "beta on a transfer": lambda evs: {1: replace(evs[1], rates=evs[2].rates, chosen=evs[2].chosen)},
     "path": lambda evs: {1: replace(evs[1], path=evs[1].path[:-1])},
+    "path on a rise": lambda evs: {2: replace(evs[2], path=evs[1].path, a=evs[1].a, b=evs[1].b)},
     "potential": lambda evs: {2: replace(evs[2], potential=evs[1].potential)},
     "max_hat": lambda evs: {3: replace(evs[3], hat=2 * evs[3].hat)},
     "min_price": lambda evs: {2: replace(evs[2], price=0)},
