@@ -29,7 +29,6 @@ from .oracles import (
     brute_force_po,
     check_ef1,
     check_mbb_consistency,
-    check_nsw_ratio,
     nash_product,
     verify,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "check_ef1",
     "check_hall",
     "check_mbb_consistency",
-    "check_nsw_ratio",
     "denormalize",
     "find_solution",
     "is_pef1",

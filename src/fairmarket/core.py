@@ -202,7 +202,7 @@ class Solution:
         for g, p in enumerate(self.prices):
             if not isinstance(p, Fraction):
                 raise InvalidInputError(f"price of good {g} is not a Fraction")
-            if p < 0:
+            if p.numerator < 0:
                 raise InvalidInputError(f"price of good {g} is negative: {_brief(str(p))}")
 
     def to_json_dict(self) -> dict:

@@ -47,6 +47,7 @@ def check_ef1(inst: Instance, alloc: Allocation) -> bool:
     Agent i accepts agent j's bundle test when either i does not envy j,
     or dropping j's single most valuable good (in i's eyes) kills the envy.
     """
+    alloc.validate_partition(inst.m, inst.n)
     n = inst.n
     for i in range(n):
         row, _ = _common_denominator(inst.valuations[i])  # i's values over one denominator
@@ -100,24 +101,27 @@ def _shares(inst: Instance) -> list[list[int]]:
     return [[v * (scale // t) for v in row] for row, t in zip(vals, totals)]
 
 
-def _suffix_sums(rows: Sequence[Sequence[int]], order: Sequence[int]) -> list[list[int]]:
-    """Per row, its sums over the goods `order[j:]`, for j from 0 to len(order)."""
+def _branches(
+    shares: Sequence[Sequence[int]], order: Sequence[int]
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """What both searches branch and prune on, over the goods taken in `order`.
+
+    Returns, per position j: the agents good `order[j]` may go to (only agent
+    0 when it is worthless to everyone); per agent, its summed shares of the
+    goods `order[j:]`; and `most[j]`, the largest share in each of those
+    goods, summed.  However the goods `order[j:]` are handed out, the
+    agents' summed shares grow by at most `most[j]`.
+    """
+    agents = list(range(len(shares)))
+    columns = [max(column) for column in zip(*shares)]
+    choices = [agents if columns[g] else [0] for g in order]
     sums = []
-    for row in rows:
+    for row in (*shares, columns):
         acc = [0]
         for g in reversed(order):
             acc.append(acc[-1] + row[g])
         sums.append(acc[::-1])
-    return sums
-
-
-def _most(shares: Sequence[Sequence[int]], order: Sequence[int]) -> list[int]:
-    """`most[j]`: the largest share in each of the goods `order[j:]`, summed.
-
-    However the goods `order[j:]` are handed out, the agents' summed shares
-    grow by at most `most[j]`.
-    """
-    return _suffix_sums([[max(column) for column in zip(*shares)]], order)[0]
+    return choices, sums[:-1], sums[-1]
 
 
 def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) -> bool | None:
@@ -127,21 +131,17 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
     value and some agent strictly more, pruning branches that cannot catch
     up.  Necessary (not sufficient) for fractional optimality.
     """
+    alloc.validate_partition(inst.m, inst.n)
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
-    if n == 1:  # the only allocation
-        return inst.value_of(0, alloc[0]) >= inst.value_of(0, range(m))
     # Assign high-impact goods first; goods worthless to everyone need no branching.
     vals = _shares(inst)
     order = sorted(range(m), key=lambda g: (-sum(row[g] for row in vals), g))
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
     goal = sum(target)
-    choices = [
-        [0] if all(vals[i][g] == 0 for i in range(n)) else list(range(n)) for g in order
-    ]
-    suffix, most = _suffix_sums(vals, order), _most(vals, order)
+    choices, suffix, most = _branches(vals, order)
 
     # Depth-first over the goods in `order` with an explicit stack; the empty
     # assignment dominates nothing, so the search starts at the first good.
@@ -184,6 +184,7 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
 
 def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     """Product of the agents' bundle values (the welfare objective, un-rooted)."""
+    alloc.validate_partition(inst.m, inst.n)
     product, den = 1, 1
     for i in range(inst.n):
         row, row_den = _common_denominator(inst.valuations[i])
@@ -216,11 +217,7 @@ def _max_nash_welfare(
         return nash_product(inst, winner), winner
     # Products of shares are the value products times one positive constant.
     vals = _shares(inst)
-    suffix, most = _suffix_sums(vals, range(m)), _most(vals, range(m))
-    choices = [
-        [0] if all(vals[i][g] == 0 for i in range(n)) else list(range(n))
-        for g in range(m)
-    ]
+    choices, suffix, most = _branches(vals, range(m))
     spread = n**n
 
     # Depth-first with an explicit stack: g is the next good to assign.
@@ -277,26 +274,6 @@ def _max_nash_welfare(
         bundles[i].add(g)
     winner = Allocation(tuple(frozenset(b) for b in bundles))
     return nash_product(inst, winner), winner
-
-
-def _nsw_bound(
-    inst: Instance, alloc: Allocation, cap: int | None
-) -> tuple[Fraction, Fraction | None, bool | None]:
-    """`alloc`'s value product, the optimum searched from it, and their NSW_FLOOR^n check."""
-    product = nash_product(inst, alloc)
-    result = _max_nash_welfare(inst, cap, alloc)
-    if result is None:
-        return product, None, None
-    return product, result[0], product >= NSW_FLOOR**inst.n * result[0]
-
-
-def check_nsw_ratio(inst: Instance, alloc: Allocation, cap: int | None = None) -> bool | None:
-    """Exact-rational welfare bound: value product within NSW_FLOOR^n of optimal.
-
-    None when the brute-force optimum is size-gated away.
-    """
-    alloc.validate_partition(inst.m, inst.n)  # the search is seeded with its product
-    return _nsw_bound(inst, alloc, cap)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +367,10 @@ def verify(inst: Instance, sol: Solution, *, brute_cap: int | None = None) -> Ve
     if pef1 and mbb and not ef1:
         raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")
     po = brute_force_po(inst, sol.allocation, brute_cap)
-    product, mnw_product, ratio_ok = _nsw_bound(inst, sol.allocation, brute_cap)
+    product = nash_product(inst, sol.allocation)
+    best = _max_nash_welfare(inst, brute_cap, sol.allocation)  # searched from this allocation
+    mnw_product = None if best is None else best[0]
+    ratio_ok = None if best is None else product >= NSW_FLOOR**inst.n * mnw_product
     return VerificationReport(
         ef1=ef1,
         pef1=pef1,
@@ -449,11 +429,8 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
                             least = (name, *rate)
                     if least is None:
                         found.append("all rise rates infinite")
-                    else:
-                        if least[1] <= least[2]:
-                            found.append(f"rise rate {Fraction(*least[1:])} not above 1")
-                        if ev.chosen != least[0]:
-                            found.append("chosen rate label mismatch")
+                    elif ev.chosen != least[0]:
+                        found.append("chosen rate label mismatch")
                     for name, rate in zip(RATES, ev.rates):
                         if rate is not None and rate[0] <= rate[1]:
                             found.append(f"candidate rate {name} not above 1")

@@ -20,7 +20,6 @@ from fairmarket import (
     brute_force_po,
     check_ef1,
     check_mbb_consistency,
-    check_nsw_ratio,
     nash_product,
     solve,
     verify,
@@ -290,25 +289,44 @@ def test_mnw_maximizer_is_ef1_when_positive():
 # welfare ratio
 
 
+def ratio_ok(inst, alloc):
+    """`verify`'s Nash-welfare bound for `alloc`, at unit prices."""
+    return verify(inst, Solution(alloc, (F(1),) * inst.m)).ratio_ok
+
+
 def test_nsw_ratio_accepts_the_maximizer(demo_instance):
     _, best = brute_force_mnw(demo_instance)
-    assert check_nsw_ratio(demo_instance, best) is True
+    assert ratio_ok(demo_instance, best) is True
 
 
 def test_nsw_ratio_rejects_zero_product_when_positive_possible():
     inst = Instance.from_values([[1, 1], [1, 1]])
     starved = Allocation.from_lists([[], [0, 1]])
-    assert check_nsw_ratio(inst, starved) is False
+    assert ratio_ok(inst, starved) is False
 
 
-@pytest.mark.parametrize(
-    "bundles", [[[0, 1], [0, 1]], [[0], [1, 2]], [[0], []], [[0], [1], []], [[0, 1]]]
-)
+# Bundles that are not a partition of the two goods of `[[1, 1], [1, 1]]` among its
+# two agents: a good held twice, a good that does not exist, a good held by nobody,
+# a bundle too many and a bundle too few.
+NOT_PARTITIONS = [[[0, 1], [0, 1]], [[0], [1, 2]], [[0], []], [[0], [1], []], [[0, 1]]]
+
+
+@pytest.mark.parametrize("bundles", NOT_PARTITIONS)
 def test_nsw_ratio_rejects_an_allocation_that_is_not_a_partition(bundles):
     # The exact search starts from the allocation's product, so it must be a real one.
     inst = Instance.from_values([[1, 1], [1, 1]])
     with pytest.raises(InvalidInputError):
-        check_nsw_ratio(inst, Allocation.from_lists(bundles))
+        ratio_ok(inst, Allocation.from_lists(bundles))
+
+
+@pytest.mark.parametrize("bundles", NOT_PARTITIONS)
+@pytest.mark.parametrize("oracle", [check_ef1, brute_force_po, nash_product])
+def test_public_oracles_reject_an_allocation_that_is_not_a_partition(oracle, bundles):
+    # As `verify` does (the test above): each answers only on a partition, never
+    # with an IndexError or a verdict on goods held twice.
+    inst = Instance.from_values([[1, 1], [1, 1]])
+    with pytest.raises(InvalidInputError):
+        oracle(inst, Allocation.from_lists(bundles))
 
 
 def test_nsw_ratio_on_solver_outputs():
@@ -321,7 +339,7 @@ def test_nsw_ratio_on_solver_outputs():
             rows[i][g] = max(1, rows[i][g])
         inst = Instance.from_values(rows)
         sol, _ = solve(inst)
-        assert check_nsw_ratio(inst, sol.allocation) is True
+        assert ratio_ok(inst, sol.allocation) is True
 
 
 def _tie_heavy_case(rng):
@@ -365,7 +383,6 @@ def test_seeded_welfare_search_matches_the_unseeded_one():
             report = verify(inst, Solution(alloc, (F(1),) * inst.m))
             within = nash_product(inst, alloc) >= NSW_FLOOR**inst.n * expected[0]
             assert (report.mnw_product, report.ratio_ok) == (expected[0], within)
-            assert check_nsw_ratio(inst, alloc) is within
     kinds = {"equal rows", "duplicate rows", "zero row", "n>m", "random"}
     assert seen == kinds | {"tied positive optimum", "solver allocation"}
 
@@ -493,6 +510,11 @@ TAMPERS = {
         "chosen rate label mismatch",
     ),
     "beta on a transfer": (lambda evs: evs[1].update(beta=evs[2]["beta"]), "transfer with rates"),
+    # the chosen rate (b1) of the rise set to 1, still the smallest
+    "beta rate": (
+        lambda evs: evs[2].update(beta=dict(evs[2]["beta"], b1="1")),
+        "candidate rate b1 not above 1",
+    ),
     "path": (lambda evs: evs[1].update(path=evs[1]["path"][:-1]), "malformed transfer path"),
     "path on a rise": (
         lambda evs: evs[2].update({key: evs[1][key] for key in ("path", "a", "b")}),
@@ -526,6 +548,15 @@ def test_audit_flags_each_tampered_field(field):
     tamper, finding = TAMPERS[field]
     tamper(events)
     assert any(finding in problem for problem in audit_trace(parsed(events), inst.m))
+
+
+def test_audit_reports_a_rise_rate_of_one_once():
+    inst = generate_instance(3, 8, 9, 0)
+    _, trace = solve(inst)
+    events = list(trace.iter_json_dicts())
+    assert events[2]["beta"]["chosen"] == "b1"
+    TAMPERS["beta rate"][0](events)
+    assert audit_trace(parsed(events), inst.m) == ["call k=2 step 3: candidate rate b1 not above 1"]
 
 
 MISSING = object()  # the field is left out of the record
