@@ -138,9 +138,23 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A partition of the goods into one bundle per agent."""
+    """A partition of goods 0..k-1 into bundles, one per agent."""
 
     bundles: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        # The one check of raw good indices: what takes an Allocation checks its shape alone.
+        held: set[int] = set()
+        for i, bundle in enumerate(self.bundles):
+            for g in bundle:
+                if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+                    raise InvalidInputError(f"bundle {i} holds invalid good index {g!r}")
+                if g in held:
+                    raise InvalidInputError(f"good {g} appears in more than one bundle")
+                held.add(g)
+        if held and max(held) >= len(held):
+            missing = min(set(range(len(held))) - held)
+            raise InvalidInputError(f"good index {max(held)} is out of range; good {missing} is not allocated")
 
     def __len__(self) -> int:
         return len(self.bundles)
@@ -153,23 +167,21 @@ class Allocation:
 
     @classmethod
     def from_lists(cls, lists: Iterable[Iterable[int]]) -> "Allocation":
-        return cls(tuple(frozenset(b) for b in lists))
+        """The allocation of bundles given as lists, each listing its goods once."""
+        lists = [list(b) for b in lists]
+        if any(len(set(b)) != len(b) for b in lists):
+            raise InvalidInputError("a bundle lists a good more than once")
+        return cls(tuple(map(frozenset, lists)))
 
-    def validate_partition(self, m: int, n: int | None = None) -> None:
-        """Raise unless the bundles are disjoint and cover exactly goods 0..m-1
-        and, given `n`, number `n`."""
-        seen: set[int] = set()
-        for i, bundle in enumerate(self.bundles):
-            for g in bundle:
-                if not isinstance(g, int) or isinstance(g, bool) or not 0 <= g < m:
-                    raise InvalidInputError(f"bundle {i} holds invalid good index {g!r}")
-                if g in seen:
-                    raise InvalidInputError(f"good {g} appears in more than one bundle")
-                seen.add(g)
-        if len(seen) != m:
-            missing = sorted(set(range(m)) - seen)
-            raise InvalidInputError(f"goods {missing} are not allocated")
-        if n is not None and len(self.bundles) != n:
+    def validate_partition(self, m: int, n: int) -> None:
+        """Raise unless there are `n` bundles holding goods 0..m-1: a shape check, as
+        the goods held are 0..k-1 by construction."""
+        k = sum(map(len, self.bundles))
+        if k > m:
+            raise InvalidInputError(f"good index {k - 1} is out of range for {m} goods")
+        if k < m:
+            raise InvalidInputError(f"goods {k}..{m - 1} are not allocated")
+        if len(self.bundles) != n:
             raise InvalidInputError(f"allocation has {len(self.bundles)} bundles for {n} agents")
 
     def as_sorted_lists(self) -> list[list[int]]:
@@ -184,26 +196,21 @@ class Solution:
     prices: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        # The one check of raw good indices and of the price container, so every
+        # The one check of the price container and its entries, so every
         # function taking a Solution may index `prices` by its bundles' goods.
         if not isinstance(self.prices, (list, tuple)):
             raise InvalidInputError(f"prices must be a list or tuple, got {type(self.prices).__name__}")
         object.__setattr__(self, "prices", tuple(self.prices))  # hashable, equal for equal prices
-        for g in (g for bundle in self.allocation for g in bundle):
-            if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-                raise InvalidInputError(f"invalid good index {g!r}")
-            if g >= len(self.prices):
-                raise InvalidInputError(f"good index {g} is outside the price vector")
-
-    def validate(self, inst: Instance) -> None:
-        self.allocation.validate_partition(inst.m, inst.n)
-        if len(self.prices) != inst.m:
-            raise InvalidInputError(f"price vector has {len(self.prices)} entries for {inst.m} goods")
         for g, p in enumerate(self.prices):
             if not isinstance(p, Fraction):
                 raise InvalidInputError(f"price of good {g} is not a Fraction")
             if p.numerator < 0:
                 raise InvalidInputError(f"price of good {g} is negative: {_brief(str(p))}")
+        self.allocation.validate_partition(len(self.prices), len(self.allocation))
+
+    def validate(self, inst: Instance) -> None:
+        """Raise unless the solution fits `inst`: a shape check, as it checked its goods when made."""
+        self.allocation.validate_partition(inst.m, inst.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -272,17 +279,22 @@ def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fracti
     return spending_profile(bundles, prices)[1]
 
 
-def is_pef1(sol: Solution) -> bool:
-    """Price-level envy-freeness up to one good.
+def is_pef1(inst: Instance, sol: Solution) -> bool:
+    """Price-level envy-freeness up to one good, over the market normalization keeps.
 
-    Holds exactly when the minimum spending is at least the maximum
-    drop-one bundle price across all agents.
+    Holds exactly when, among the agents who value some good and counting
+    only the goods some agent values, the minimum spending is at least the
+    maximum drop-one bundle price.  An agent who values nothing but holds a
+    valued good fails it.
     """
-    bundles = sol.allocation.bundles
-    if not bundles:
-        return True
+    sol.validate(inst)
+    agents, goods = _valued(inst)
+    valued = frozenset(goods)
+    bundles = [sol.allocation[i] & valued for i in agents]
+    if sum(map(len, bundles)) < len(goods):
+        return False  # an agent who values nothing holds a valued good
     spends, hats = spending_profile(bundles, sol.prices)
-    return min(spends) >= max(hats)
+    return min(spends, default=0) >= max(hats, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +316,17 @@ class NormalizationRecord:
     kept_goods: tuple[int, ...]
 
     @property
-    def dropped_agents(self) -> tuple[int, ...]:
-        kept = set(self.kept_agents)
-        return tuple(i for i in range(self.original_agent_count) if i not in kept)
-
-    @property
     def dropped_goods(self) -> tuple[int, ...]:
         kept = set(self.kept_goods)
         return tuple(g for g in range(self.original_good_count) if g not in kept)
 
-    @property
-    def is_identity(self) -> bool:
-        kept = (self.kept_agents, self.kept_goods)
-        return kept == (tuple(range(self.original_agent_count)), tuple(range(self.original_good_count)))
+
+def _valued(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The agents who value some good and the goods some agent values: what normalization keeps."""
+    # `Instance` rejects negative values, so a nonzero value is a positive one.
+    agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
+    goods = tuple(g for g, column in enumerate(zip(*inst.valuations)) if any(column))
+    return agents, goods
 
 
 def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRecord]:
@@ -325,9 +335,7 @@ def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRe
     Returns the core instance (or None when no agent survives) and the
     record needed to re-embed a core solution via `denormalize`.
     """
-    # `Instance` rejects negative values, so a nonzero value is a positive one.
-    kept_goods = tuple(g for g, column in enumerate(zip(*inst.valuations)) if any(column))
-    kept_agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
+    kept_agents, kept_goods = _valued(inst)
     rec = NormalizationRecord(inst.n, inst.m, kept_agents, kept_goods)
     if not kept_agents:
         return None, rec

@@ -24,8 +24,9 @@ from .core import (
     InvalidInputError,
     Solution,
     _common_denominator,
+    _valued,
     is_pef1,
-    normalize_instance,
+    normalize_instance,  # unused here; perfbench's span table names it (core.normalize)
 )
 from .engine import RATES, TraceEvent, iteration_bound
 from .market import MbbGraph
@@ -72,15 +73,19 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
 
     A passing solution is a machine-checkable certificate of fractional
     Pareto optimality: the prices support a market equilibrium with each
-    agent's spending as its budget.  `sol` must fit `inst`, with strictly
-    positive prices.
+    agent's spending as its budget.  Like `is_pef1`, it reads the market
+    that normalization keeps: an agent who values nothing but holds a
+    valued good fails it, as does a valued good at price 0; goods nobody
+    values are ignored.
     """
     sol.validate(inst)
-    if any(p <= 0 for p in sol.prices):
-        raise InvalidInputError("ratio certificate needs strictly positive prices")
-    bundles = sol.allocation.bundles
-    graph = MbbGraph.from_state(inst, bundles, sol.prices, range(inst.n), range(inst.m))
-    return all(bundle <= set(graph.mbb[i]) for i, bundle in enumerate(bundles))
+    agents, goods = _valued(inst)
+    valued = frozenset(goods)
+    bundles = [sol.allocation[i] & valued for i in agents]
+    if sum(map(len, bundles)) < len(goods) or not all(sol.prices[g] for g in goods):
+        return False
+    graph = MbbGraph.from_state(inst, sol.allocation.bundles, sol.prices, agents, goods)
+    return all(bundle <= set(graph.mbb[i]) for i, bundle in zip(agents, bundles))
 
 
 # ---------------------------------------------------------------------------
@@ -319,50 +324,17 @@ class VerificationReport:
         }
 
 
-def _core_projection(inst: Instance, sol: Solution) -> tuple[Instance, Solution | None] | None:
-    """Restrict a solution to the normalized core, or flag it unprojectable.
-
-    Returns None when no agent survives normalization (nothing to certify);
-    returns (core, None) when some stripped agent holds a valued good, in
-    which case the solution carries no price-support certificate.
-    """
-    core, rec = normalize_instance(inst)
-    if core is None:
-        return None
-    if rec.is_identity:
-        return core, sol
-    dropped_goods = set(rec.dropped_goods)
-    for i in rec.dropped_agents:
-        if any(g not in dropped_goods for g in sol.allocation[i]):
-            return core, None
-    good_pos = {g: ci for ci, g in enumerate(rec.kept_goods)}
-    core_bundles = tuple(
-        frozenset(good_pos[g] for g in sol.allocation[orig] if g not in dropped_goods)
-        for orig in rec.kept_agents
-    )
-    prices = tuple(sol.prices[g] for g in rec.kept_goods)
-    return core, Solution(Allocation(core_bundles), prices)
-
-
 def verify(inst: Instance, sol: Solution, *, brute_cap: int | None = None) -> VerificationReport:
     """Run every checker against a solution and aggregate the results.
 
-    The price-level checks (pEF1 and the ratio certificate) are evaluated
-    on the normalized core, where prices are meaningful; the value-level
-    checks run on the original index space.  A report claiming the
-    certificate holds while EF1 fails is impossible and raises.
+    The price-level checks (pEF1 and the ratio certificate) read the
+    solution as given and skip what normalization strips: goods nobody
+    values and agents who value nothing.  The value-level checks read it
+    whole.  A report claiming the certificate holds while EF1 fails is
+    impossible and raises.
     """
-    sol.validate(inst)
-    projection = _core_projection(inst, sol)
-    if projection is None:
-        pef1 = mbb = True
-    else:
-        core, core_sol = projection
-        if core_sol is None:
-            pef1 = mbb = False
-        else:
-            pef1 = is_pef1(core_sol)
-            mbb = all(p > 0 for p in core_sol.prices) and check_mbb_consistency(core, core_sol)
+    pef1 = is_pef1(inst, sol)
+    mbb = check_mbb_consistency(inst, sol)
     ef1 = check_ef1(inst, sol.allocation)
     if pef1 and mbb and not ef1:
         raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")

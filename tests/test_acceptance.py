@@ -90,7 +90,7 @@ def test_criterion_2_single_rise_trace_reproduction():
         and events[0].rates == ((5, 3), (5, 3), (5, 4))
         and events[0].chosen == "b3"
         and final.prices == (F(6), F(5), F(35, 4), F(15, 4), F(5))
-        and is_pef1(final)
+        and is_pef1(inst, final)
     )
     report(2, "single price-rise reproduction", ok)
 
@@ -172,7 +172,7 @@ def test_criterion_6_oracle_self_consistency():
         ef1 = check_ef1(inst, sol.allocation)
         if ef1 != check_ef1_literal(inst, sol.allocation):
             twin_mismatches += 1
-        if is_pef1(sol) and check_mbb_consistency(inst, sol):
+        if is_pef1(inst, sol) and check_mbb_consistency(inst, sol):
             premise_hits += 1
             if not ef1:
                 implication_breaks += 1
@@ -195,7 +195,7 @@ def test_criterion_7_fixed_agents_scaling():
         solution, trace = solve(inst)
         elapsed = time.perf_counter() - started
         clean = not audit_trace(trace.events, inst.m)
-        fair = is_pef1(solution) if all(p > 0 for p in solution.prices) else True
+        fair = is_pef1(inst, solution)
         rows.append(
             f"m={m}: {elapsed:.2f}s iterations={[c.iterations for c in trace.calls]}"
         )

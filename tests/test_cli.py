@@ -353,6 +353,7 @@ def test_verify_rejects_malformed_solution_fields(tmp_path, capsys):
         {"bundles": ok_bundles, "prices": 5},
         {"bundles": [[[0]], [1]], "prices": ["1", "1"]},
         {"bundles": [[{"g": 0}], [1]], "prices": ["1", "1"]},
+        {"bundles": [[0, 0, 1], [2, 3], [4]], "prices": ["1"] * 5},  # good 0 listed twice
     ):
         bad_path.write_text(json.dumps(bad))
         assert main(["verify", inst_path, str(bad_path)]) == 1

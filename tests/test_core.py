@@ -84,7 +84,7 @@ def test_hat_price_examples():
 
 @pytest.mark.parametrize("goods", [{-1}, {5}, {0, 99}, {True}])
 def test_price_ops_reject_bad_indices(goods):
-    """Raw good indices are checked where a `Solution` is built; the kernels trust them."""
+    """Raw good indices are checked where an `Allocation` or a `Solution` is made; the kernels trust them."""
     inst = Instance.from_values([[1] * 5, [2] * 5])
     bundles = [goods, set(range(5)) - goods]
     with pytest.raises(InvalidInputError, match="good index"):
@@ -179,18 +179,18 @@ def test_two_goods_beat_singletons_as_violation():
     assert reference.max_violators(sol) == (0,)
 
 
-def test_is_pef1_on_demo_state(demo_state_solution):
-    assert not is_pef1(demo_state_solution)
+def test_is_pef1_on_demo_state(demo_instance, demo_state_solution):
+    assert not is_pef1(demo_instance, demo_state_solution)
 
 
-def test_is_pef1_after_raising_reachable_prices(demo_state_solution):
+def test_is_pef1_after_raising_reachable_prices(demo_instance, demo_state_solution):
     raised = tuple(p * F(5, 4) if g >= 2 else p for g, p in enumerate(demo_state_solution.prices))
-    assert is_pef1(Solution(demo_state_solution.allocation, raised))
+    assert is_pef1(demo_instance, Solution(demo_state_solution.allocation, raised))
 
 
 def test_all_singletons_are_pef1():
     sol = Solution(Allocation.from_lists([[0], [1]]), (F(1), F(100)))
-    assert is_pef1(sol)
+    assert is_pef1(Instance.from_values([[1, 1]] * 2), sol)
 
 
 def test_is_pef1_matches_spender_violator_comparison():
@@ -206,7 +206,7 @@ def test_is_pef1_matches_spender_violator_comparison():
         spends = [reference.bundle_price(prices, b) for b in bundles]
         hats = [reference.hat_price(prices, b) for b in bundles]
         via_sets = spends[reference.min_spenders(sol)[0]] >= hats[reference.max_violators(sol)[0]]
-        assert is_pef1(sol) == via_sets
+        assert is_pef1(Instance.from_values([[1] * m] * n), sol) == via_sets
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +236,21 @@ def test_instance_json_rejects_mismatch(demo_instance):
 
 
 def test_allocation_partition_validation():
-    Allocation.from_lists([[0, 2], [1]]).validate_partition(3)
-    with pytest.raises(InvalidInputError):
-        Allocation.from_lists([[0], [0]]).validate_partition(2)
-    with pytest.raises(InvalidInputError):
-        Allocation.from_lists([[0], []]).validate_partition(2)
-    with pytest.raises(InvalidInputError):
-        Allocation.from_lists([[0, 3]]).validate_partition(2)
+    Allocation.from_lists([[0, 2], [1]]).validate_partition(3, 2)
+    # No partition of goods 0..k-1 is an Allocation: it is rejected when made.
+    for bad, text in (
+        ([[0], [0]], "more than one bundle"),
+        ([[0, 3]], "not allocated"),
+        ([[0, 0]], "more than once"),
+    ):
+        with pytest.raises(InvalidInputError, match=text):
+            Allocation.from_lists(bad)
+    with pytest.raises(InvalidInputError, match="not allocated"):
+        Allocation.from_lists([[0], []]).validate_partition(2, 2)
+    with pytest.raises(InvalidInputError, match=r"^goods 0\.\.999999 are not allocated$"):  # a range, not a list
+        Allocation.from_lists([[]]).validate_partition(10**6, 1)
+    with pytest.raises(InvalidInputError, match="2 bundles for 3 agents"):
+        Allocation.from_lists([[0], [1]]).validate_partition(2, 3)
 
 
 def test_solution_json_round_trip(demo_state_solution, demo_instance):
@@ -259,8 +267,8 @@ def test_solution_json_round_trip(demo_state_solution, demo_instance):
 def test_normalize_keeps_demo_instance(demo_instance):
     core, rec = normalize_instance(demo_instance)
     assert core == demo_instance
-    assert rec.is_identity
-    assert rec.dropped_agents == () and rec.dropped_goods == ()
+    assert rec.kept_agents == (0, 1, 2) and rec.kept_goods == (0, 1, 2, 3, 4)
+    assert rec.dropped_goods == ()
 
 
 def test_normalize_drops_worthless_good():
@@ -273,7 +281,7 @@ def test_normalize_drops_worthless_good():
 def test_normalize_drops_indifferent_agent():
     inst = Instance.from_values([[1, 2], [0, 0]])
     core, rec = normalize_instance(inst)
-    assert rec.dropped_agents == (1,)
+    assert rec.kept_agents == (0,)
     assert core.n == 1
 
 

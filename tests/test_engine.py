@@ -146,7 +146,7 @@ def test_price_rise_on_demo_state(demo_instance):
     apply_price_rise(state, reach, rates[RATES.index(chosen)], edges)
     prices = prices_of(state)
     assert [prices[g] for g in range(5)] == [F(6), F(5), F(35, 4), F(15, 4), F(5)]
-    assert is_pef1(state.to_solution())
+    assert is_pef1(demo_instance, state.to_solution())
     # afterwards nobody outside the reachable set has a best-ratio edge into it
     for i in range(3):
         if i not in reach.agents:
@@ -306,7 +306,7 @@ def test_rebalance_demo_state_single_rise(demo_instance):
     assert events[0].chosen == "b3"
     out = state.to_solution()
     assert out.prices == (F(6), F(5), F(35, 4), F(15, 4), F(5))
-    assert is_pef1(out)
+    assert is_pef1(demo_instance, out)
     assert check_mbb_consistency(demo_instance, out)
 
 
@@ -517,7 +517,7 @@ def test_solve_demo_instance(demo_instance):
     assert sol.allocation.as_sorted_lists() == [[0, 1], [2, 3], [4]]
     assert sol.prices == (F(1, 5), F(1, 6), F(7, 24), F(1, 8), F(1, 6))
     assert [c.iterations for c in trace.calls] == [0, 1, 2]
-    assert is_pef1(sol)
+    assert is_pef1(demo_instance, sol)
     assert check_mbb_consistency(demo_instance, sol)
     assert check_ef1(demo_instance, sol.allocation)
 
@@ -534,7 +534,7 @@ def test_solve_identical_agents_identical_goods_one_each():
     assert sorted(len(b) for b in sol.allocation) == [1, 1, 1]
     # any unbalanced partition with equal positive prices fails the fairness test
     lopsided = Solution(Allocation.from_lists([[0, 1], [2], []]), (F(1), F(1), F(1)))
-    assert not is_pef1(lopsided)
+    assert not is_pef1(inst, lopsided)
 
 
 def test_solve_exercises_transfers():
@@ -542,7 +542,7 @@ def test_solve_exercises_transfers():
     sol, trace = solve(inst)
     kinds = [e.kind for e in trace.events]
     assert "transfer" in kinds
-    assert is_pef1(sol)
+    assert is_pef1(inst, sol)
 
 
 def test_solve_rejects_hall_violation():
@@ -636,7 +636,7 @@ def test_engine_invariants_hold_after_every_event():
                         ratio = inst.valuations[i][g] / prices[g]
                         assert ratio == alphas[i]
         final = state.to_solution()
-        assert is_pef1(final)
+        assert is_pef1(inst, final)
         assert check_ef1(inst, final.allocation)
 
 

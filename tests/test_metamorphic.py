@@ -1,11 +1,20 @@
-"""Input transformations whose effect on `solve` is known in advance."""
+"""Input transformations whose effect on `solve` or `verify` is known in advance."""
 
 import itertools
 import json
 import random
 from fractions import Fraction
 
-from fairmarket import Instance, audit_trace, solve, verify
+from fairmarket import (
+    Allocation,
+    Instance,
+    Solution,
+    audit_trace,
+    check_mbb_consistency,
+    is_pef1,
+    solve,
+    verify,
+)
 
 
 def random_instance(rng: random.Random, n: int, m: int) -> Instance:
@@ -44,3 +53,34 @@ def test_every_insertion_order_is_certified():
                 solution, trace = solve(inst, order=order)
                 assert verify(inst, solution).ok
                 assert audit_trace(trace.events, inst.m) == []
+
+
+def pad(rng: random.Random, inst: Instance, sol: Solution) -> tuple[Instance, Solution]:
+    """Add what normalization strips: a good nobody values, held by a random agent
+    at a random price, and an agent who values nothing, with an empty bundle."""
+    rows = [row + (Fraction(0),) for row in inst.valuations]
+    bundles = [set(b) for b in sol.allocation]
+    bundles[rng.randrange(inst.n)].add(inst.m)
+    at = rng.randrange(inst.n + 1)
+    rows.insert(at, (Fraction(0),) * (inst.m + 1))
+    bundles.insert(at, set())
+    prices = sol.prices + (Fraction(rng.randint(0, 4)),)
+    return Instance(tuple(rows)), Solution(Allocation.from_lists(bundles), prices)
+
+
+def test_padding_what_normalization_strips_leaves_the_certificate_alone():
+    rng = random.Random(47)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        inst = random_instance(rng, n, rng.randint(n, 2 * n + 2))
+        solved, _ = solve(inst)
+        bundles = [[] for _ in range(n)]
+        for g in range(inst.m):
+            bundles[rng.randrange(n)].append(g)
+        prices = tuple(Fraction(rng.randint(0, 4)) for _ in range(inst.m))  # zero prices included
+        for sol in (solved, Solution(Allocation.from_lists(bundles), prices)):
+            before, after = verify(inst, sol, brute_cap=0), verify(*pad(rng, inst, sol), brute_cap=0)
+            for check in ("ef1", "pef1", "mbb_consistent"):
+                assert getattr(after, check) == getattr(before, check)
+        padded_inst, padded = pad(rng, inst, solved)
+        assert is_pef1(padded_inst, padded) and check_mbb_consistency(padded_inst, padded)

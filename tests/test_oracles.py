@@ -119,15 +119,20 @@ def test_certificate_single_agent_proportional_prices():
     assert check_mbb_consistency(inst, sol)
 
 
-def test_certificate_requires_positive_prices(demo_instance):
-    from fairmarket import InvalidInputError
-
+def test_certificate_requires_positive_prices_on_valued_goods(demo_instance):
+    # Good 4, worth 4 to agent 2, at price 0 fails the certificate.
     sol = Solution(
         Allocation.from_lists([[0, 1], [2, 3], [4]]),
         (F(6), F(5), F(7), F(3), F(0)),
     )
-    with pytest.raises(InvalidInputError):
-        check_mbb_consistency(demo_instance, sol)
+    assert not check_mbb_consistency(demo_instance, sol)
+    # A good nobody values, at price 0 in agent 0's bundle, leaves the demo state certified.
+    padded = Instance(tuple(row + (F(0),) for row in demo_instance.valuations))
+    sol = Solution(
+        Allocation.from_lists([[0, 1, 5], [2, 3], [4]]),
+        (F(6), F(5), F(7), F(3), F(4), F(0)),
+    )
+    assert check_mbb_consistency(padded, sol)
 
 
 def test_certificate_validates_its_solution():
