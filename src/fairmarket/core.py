@@ -103,11 +103,6 @@ class Instance:
     def from_values(cls, rows: Iterable[Iterable[int | str | Fraction]]) -> "Instance":
         return cls(tuple(tuple(parse_rational(x) for x in row) for row in rows))
 
-    def value_of(self, agent: int, goods: Iterable[int]) -> Fraction:
-        """Additive value agent places on a set of goods."""
-        row = self.valuations[agent]
-        return sum((row[g] for g in goods), Fraction(0))
-
     def to_json_dict(self) -> dict:
         return {
             "agents": self.n,

@@ -166,26 +166,11 @@ class TraceEvent:
         return cls(obj["k"], obj["step"], kind, rates, chosen, path, obj["a"], obj["b"], potential, *nums, den)
 
 
-@dataclass
-class CallStats:
-    """Per-rebalancing-call counters (one call per added agent)."""
-
-    agent_count: int
-    bound: int
-    iterations: int = 0
-
-
 class SolveTrace:
-    """Complete event log plus per-call counters for a whole solve run."""
+    """Complete event log of a solve run; the rebalancing call of k agents is its events with that `k`."""
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
-        self.calls: list[CallStats] = []
-
-    def start_call(self, agent_count: int, bound: int) -> CallStats:
-        stats = CallStats(agent_count=agent_count, bound=bound)
-        self.calls.append(stats)
-        return stats
 
     def iter_json_dicts(self) -> Iterable[dict]:
         return map(TraceEvent.to_json_dict, self.events)
@@ -202,8 +187,8 @@ class EngineState:
     split into integer pairs.  Per active agent, every event updates the
     goods attaining its best ratio (`mbb`), the bundle price (`spends`) and
     the drop-one bundle price (`hats`, both numerators over `den`) in
-    place.  A single state is strictly sequential; run separate states for
-    parallel solves.
+    place, and `ceiling` is the active agents' `iteration_bound`.  A single
+    state is strictly sequential; run separate states for parallel solves.
     """
 
     inst: Instance
@@ -217,6 +202,7 @@ class EngineState:
     spends: list[int] = field(default_factory=list)
     hats: list[int] = field(default_factory=list)
     rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
+    ceiling: int = field(init=False, default=0)
     # The last audit's price part, keyed by a copy of (num_agents, den, nums).
     _price_audit: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -264,7 +250,8 @@ class EngineState:
         return state
 
     def track_new_agents(self) -> None:
-        """Derive the market quantities of the active agents not tracked yet."""
+        """Derive the market quantities of the active agents not tracked yet, and their ceiling."""
+        self.ceiling = iteration_bound(self.num_agents, self.inst.m)
         new = range(len(self.mbb), self.num_agents)
         ratios = best_ratios(self.rows, new, self.joined, self.nums)
         for i, (_, _, edges) in zip(new, ratios):
@@ -284,10 +271,8 @@ class EngineState:
 # growing the instance
 
 
-def initial_prices_for_agent(
-    state: EngineState, agent: int
-) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
-    """New goods brought by `agent` and their introduction prices, as reduced pairs (p, q) for p/q.
+def initial_prices_for_agent(state: EngineState) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    """The next agent's new goods and their introduction prices, as reduced pairs (p, q) for p/q.
 
     Each new good g gets price v[agent][g] * (min existing price) divided
     by (total good count * the agent's largest value), which keeps the
@@ -295,8 +280,7 @@ def initial_prices_for_agent(
     good a best-ratio good for the newcomer.  The minimum over an empty
     market is taken to be 1.
     """
-    if agent != state.num_agents:
-        raise InvalidInputError(f"agent {agent} is not the next to join")
+    agent = state.num_agents
     row = state.rows[agent]
     top, top_den = 0, 1  # the agent's largest value
     for v, d in row:
@@ -313,7 +297,7 @@ def initial_prices_for_agent(
 
 def add_agent(state: EngineState) -> None:
     """Activate the next agent, hand it its new goods, and price them."""
-    new_goods, new_prices = initial_prices_for_agent(state, state.num_agents)
+    new_goods, new_prices = initial_prices_for_agent(state)
     # Rebase every price onto the lcm of the old and the new denominators, which stays reduced.
     den = lcm(state.den, *(q for _, q in new_prices.values()))
     scale, state.den = den // state.den, den
@@ -424,10 +408,10 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         raise InvalidInputError("path must alternate agent, good, ..., agent")
     agents_on, goods_on = path[0::2], path[1::2]
     length = len(goods_on)
-    for c in range(1, length + 1):
-        holder = agents_on[c]
-        if not 0 <= holder < state.num_agents or goods_on[c - 1] not in state.bundles[holder]:
-            raise InvalidInputError("path allocation edges do not match the allocation")
+    if not all(i in state.agents for i in agents_on) or any(
+        g not in state.bundles[i] for g, i in zip(goods_on, agents_on[1:])
+    ):
+        raise InvalidInputError("path allocation edges do not match the allocation")
 
     spends, nums = state.spends, state.nums
     max_hat = max(state.hats)
@@ -473,8 +457,14 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
     return (*counts, state.hats.count(max_hat))
 
 
+def _open_steps(state: EngineState) -> int:
+    """The steps recorded so far in the newest agent's rebalancing call: its last event's `step`."""
+    events = state.trace.events
+    return events[-1].step if events and events[-1].k == state.num_agents else 0
+
+
 def _check_state(state: EngineState) -> None:
-    """Audit the state and the open call's last step, read from its event.
+    """Audit the state and the last step of the newest agent's call, read from its event.
 
     The owned goods are exactly those with a nonzero numerator, each
     positive; `den` is reduced; no active agent values a good that has not
@@ -516,9 +506,7 @@ def _check_state(state: EngineState) -> None:
     pairs = [_spend_and_hat([nums[g] for g in bundle]) for bundle in state.bundles]
     if (mbb, pairs) != (state.mbb, list(zip(state.spends, state.hats))):
         raise InternalInvariantError("maintained market state differs from a rebuild")
-    calls, events = state.trace.calls, state.trace.events
-    # The open call's steps so far; `step` records each one before its audit.
-    steps = calls[-1].iterations if calls and calls[-1].agent_count == state.num_agents else 0
+    events, steps = state.trace.events, _open_steps(state)  # `step` records each step before its audit
     spends, k, min_spend, max_hat = state.spends, state.k, min(state.spends), max(hats)
     level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
     if steps:
@@ -549,41 +537,35 @@ def step(state: EngineState) -> TraceEvent | None:
     if min_spend >= max_hat:
         return None
 
-    stats = state.trace.calls[-1] if state.trace.calls else None
-    if stats is None or stats.agent_count != na:  # the open call is the one of the newest agent
-        raise InternalInvariantError("step called outside a rebalancing call")
-    if stats.iterations >= stats.bound:
-        raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {stats.bound}")
+    if (steps := _open_steps(state)) >= state.ceiling:
+        raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {state.ceiling}")
 
     violators = [i for i in range(na) if hats[i] == max_hat]
     reach = reach_from(state, [state.k])
     potential = compute_potential(state, reach)
     min_price = min(filter(None, state.nums))
-    rates = chosen = path = a = b = None
-    if set(violators) & reach.agents:
-        path = shortest_violator_path(state, reach, violators)
+    rates = chosen = a = b = None
+    if (path := shortest_violator_path(state, reach, violators)) is not None:
         a, b = transfer(state, path)
     else:
         rates, chosen, new_edges = compute_betas(state, reach)
         apply_price_rise(state, reach, rates[RATES.index(chosen)], new_edges)
 
     event = TraceEvent(
-        k=na, step=stats.iterations + 1, kind="price_rise" if path is None else "transfer",
+        k=na, step=steps + 1, kind="price_rise" if path is None else "transfer",
         rates=rates, chosen=chosen, path=path, a=a, b=b, potential=potential,
         spend=min_spend, hat=max_hat, price=min_price, den=den,
     )
     state.trace.events.append(event)
-    stats.iterations += 1
     if state.check:
         _check_state(state)
     return event
 
 
 def find_solution(state: EngineState) -> EngineState:
-    """Rebalance until price envy-free up to one good; returns the same state."""
+    """Run the newest agent's rebalancing call until price envy-free up to one good; returns the state."""
     if state.num_agents < 1:
         raise InvalidInputError("no active agents to rebalance")
-    state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, state.inst.m))
     if state.check:
         _check_state(state)
     while step(state) is not None:

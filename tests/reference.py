@@ -55,6 +55,11 @@ def bundle_price(prices: Sequence[Fraction], goods: Iterable[int]) -> Fraction:
     return sum((prices[g] for g in goods), Fraction(0))
 
 
+def bundle_value(inst: Instance, agent: int, goods: Iterable[int]) -> Fraction:
+    """The agent's additive value for a set of goods; 0 for the empty set."""
+    return sum((inst.valuations[agent][g] for g in goods), Fraction(0))
+
+
 def hat_price(prices: Sequence[Fraction], goods: Iterable[int]) -> Fraction:
     """Price of a set of goods after dropping its most expensive one; 0 for the empty set."""
     costs = [prices[g] for g in goods]
@@ -77,12 +82,12 @@ def check_ef1_literal(inst: Instance, alloc: Allocation) -> bool:
     """Envy-freeness up to one good, enumerated per pair of agents and per good."""
     n = inst.n
     for i in range(n):
-        own = inst.value_of(i, alloc[i])
+        own = bundle_value(inst, i, alloc[i])
         row = inst.valuations[i]
         for j in range(n):
             if i == j:
                 continue
-            other = inst.value_of(i, alloc[j])
+            other = bundle_value(inst, i, alloc[j])
             if own < other:
                 if not any(own >= other - row[g] for g in alloc[j]):
                     return False

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -64,7 +65,7 @@ def demo_engine_state(demo_instance) -> EngineState:
 
 def test_first_agent_introduction_prices(demo_instance):
     state = EngineState(demo_instance)
-    goods, prices = initial_prices_for_agent(state, 0)
+    goods, prices = initial_prices_for_agent(state)
     assert goods == (0, 1)
     assert prices == {0: (1, 5), 1: (1, 6)}
 
@@ -77,7 +78,7 @@ def test_agent_with_no_new_goods(demo_instance):
     clone = Instance.from_values([[6, 5, 0, 0, 0], [6, 5, 0, 0, 0]])
     st = EngineState(clone)
     add_agent(st)
-    goods, prices = initial_prices_for_agent(st, 1)
+    goods, prices = initial_prices_for_agent(st)
     assert goods == () and prices == {}
 
 
@@ -95,7 +96,7 @@ def test_new_batch_cheaper_than_any_existing_good():
         find_solution(state)
         for _ in range(n - 1):
             floor = min(p for p in prices_of(state) if p)
-            goods, prices = initial_prices_for_agent(state, state.num_agents)
+            goods, prices = initial_prices_for_agent(state)
             assert all(gcd(*pair) == 1 for pair in prices.values())
             if goods:
                 new = [F(*pair) for pair in prices.values()]
@@ -229,6 +230,8 @@ def test_transfer_two_agent_hoard():
         ([[0], [1], [2]], (2, 1, 1, 2, 0)),  # the first edge holds, the second does not
         ([[0, 1, 2], []], (1, 0, -2)),  # no agent -2, though bundles[-2] holds good 0
         ([[0, 1, 2], []], (1, 0, 2)),  # no agent 2
+        ([[0], [1, 2], []], (-1, 1, 1)),  # no agent -1, though bundles[-1] would take good 1
+        ([[0], [1, 2], []], (7, 1, 1)),  # no agent 7 to take good 1
     ],
 )
 def test_transfer_rejects_a_path_off_the_allocation(bundles, path):
@@ -264,7 +267,6 @@ def test_transfer_bundle_size_deltas():
         state = EngineState(inst)
         for _ in range(n):
             add_agent(state)
-            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, inst.m))
             while True:
                 sizes = [len(b) for b in state.bundles]
                 na = state.num_agents
@@ -384,8 +386,7 @@ def test_iteration_bound_is_the_fraction_power():
 @pytest.mark.parametrize("bound, fails", [(2, False), (1, True)])
 def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound, fails):
     # The demo's last rebalancing call takes two iterations; `step` raises on the
-    # iteration past the ceiling before it moves, records or counts anything, so
-    # each call's iteration count equals its recorded events.
+    # iteration past the ceiling before it moves or records anything.
     from fairmarket import engine
 
     monkeypatch.setattr(engine, "iteration_bound", lambda agent_count, total_goods: bound)
@@ -397,12 +398,10 @@ def test_step_stops_past_the_iteration_ceiling(demo_instance, monkeypatch, bound
     if fails:
         with pytest.raises(InternalInvariantError, match="iteration ceiling 1$"):
             find_solution(state)
-        assert [c.iterations for c in state.trace.calls] == [0, 1, 1]
-        assert len(state.trace.events) == 2
+        assert [(e.k, e.step) for e in state.trace.events] == [(2, 1), (3, 1)]
     else:
         find_solution(state)
-        assert [c.iterations for c in state.trace.calls] == [0, 1, 2]
-        assert len(state.trace.events) == 3
+        assert [(e.k, e.step) for e in state.trace.events] == [(2, 1), (3, 1), (3, 2)]
 
 
 def test_step_builds_no_fraction(monkeypatch):
@@ -444,19 +443,13 @@ def test_step_builds_no_fraction(monkeypatch):
     assert built["in the solver"] == 0
 
 
-def test_step_counts_into_the_open_call_of_the_newest_agent(demo_instance):
+def test_a_state_from_a_solution_steps_as_the_call_of_its_newest_agent(demo_instance):
     from fairmarket.engine import step
 
     state = demo_engine_state(demo_instance)  # three agents, one rise short of fair
-    with pytest.raises(InternalInvariantError, match="outside a rebalancing call"):
-        step(state)
-    state.trace.start_call(2, iteration_bound(2, demo_instance.m))
-    with pytest.raises(InternalInvariantError, match="outside a rebalancing call"):
-        step(state)
-    state.trace.start_call(3, iteration_bound(3, demo_instance.m))
     event = step(state)
     assert (event.k, event.step, event.kind) == (3, 1, "price_rise")
-    assert state.trace.calls[-1].iterations == 1 and step(state) is None
+    assert step(state) is None and state.trace.events == [event]
 
 
 def test_step_compares_its_potential_with_the_last_event_of_its_call():
@@ -477,7 +470,6 @@ def test_step_compares_its_potential_with_the_last_event_of_its_call():
         events[-1] = replace(events[-1], potential=top + events[-1].potential[4:])
 
     inflate_last_potential()  # an event of the previous call, which the next call ignores
-    state.trace.start_call(3, iteration_bound(3, state.inst.m))
     assert step(state).step == 1
     inflate_last_potential()
     with pytest.raises(InternalInvariantError, match="potential did not increase"):
@@ -485,8 +477,6 @@ def test_step_compares_its_potential_with_the_last_event_of_its_call():
 
 
 def test_solver_exercises_every_event_kind():
-    from collections import Counter
-
     from fairmarket.cli import generate_instance
 
     kinds = Counter()
@@ -516,7 +506,7 @@ def test_solve_demo_instance(demo_instance):
     sol, trace = solve(demo_instance)
     assert sol.allocation.as_sorted_lists() == [[0, 1], [2, 3], [4]]
     assert sol.prices == (F(1, 5), F(1, 6), F(7, 24), F(1, 8), F(1, 6))
-    assert [c.iterations for c in trace.calls] == [0, 1, 2]
+    assert Counter(e.k for e in trace.events) == {2: 1, 3: 2}  # no step in call 1
     assert is_pef1(demo_instance, sol)
     assert check_mbb_consistency(demo_instance, sol)
     assert check_ef1(demo_instance, sol.allocation)
@@ -618,7 +608,6 @@ def test_engine_invariants_hold_after_every_event():
 
         for _ in range(inst.n):
             add_agent(state)
-            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, inst.m))
             while True:
                 spends, hats = spending_profile(state.bundles, prices_of(state))
                 if state.num_agents > 1:
@@ -647,10 +636,11 @@ def test_online_audit_runs_once_per_step(monkeypatch):
     audits = []
     audit = engine._check_state
     monkeypatch.setattr(engine, "_check_state", lambda *args: audits.append(audit(*args)))
-    _, trace = solve(generate_instance(3, 8, 10, 0))
+    inst = generate_instance(3, 8, 10, 0)
+    _, trace = solve(inst)
     assert {e.kind for e in trace.events} == {"transfer", "price_rise"}
-    # one audit when each rebalancing call starts, then one after each step
-    assert len(audits) == len(trace.calls) + len(trace.events)
+    # one audit when each agent's rebalancing call starts, then one after each step
+    assert len(audits) == inst.n + len(trace.events)
 
 
 def test_online_audit_rebuilds_its_price_part_once_per_price_vector(monkeypatch):
@@ -668,11 +658,12 @@ def test_online_audit_rebuilds_its_price_part_once_per_price_vector(monkeypatch)
         return ratios(*args)
 
     monkeypatch.setattr(engine, "best_ratios", spy)
-    _, trace = solve(generate_instance(3, 8, 10, 0))
+    inst = generate_instance(3, 8, 10, 0)
+    _, trace = solve(inst)
     kinds = [e.kind for e in trace.events]
     assert kinds.count("transfer") > 0
     # a rebuild for each new agent and after each price rise; none after a transfer
-    assert len(rebuilds) == len(trace.calls) + kinds.count("price_rise")
+    assert len(rebuilds) == inst.n + kinds.count("price_rise")
 
 
 # Each corruption after a transfer, and the audit failure it must raise.
@@ -790,9 +781,9 @@ def test_online_checks_catch_a_transfer_that_raises_the_violation_level(monkeypa
 def test_online_checks_catch_a_valued_good_that_has_not_joined(demo_instance, monkeypatch):
     from fairmarket import engine
 
-    def withhold(state, agent):
+    def withhold(state):
         # The newcomer's introduction without its last new good.
-        goods, prices = initial_prices_for_agent(state, agent)
+        goods, prices = initial_prices_for_agent(state)
         return goods[:-1], {g: prices[g] for g in goods[:-1]}
 
     monkeypatch.setattr(engine, "initial_prices_for_agent", withhold)
@@ -829,7 +820,6 @@ def stepped_states(seed: int, count: int, check: bool):
         for _ in range(n):
             add_agent(state)
             yield state
-            state.trace.start_call(state.num_agents, iteration_bound(state.num_agents, m))
             while step(state) is not None:
                 yield state
 
@@ -877,7 +867,6 @@ def test_online_checks_catch_a_corrupted_maintained_state(target):
     # So does the audit after a step.  Agent 0 is unreached, so the next rise would drop
     # a flipped edge of its own; flip the newcomer's instead.
     state = corrupted(2 if target == "edge" else 0)
-    state.trace.start_call(3, iteration_bound(3, state.inst.m))
     with pytest.raises(InternalInvariantError, match="differs from a rebuild"):
         step(state)
 
