@@ -196,11 +196,3 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_HALL_VIOLATION, "hall-violation", str(exc))
     except InternalInvariantError as exc:
         return _fail(EXIT_INTERNAL, "internal-invariant", str(exc))
-
-
-def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -16,7 +16,7 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -176,39 +176,33 @@ class SolveTrace:
         return map(TraceEvent.to_json_dict, self.events)
 
 
-@dataclass
 class EngineState:
     """Mutable solver state: the grown sub-instance and its current solution.
 
-    Agents 0..num_agents-1 of `inst` are active.  Good g costs
-    `nums[g] / den` with `den` kept reduced: `gcd(den, *nums) == 1`.  A
-    good has joined exactly when its numerator is nonzero (it is then
-    positive); `joined` lists those goods.  `rows` holds the valuations
-    split into integer pairs.  Per active agent, every event updates the
-    goods attaining its best ratio (`mbb`), the bundle price (`spends`) and
-    the drop-one bundle price (`hats`, both numerators over `den`) in
-    place, and `ceiling` is the active agents' `iteration_bound`.  A single
-    state is strictly sequential; run separate states for parallel solves.
+    A new state has no active agent: `add_agent` activates the next one,
+    `from_solution` all of them.  Agents 0..num_agents-1 of `inst` are
+    active.  Good g costs `nums[g] / den` with `den` kept reduced:
+    `gcd(den, *nums) == 1`.  A good has joined exactly when its numerator
+    is nonzero (it is then positive); `joined` lists those goods.  `rows`
+    holds the valuations split into integer pairs.  Per active agent, every
+    event updates the goods attaining its best ratio (`mbb`), the bundle
+    price (`spends`) and the drop-one bundle price (`hats`, both numerators
+    over `den`) in place, and `ceiling` is the active agents'
+    `iteration_bound`.  A single state is strictly sequential; run separate
+    states for parallel solves.
     """
 
-    inst: Instance
-    check: bool = True
-    trace: SolveTrace = field(default_factory=SolveTrace)
-    num_agents: int = 0
-    nums: list[int] = field(init=False)
-    den: int = 1
-    bundles: list[set[int]] = field(default_factory=list)
-    mbb: list[set[int]] = field(default_factory=list)
-    spends: list[int] = field(default_factory=list)
-    hats: list[int] = field(default_factory=list)
-    rows: list[list[tuple[int, int]]] = field(init=False, repr=False)
-    ceiling: int = field(init=False, default=0)
-    # The last audit's price part, keyed by a copy of (num_agents, den, nums).
-    _price_audit: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.rows = split_valuations(self.inst)
-        self.nums = [0] * self.inst.m
+    def __init__(self, inst: Instance, check: bool = True) -> None:
+        self.inst, self.check, self.trace = inst, check, SolveTrace()
+        self.num_agents, self.nums, self.den = 0, [0] * inst.m, 1
+        self.bundles: list[set[int]] = []
+        self.mbb: list[set[int]] = []
+        self.spends: list[int] = []
+        self.hats: list[int] = []
+        self.rows = split_valuations(inst)
+        self.ceiling = 0
+        # The last audit's price part, keyed by a copy of (num_agents, den, nums).
+        self._price_audit: tuple | None = None
 
     @property
     def k(self) -> int:
@@ -242,7 +236,7 @@ class EngineState:
         sol.validate(inst)
         if any(p <= 0 for p in sol.prices):
             raise InvalidInputError("active goods must have positive prices")
-        state = cls(inst=inst, check=check)
+        state = cls(inst, check)
         state.num_agents = inst.n
         state.nums, state.den = _common_denominator(sol.prices)
         state.bundles = [set(b) for b in sol.allocation]

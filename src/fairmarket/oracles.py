@@ -198,19 +198,18 @@ def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     return Fraction(product, den)
 
 
-def brute_force_mnw(inst: Instance, cap: int | None = None) -> tuple[Fraction, Allocation] | None:
+def brute_force_mnw(
+    inst: Instance, cap: int | None = None, incumbent: Allocation | None = None
+) -> tuple[Fraction, Allocation] | None:
     """Maximum value-product over all integral allocations, with one maximizer.
 
     Enumerates assignments in lexicographic order (good 0 outermost) and
     keeps the first maximizer; None when the state space exceeds `cap`.
+    Given an `incumbent` allocation, the search starts one below its
+    product: it prunes sooner, still counts ties, and returns the same.
     """
-    return _max_nash_welfare(inst, cap, None)
-
-
-def _max_nash_welfare(
-    inst: Instance, cap: int | None, incumbent: Allocation | None
-) -> tuple[Fraction, Allocation] | None:
-    """`brute_force_mnw`, searching from one below `incumbent`'s product so ties still count."""
+    if incumbent is not None:
+        incumbent.validate_partition(inst.m, inst.n)
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     n, m = inst.n, inst.m
     if n**m > cap:
@@ -340,7 +339,7 @@ def verify(inst: Instance, sol: Solution, *, brute_cap: int | None = None) -> Ve
         raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")
     po = brute_force_po(inst, sol.allocation, brute_cap)
     product = nash_product(inst, sol.allocation)
-    best = _max_nash_welfare(inst, brute_cap, sol.allocation)  # searched from this allocation
+    best = brute_force_mnw(inst, brute_cap, sol.allocation)  # searched from this allocation
     mnw_product = None if best is None else best[0]
     ratio_ok = None if best is None else product >= NSW_FLOOR**inst.n * mnw_product
     return VerificationReport(
@@ -364,17 +363,18 @@ def audit_trace(events: Iterable[TraceEvent], total_goods: int) -> list[str]:
     Parse JSON records with `TraceEvent.from_json_dict`.  Validates, per
     event: a positive price floor, an actual violation (minimum spending
     below the drop-one maximum), well-formed step data of its kind and none
-    of the other kind's; per rebalancing call: contiguous step numbering,
-    strict lexicographic growth of the potential vector, a non-increasing
-    violation level that is exactly preserved by price rises, rise rates
-    strictly between 1 and infinity that equal the smallest candidate rate,
-    and an iteration count within the watchdog ceiling.  Returns
-    human-readable violation strings; an empty list means the trace is clean.
+    of the other kind's; per rebalancing call: a k above the last call's,
+    contiguous step numbering, strict lexicographic growth of the potential
+    vector, a non-increasing violation level that is exactly preserved by
+    price rises, rise rates strictly between 1 and infinity that equal the
+    smallest candidate rate, and an iteration count within the watchdog
+    ceiling.  Returns human-readable findings; [] means the trace is clean.
     """
     events = list(events)
     if not all(isinstance(ev, TraceEvent) for ev in events):
         raise InvalidInputError("audit_trace takes TraceEvents only; see TraceEvent.from_json_dict")
-    problems: list[str] = []
+    calls = [k for k, _ in groupby(events, key=attrgetter("k"))]  # the engine runs each k once, increasing
+    problems = [f"call k={k} after call k={last}" for last, k in zip(calls, calls[1:]) if k <= last]
     for k, call in groupby(events, key=attrgetter("k")):
         previous: TraceEvent | None = None
         for ev in call:

@@ -405,13 +405,13 @@ def test_sweep_recipe_gives_the_library_figures(tmp_path, capsys, monkeypatch):
     # certified allocation, and the figures match the library's unseeded search.
     from fairmarket import brute_force_mnw, nash_product, oracles
 
-    search, incumbents = oracles._max_nash_welfare, []
+    incumbents = []
 
-    def spy(inst, cap, incumbent):
+    def spy(inst, cap=None, incumbent=None):
         incumbents.append(incumbent)
-        return search(inst, cap, incumbent)
+        return brute_force_mnw(inst, cap, incumbent)
 
-    monkeypatch.setattr(oracles, "_max_nash_welfare", spy)
+    monkeypatch.setattr(oracles, "brute_force_mnw", spy)
     for m in (3, 5, 6):
         for seed in (0, 1, 2):
             inst = generate_instance(3, m, 4, seed)

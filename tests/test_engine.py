@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from collections import Counter
@@ -57,6 +58,18 @@ def demo_engine_state(demo_instance) -> EngineState:
         [[0, 1], [2, 3], [4]],
         [F(6), F(5), F(7), F(3), F(4)],
     )
+
+
+def test_a_new_state_takes_only_an_instance_and_check(demo_instance):
+    # Agents become active only through `add_agent` or `from_solution`, so no
+    # state is built half-made, with active agents but no bundles or prices.
+    assert list(inspect.signature(EngineState).parameters) == ["inst", "check"]
+    with pytest.raises(TypeError):
+        EngineState(demo_instance, num_agents=2)
+    state = EngineState(demo_instance, check=False)
+    assert (state.num_agents, state.nums, state.den, state.bundles, state.trace.events) == (0, [0] * 5, 1, [], [])
+    with pytest.raises(InvalidInputError, match="no active agents"):
+        find_solution(state)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fairmarket import (
 )
 from fairmarket.cli import generate_instance
 from fairmarket.engine import TraceEvent
-from fairmarket.oracles import NSW_FLOOR, _max_nash_welfare
+from fairmarket.oracles import NSW_FLOOR
 
 from reference import alphas, bang_per_buck, bundle_value, check_ef1_literal
 
@@ -326,10 +326,19 @@ def test_nsw_ratio_rejects_an_allocation_that_is_not_a_partition(bundles):
 
 
 @pytest.mark.parametrize("bundles", NOT_PARTITIONS)
-@pytest.mark.parametrize("oracle", [check_ef1, brute_force_po, nash_product])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        check_ef1,
+        brute_force_po,
+        nash_product,
+        pytest.param(lambda inst, alloc: brute_force_mnw(inst, None, alloc), id="brute_force_mnw"),
+    ],
+)
 def test_public_oracles_reject_an_allocation_that_is_not_a_partition(oracle, bundles):
     # As `verify` does (the test above): each answers only on a partition, never
-    # with an IndexError or a verdict on goods held twice.
+    # with an IndexError or a verdict on goods held twice.  The welfare search
+    # takes the allocation as its incumbent and starts from its product.
     inst = Instance.from_values([[1, 1], [1, 1]])
     with pytest.raises(InvalidInputError):
         oracle(inst, Allocation.from_lists(bundles))
@@ -385,7 +394,7 @@ def test_seeded_welfare_search_matches_the_unseeded_one():
         except HallViolationError:
             pass
         for alloc in seeds:
-            assert _max_nash_welfare(inst, None, alloc) == expected
+            assert brute_force_mnw(inst, None, alloc) == expected
             report = verify(inst, Solution(alloc, (F(1),) * inst.m))
             within = nash_product(inst, alloc) >= NSW_FLOOR**inst.n * expected[0]
             assert (report.mnw_product, report.ratio_ok) == (expected[0], within)
@@ -723,3 +732,19 @@ def test_audit_flags_tampered_trace_events_like_their_dicts(field):
     assert any(TAMPERS[field][1] in problem for problem in problems)
     # The tampered trace written to JSON and parsed back gets the same findings.
     assert problems == audit_trace([round_trip(ev) for ev in events], inst.m)
+
+
+def test_audit_flags_calls_out_of_order_or_repeated():
+    # The engine runs each call once, in increasing k; a trace whose calls are
+    # reordered or repeated is flagged once per call whose k does not grow.
+    inst = generate_instance(4, 10, 9, 3)
+    _, trace = solve(inst)
+    calls = {k: [ev for ev in trace.events if ev.k == k] for k in (2, 3, 4)}
+    assert all(calls.values()) and len(trace.events) == sum(map(len, calls.values()))
+    tampers = {
+        "reversed": (calls[4] + calls[3] + calls[2], ["call k=3 after call k=4", "call k=2 after call k=3"]),
+        "repeated": (trace.events + calls[2], ["call k=2 after call k=4"]),
+    }
+    for events, expected in tampers.values():
+        assert audit_trace(events, inst.m) == expected
+        assert audit_trace([round_trip(ev) for ev in events], inst.m) == expected
