@@ -17,7 +17,6 @@ from .core import (
     Solution,
     check_hall,
     denormalize,
-    is_pef1,
     normalize_instance,
 )
 from .engine import EngineState, SolveTrace, TraceEvent, find_solution, solve
@@ -29,6 +28,7 @@ from .oracles import (
     brute_force_po,
     check_ef1,
     check_mbb_consistency,
+    is_pef1,
     nash_product,
     verify,
 )

@@ -1,10 +1,10 @@
 """Exact-rational primitives for fair division with indivisible goods.
 
 Instances, allocations and price vectors, together with the spending
-aggregates the solver reasons about: each bundle's price, its price after
-dropping its most expensive good, and the price-level envy test built on
-them.  Also hosts the normalization step that strips worthless goods and
-indifferent agents, and the Hall-condition check that gates the solver.
+aggregates the solver reasons about: each bundle's price and its price
+after dropping its most expensive good.  Also hosts the normalization step
+that strips worthless goods and indifferent agents, and the Hall-condition
+check that gates the solver.
 
 Every quantity handed out is a `fractions.Fraction`; nothing in the solver
 path ever rounds.  Agent and good indices are 0-based throughout, including
@@ -274,24 +274,6 @@ def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fracti
     return spending_profile(bundles, prices)[1]
 
 
-def is_pef1(inst: Instance, sol: Solution) -> bool:
-    """Price-level envy-freeness up to one good, over the market normalization keeps.
-
-    Holds exactly when, among the agents who value some good and counting
-    only the goods some agent values, the minimum spending is at least the
-    maximum drop-one bundle price.  An agent who values nothing but holds a
-    valued good fails it.
-    """
-    sol.validate(inst)
-    agents, goods = _valued(inst)
-    valued = frozenset(goods)
-    bundles = [sol.allocation[i] & valued for i in agents]
-    if sum(map(len, bundles)) < len(goods):
-        return False  # an agent who values nothing holds a valued good
-    spends, hats = spending_profile(bundles, sol.prices)
-    return min(spends, default=0) >= max(hats, default=0)
-
-
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -316,21 +298,15 @@ class NormalizationRecord:
         return tuple(g for g in range(self.original_good_count) if g not in kept)
 
 
-def _valued(inst: Instance) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The agents who value some good and the goods some agent values: what normalization keeps."""
-    # `Instance` rejects negative values, so a nonzero value is a positive one.
-    agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
-    goods = tuple(g for g, column in enumerate(zip(*inst.valuations)) if any(column))
-    return agents, goods
-
-
 def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRecord]:
     """Strip goods nobody values and agents who value nothing.
 
     Returns the core instance (or None when no agent survives) and the
     record needed to re-embed a core solution via `denormalize`.
     """
-    kept_agents, kept_goods = _valued(inst)
+    # `Instance` rejects negative values, so a nonzero value is a positive one.
+    kept_agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
+    kept_goods = tuple(g for g, column in enumerate(zip(*inst.valuations)) if any(column))
     rec = NormalizationRecord(inst.n, inst.m, kept_agents, kept_goods)
     if not kept_agents:
         return None, rec

@@ -84,7 +84,7 @@ def _text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceEvent:
     """Snapshot of one iteration, taken just before its step executes.
 
@@ -112,12 +112,14 @@ class TraceEvent:
     price: int
     den: int
 
-    def __post_init__(self) -> None:
-        if self.rates is not None:
-            object.__setattr__(self, "rates", tuple(r if r is None else _reduced(*r) for r in self.rates))
-        if (common := gcd(self.spend, self.hat, self.price, self.den)) > 1:
-            for name in ("spend", "hat", "price", "den"):
-                object.__setattr__(self, name, getattr(self, name) // common)
+    def __init__(self, k, step, kind, rates, chosen, path, a, b, potential, spend, hat, price, den) -> None:
+        # One dict update: a frozen dataclass's `__init__` calls `object.__setattr__` per field.
+        if rates is not None:
+            rates = tuple(r if r is None else _reduced(*r) for r in rates)
+        if (common := gcd(spend, hat, price, den)) > 1:
+            spend, hat, price, den = spend // common, hat // common, price // common, den // common
+        vars(self).update(k=k, step=step, kind=kind, rates=rates, chosen=chosen, path=path, a=a, b=b,
+                          potential=potential, spend=spend, hat=hat, price=price, den=den)
 
     def to_json_dict(self) -> dict:
         """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""

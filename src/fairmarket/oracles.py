@@ -1,18 +1,22 @@
 """Independent checkers for every guarantee the solver claims.
 
-Value-level envy-freeness up to one good, the price-support certificate of
-fractional Pareto optimality, brute-force integral Pareto optimality,
-brute-force maximum Nash welfare, the Nash-welfare approximation bound,
-and an auditor for the engine's event traces.  The brute-force oracles
-enumerate allocations exhaustively (with pruning) and are size-gated;
-when an instance is too large they report a skip instead of guessing.
+Value-level and price-level envy-freeness up to one good, the
+price-support certificate of fractional Pareto optimality, brute-force
+integral Pareto optimality, brute-force maximum Nash welfare, the
+Nash-welfare approximation bound, and an auditor for the engine's event
+traces.  The brute-force oracles enumerate allocations exhaustively (with
+pruning) and are size-gated; when an instance is too large they report a
+skip instead of guessing.  Each check is written from its definition, by
+integer cross-multiplication, and shares no kernel with the engine.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -23,13 +27,9 @@ from .core import (
     InternalInvariantError,
     InvalidInputError,
     Solution,
-    _common_denominator,
-    _valued,
-    is_pef1,
     normalize_instance,  # unused here; perfbench's span table names it (core.normalize)
 )
 from .engine import RATES, TraceEvent, iteration_bound
-from .market import MbbGraph
 
 DEFAULT_BRUTE_CAP = 10_000_000
 
@@ -39,33 +39,98 @@ NSW_FLOOR = Fraction(6922, 10000)
 
 
 # ---------------------------------------------------------------------------
+# the integer view every check reads
+
+
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values as integers over their denominators' lcm, and that lcm; the checks' own split."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*{d for _, d in pairs})
+    return [p * (den // d) for p, d in pairs], den
+
+
+class _View:
+    """One call's integer reading of an instance, and of the allocation and prices it checks.
+
+    `rows[i]` holds agent i's values over `dens[i]`, `costs` the prices over one denominator.
+    `agents` and `goods` are the market normalization keeps; `market` holds its bundles, cut
+    to `goods`, or None if an agent outside it holds one of `goods`.
+    """
+
+    def __init__(self, inst: Instance, alloc: Allocation | None, prices: Sequence[Fraction] | None):
+        if alloc is not None:
+            alloc.validate_partition(inst.m, inst.n)
+        self.inst, self.alloc, self.prices = inst, alloc, prices
+        self.rows, self.dens = zip(*map(_over_lcm, inst.valuations))
+        self.agents = [i for i, row in enumerate(self.rows) if any(row)]
+        self.goods = [g for g, column in enumerate(zip(*self.rows)) if any(column)]
+        if prices is not None:
+            self.costs = _over_lcm(prices)[0]
+            valued = frozenset(self.goods)
+            bundles = [alloc[i] & valued for i in self.agents]
+            self.market = bundles if sum(map(len, bundles)) == len(valued) else None
+
+    @cached_property
+    def shares(self) -> tuple[list[list[int]], int]:
+        """Each agent's values scaled to the lcm of all totals (a zero total counts as 1), and the
+        denominator that takes a product of shares, one per agent, to one of values.  The searches
+        only compare an agent with itself or multiply values, so a factor per agent changes nothing."""
+        totals = [sum(row) or 1 for row in self.rows]
+        scale = math.lcm(*totals)
+        factors = [scale // t for t in totals]
+        shares = [[v * f for v in row] for row, f in zip(self.rows, factors)]
+        return shares, math.prod(d * f for d, f in zip(self.dens, factors))
+
+
+_ACTIVE: ContextVar[_View | None] = ContextVar("_ACTIVE", default=None)
+
+
+def _view(inst: Instance, alloc: Allocation | None, prices: Sequence[Fraction] | None = None) -> _View:
+    """The running `verify` call's view if it was built from these very objects, else a new one."""
+    view = _ACTIVE.get()
+    if view is not None and view.inst is inst and view.alloc is alloc:
+        if prices is None or prices is view.prices:
+            return view
+    return _View(inst, alloc, prices)
+
+
+# ---------------------------------------------------------------------------
 # value-level fairness
 
 
 def check_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-freeness up to one good, via the max-good shortcut.
 
-    Agent i accepts agent j's bundle test when either i does not envy j,
-    or dropping j's single most valuable good (in i's eyes) kills the envy.
+    Each agent values its own bundle at least as much as any other bundle
+    without that bundle's good it values most.
     """
-    alloc.validate_partition(inst.m, inst.n)
-    n = inst.n
-    for i in range(n):
-        row, _ = _common_denominator(inst.valuations[i])  # i's values over one denominator
-        own = sum(row[g] for g in alloc[i])
-        for j in range(n):
-            if i == j:
-                continue
-            other = sum(row[g] for g in alloc[j])
-            if own < other:
-                best = max(row[g] for g in alloc[j])
-                if own < other - best:
-                    return False
+    view = _view(inst, alloc)
+    for row, own_bundle in zip(view.rows, alloc):
+        own = sum(row[g] for g in own_bundle)
+        for bundle in alloc:
+            values = [row[g] for g in bundle]
+            if own < sum(values) - max(values, default=0):
+                return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# price-support certificate
+# price-level fairness and the price-support certificate
+
+
+def is_pef1(inst: Instance, sol: Solution) -> bool:
+    """Price-level envy-freeness up to one good, over the market normalization keeps.
+
+    Holds exactly when, among the agents who value some good and counting
+    only the goods some agent values, the minimum spending is at least the
+    maximum drop-one bundle price.  An agent who values nothing but holds a
+    valued good fails it.
+    """
+    view = _view(inst, sol.allocation, sol.prices)
+    if view.market is None:
+        return False
+    costs = [[view.costs[g] for g in bundle] for bundle in view.market]
+    return min(map(sum, costs), default=0) >= max((sum(c) - max(c) for c in costs if c), default=0)
 
 
 def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
@@ -78,32 +143,23 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
     valued good fails it, as does a valued good at price 0; goods nobody
     values are ignored.
     """
-    sol.validate(inst)
-    agents, goods = _valued(inst)
-    valued = frozenset(goods)
-    bundles = [sol.allocation[i] & valued for i in agents]
-    if sum(map(len, bundles)) < len(goods) or not all(sol.prices[g] for g in goods):
+    view = _view(inst, sol.allocation, sol.prices)
+    costs = view.costs
+    if view.market is None or not all(costs[g] for g in view.goods):
         return False
-    graph = MbbGraph.from_state(inst, sol.allocation.bundles, sol.prices, agents, goods)
-    return all(bundle <= set(graph.mbb[i]) for i, bundle in zip(agents, bundles))
+    for i, bundle in zip(view.agents, view.market):
+        row = view.rows[i]
+        v, p = 0, 1  # agent i's best ratio row[h] / costs[h], as a pair
+        for h in view.goods:
+            if row[h] * p > v * costs[h]:
+                v, p = row[h], costs[h]
+        if any(row[g] * p != v * costs[g] for g in bundle):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
-
-
-def _shares(inst: Instance) -> list[list[int]]:
-    """Each agent's values as integer shares of its total, on one common scale.
-
-    Agent i's values are scaled so that its total becomes L, the lcm of all
-    totals (a zero total counts as 1).  The searches only compare an agent
-    with itself or multiply the agents' values, so one positive factor per
-    agent changes no result.
-    """
-    vals = [_common_denominator(row)[0] for row in inst.valuations]
-    totals = [sum(row) or 1 for row in vals]
-    scale = math.lcm(*totals)
-    return [[v * (scale // t) for v in row] for row, t in zip(vals, totals)]
 
 
 def _branches(
@@ -136,13 +192,13 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
     value and some agent strictly more, pruning branches that cannot catch
     up.  Necessary (not sufficient) for fractional optimality.
     """
-    alloc.validate_partition(inst.m, inst.n)
+    view = _view(inst, alloc)
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
     # Assign high-impact goods first; goods worthless to everyone need no branching.
-    vals = _shares(inst)
+    vals, _ = view.shares
     order = sorted(range(m), key=lambda g: (-sum(row[g] for row in vals), g))
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
     goal = sum(target)
@@ -189,13 +245,9 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
 
 def nash_product(inst: Instance, alloc: Allocation) -> Fraction:
     """Product of the agents' bundle values (the welfare objective, un-rooted)."""
-    alloc.validate_partition(inst.m, inst.n)
-    product, den = 1, 1
-    for i in range(inst.n):
-        row, row_den = _common_denominator(inst.valuations[i])
-        product *= sum(row[g] for g in alloc[i])
-        den *= row_den
-    return Fraction(product, den)
+    view = _view(inst, alloc)
+    product = math.prod(sum(row[g] for g in bundle) for row, bundle in zip(view.rows, alloc))
+    return Fraction(product, math.prod(view.dens))
 
 
 def brute_force_mnw(
@@ -208,19 +260,18 @@ def brute_force_mnw(
     Given an `incumbent` allocation, the search starts one below its
     product: it prunes sooner, still counts ties, and returns the same.
     """
-    if incumbent is not None:
-        incumbent.validate_partition(inst.m, inst.n)
+    view = _view(inst, incumbent)
     cap = DEFAULT_BRUTE_CAP if cap is None else cap
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
-    if n == 1 or m < n or not all(any(row) for row in inst.valuations):
+    if n == 1 or m < n or len(view.agents) < n:
         # The only allocation, or every product is 0: the first in order,
         # every good to agent 0, is the first maximizer.
         winner = Allocation((frozenset(range(m)),) + (frozenset(),) * (n - 1))
-        return nash_product(inst, winner), winner
-    # Products of shares are the value products times one positive constant.
-    vals = _shares(inst)
+        return Fraction(sum(view.rows[0]) if n == 1 else 0, view.dens[0]), winner
+    # Products of shares are the value products over one positive denominator.
+    vals, den = view.shares
     choices, suffix, most = _branches(vals, range(m))
     spread = n**n
 
@@ -276,8 +327,7 @@ def brute_force_mnw(
     bundles: list[set[int]] = [set() for _ in range(n)]
     for g, i in enumerate(best_assignment):
         bundles[i].add(g)
-    winner = Allocation(tuple(frozenset(b) for b in bundles))
-    return nash_product(inst, winner), winner
+    return Fraction(best_product, den), Allocation(tuple(frozenset(b) for b in bundles))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +382,19 @@ def verify(inst: Instance, sol: Solution, *, brute_cap: int | None = None) -> Ve
     whole.  A report claiming the certificate holds while EF1 fails is
     impossible and raises.
     """
-    pef1 = is_pef1(inst, sol)
-    mbb = check_mbb_consistency(inst, sol)
-    ef1 = check_ef1(inst, sol.allocation)
-    if pef1 and mbb and not ef1:
-        raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")
-    po = brute_force_po(inst, sol.allocation, brute_cap)
-    product = nash_product(inst, sol.allocation)
-    best = brute_force_mnw(inst, brute_cap, sol.allocation)  # searched from this allocation
+    # Every check below reads this one view: each is handed the objects it was built from.
+    token = _ACTIVE.set(_View(inst, sol.allocation, sol.prices))
+    try:
+        pef1 = is_pef1(inst, sol)
+        mbb = check_mbb_consistency(inst, sol)
+        ef1 = check_ef1(inst, sol.allocation)
+        if pef1 and mbb and not ef1:
+            raise InternalInvariantError("price certificate holds but EF1 fails; a checker is broken")
+        po = brute_force_po(inst, sol.allocation, brute_cap)
+        product = nash_product(inst, sol.allocation)
+        best = brute_force_mnw(inst, brute_cap, sol.allocation)  # searched from this allocation
+    finally:
+        _ACTIVE.reset(token)
     mnw_product = None if best is None else best[0]
     ratio_ok = None if best is None else product >= NSW_FLOOR**inst.n * mnw_product
     return VerificationReport(

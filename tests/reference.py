@@ -92,3 +92,40 @@ def check_ef1_literal(inst: Instance, alloc: Allocation) -> bool:
                 if not any(own >= other - row[g] for g in alloc[j]):
                     return False
     return True
+
+
+def _valued(inst: Instance) -> tuple[list[int], set[int]]:
+    """The agents who value some good, and the goods some agent values."""
+    agents = [i for i in range(inst.n) if any(v > 0 for v in inst.valuations[i])]
+    goods = {g for g in range(inst.m) if any(row[g] > 0 for row in inst.valuations)}
+    return agents, goods
+
+
+def pef1_literal(inst: Instance, sol: Solution) -> bool:
+    """Price envy-freeness up to one good over the valued agents and goods, pair by pair.
+
+    An agent who values nothing but holds a valued good fails it.
+    """
+    agents, goods = _valued(inst)
+    if any(sol.allocation[i] & goods for i in range(inst.n) if i not in agents):
+        return False
+    bundles = {i: sol.allocation[i] & goods for i in agents}
+    return all(
+        bundle_price(sol.prices, bundles[i]) >= hat_price(sol.prices, bundles[j])
+        for i in agents
+        for j in agents
+    )
+
+
+def mbb_certificate_literal(inst: Instance, sol: Solution) -> bool:
+    """Every valued good is priced and held by a valued agent for whom it is a best-ratio good."""
+    agents, goods = _valued(inst)
+    if any(sol.prices[g] == 0 for g in goods):
+        return False
+    if any(sol.allocation[i] & goods for i in range(inst.n) if i not in agents):
+        return False
+    return all(
+        bang_per_buck(inst.valuations[i][g], sol.prices[g]) == alphas(inst, sol.prices, [i], goods)[i]
+        for i in agents
+        for g in sol.allocation[i] & goods
+    )

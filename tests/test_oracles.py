@@ -2,7 +2,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +29,14 @@ from fairmarket.cli import generate_instance
 from fairmarket.engine import TraceEvent
 from fairmarket.oracles import NSW_FLOOR
 
-from reference import alphas, bang_per_buck, bundle_value, check_ef1_literal
+from reference import (
+    alphas,
+    bang_per_buck,
+    bundle_value,
+    check_ef1_literal,
+    mbb_certificate_literal,
+    pef1_literal,
+)
 
 F = Fraction
 
@@ -134,6 +141,80 @@ def test_certificate_requires_positive_prices_on_valued_goods(demo_instance):
         (F(6), F(5), F(7), F(3), F(4), F(0)),
     )
     assert check_mbb_consistency(padded, sol)
+
+
+def test_certificate_reads_no_engine_kernel(monkeypatch):
+    """A ratio kernel of the engine's that drops value denominators does not reach `verify`."""
+    from fairmarket import market
+
+    ratios = market.best_ratios
+
+    def drops_denominators(rows, agents, goods, nums):  # prices each good at nums[g] alone
+        return ratios([[(v, 1) for v, _ in row] for row in rows], agents, goods, nums)
+
+    monkeypatch.setattr(market, "best_ratios", drops_denominators)
+    # Agent 0 gets 1/2 per unit of price from good 0 and 1 from good 1: it holds the wrong one.
+    inst = Instance.from_values([["1/2", 1], [1, 1]])
+    sol = Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1)))
+    assert verify(inst, sol).to_json_dict()["mbb_consistent"] is False
+
+
+def _literal_case(rng):
+    """A random instance of rational values over distinct denominators, sometimes with a zero
+    row or column, a random price vector that may price valued and unvalued goods at 0, and an
+    allocation that is random or gives each good to an agent it is a best-ratio good of; also
+    which of the zero features the case has."""
+    n, m = rng.randint(1, 4), rng.randint(0, 6)
+    dens = [1, 2, 3, 5, 7, 10**9 + 7]
+    rows = [[F(rng.randint(0, 6), rng.choice(dens)) for _ in range(m)] for _ in range(n)]
+    if m and rng.random() < 0.25:
+        rows[rng.randrange(n)] = [F(0)] * m
+    if m and rng.random() < 0.25:
+        dead = rng.randrange(m)
+        for row in rows:
+            row[dead] = F(0)
+    inst = Instance(tuple(map(tuple, rows)))
+    prices = [F(rng.randint(1, 6), rng.choice([1, 2, 3, 4, 11])) for _ in range(m)]
+    prices = [F(0) if rng.random() < 0.1 else price for price in prices]
+    priced = [g for g in range(m) if prices[g]]
+    best = alphas(inst, prices, goods=priced)
+    by_ratio = rng.random() < 0.5
+    bundles = [[] for _ in range(n)]
+    for g in range(m):
+        takers = [i for i in range(n) if g in priced and inst.valuations[i][g] / prices[g] == best[i]]
+        bundles[rng.choice(takers) if by_ratio and takers else rng.randrange(n)].append(g)
+    valued = [any(column) for column in zip(*rows)]
+    features = {
+        "zero row" if any(not any(row) for row in rows) else None,
+        "zero column" if not all(valued) else None,
+        "valued good at price 0" if any(v and not p for v, p in zip(valued, prices)) else None,
+        "unvalued good at price 0" if any(not v and not p for v, p in zip(valued, prices)) else None,
+    }
+    return inst, Solution(Allocation.from_lists(bundles), tuple(prices)), features - {None}
+
+
+def test_verify_matches_the_literal_definitions():
+    rng = random.Random(53)
+    verdicts: dict[str, set] = {"pef1": set(), "mbb_consistent": set(), "ef1": set()}
+    seen = set()
+    for _ in range(400):
+        inst, sol, features = _literal_case(rng)
+        seen |= features
+        report = verify(inst, sol, brute_cap=0)
+        expected = {
+            "pef1": pef1_literal(inst, sol),
+            "mbb_consistent": mbb_certificate_literal(inst, sol),
+            "ef1": check_ef1_literal(inst, sol.allocation),
+        }
+        assert {name: getattr(report, name) for name in expected} == expected
+        product = F(1)
+        for i in range(inst.n):
+            product *= bundle_value(inst, i, sol.allocation[i])
+        assert report.nsw_product == product
+        for name, verdict in expected.items():
+            verdicts[name].add(verdict)
+    assert all(both == {True, False} for both in verdicts.values())
+    assert seen == {"zero row", "zero column", "valued good at price 0", "unvalued good at price 0"}
 
 
 def test_certificate_validates_its_solution():
@@ -644,11 +725,19 @@ def test_every_trace_event_parses_back_equal_to_itself():
     for seed in range(5):
         _, trace = solve(generate_instance(4, 10, 9, seed))
         for ev in trace.events:
-            assert round_trip(ev) == ev
+            back = round_trip(ev)
+            assert back == ev and hash(back) == hash(ev)
             # Field by field too: the event holds nothing its JSON record does not.
-            assert astuple(round_trip(ev)) == astuple(ev)
+            assert astuple(back) == astuple(ev)
             seen.add(ev.chosen or ev.kind)
     assert seen == {"transfer", "b1", "b2", "b3"}
+
+
+def test_trace_events_are_frozen():
+    ev = solve(generate_instance(4, 10, 9, 0))[1].events[0]
+    for field in fields(TraceEvent):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ev, field.name, None)
 
 
 # Positive integers of up to about 4000 digits: small primes times one of a few

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fairmarket
-from fairmarket import core, market
+from fairmarket import core, market, oracles
 
 import reference
 
@@ -41,14 +41,26 @@ def test_raw_index_price_helpers_are_gone(name):
     assert not hasattr(core, name) and not hasattr(market, name)
 
 
-def test_reference_uses_no_package_kernel():
-    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+def _names_used(path: str) -> set[str]:
+    """Every name a module imports, reads or reads as an attribute."""
     used = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(Path(path).read_text(encoding="utf-8"))):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             used.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+    return used
+
+
+def test_reference_uses_no_package_kernel():
+    used = _names_used(reference.__file__)
     assert not used & {"best_ratios", "_common_denominator", "_spend_and_hat", "spending_profile"}
+
+
+def test_oracles_use_no_engine_kernel():
+    # The checks certify the engine's output, so a fault in its kernels must not reach them.
+    used = _names_used(oracles.__file__)
+    kernels = {"best_ratios", "MbbGraph", "split_valuations", "spending_profile", "_spend_and_hat", "_common_denominator"}
+    assert not used & kernels
