@@ -15,11 +15,13 @@ from .core import (
     InvalidInputError,
     NormalizationRecord,
     Solution,
+    SolveTrace,
+    TraceEvent,
     check_hall,
     denormalize,
     normalize_instance,
 )
-from .engine import EngineState, SolveTrace, TraceEvent, find_solution, solve
+from .engine import EngineState, find_solution, solve
 from .market import MbbGraph, Reachability, reach_from
 from .oracles import (
     VerificationReport,

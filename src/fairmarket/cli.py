@@ -107,14 +107,8 @@ def generate_instance(n: int, m: int, max_value: int, seed: int) -> Instance:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    order = None
-    if args.order is not None:
-        try:
-            order = [int(x) for x in args.order.split(",")]
-        except ValueError:
-            raise InvalidInputError(f"cannot parse --order {args.order!r}") from None
     inst = load_json(args.input, Instance.from_json_dict)
-    solution, trace = solve(inst, order=order)
+    solution, trace = solve(inst)
     report = verify(inst, solution, brute_cap=0)  # self-check without brute force
     with _unlimited_digits():
         if not report.ok:
@@ -162,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="instance JSON path")
     p_solve.add_argument("-o", "--output", help="solution JSON path (default: stdout)")
     p_solve.add_argument("--trace", help="write the event trace as JSON lines")
-    p_solve.add_argument(
-        "--order",
-        help="agent insertion order as comma-separated original indices, e.g. 2,0,1",
-    )
     p_solve.set_defaults(run=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="verify a solution against an instance")

@@ -3,11 +3,13 @@
 Instances, allocations and price vectors, together with the spending
 aggregates the solver reasons about: each bundle's price and its price
 after dropping its most expensive good.  Also hosts the normalization step
-that strips worthless goods and indifferent agents, and the Hall-condition
-check that gates the solver.
+that strips worthless goods and indifferent agents, the Hall-condition
+check that gates the solver, and the solver's trace record (`TraceEvent`,
+`SolveTrace`) with the iteration ceiling its audit checks.
 
-Every quantity handed out is a `fractions.Fraction`; nothing in the solver
-path ever rounds.  Agent and good indices are 0-based throughout, including
+Every quantity handed out is a `fractions.Fraction`, or in a trace event
+integer numerators over one denominator; nothing in the solver path ever
+rounds.  Agent and good indices are 0-based throughout, including
 in the JSON file formats.
 """
 
@@ -17,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -203,10 +205,6 @@ class Solution:
                 raise InvalidInputError(f"price of good {g} is negative: {_brief(str(p))}")
         self.allocation.validate_partition(len(self.prices), len(self.allocation))
 
-    def validate(self, inst: Instance) -> None:
-        """Raise unless the solution fits `inst`: a shape check, as it checked its goods when made."""
-        self.allocation.validate_partition(inst.m, inst.n)
-
     def to_json_dict(self) -> dict:
         return {
             "bundles": self.allocation.as_sorted_lists(),
@@ -234,8 +232,6 @@ class Solution:
 # ---------------------------------------------------------------------------
 # price aggregates
 
-Prices = list[Fraction] | tuple[Fraction, ...]  # one price per good, indexed by good
-
 
 def _common_denominator(prices: Iterable[Fraction]) -> tuple[list[int], int]:
     """The prices as integer numerators over one common denominator, their lcm."""
@@ -253,7 +249,7 @@ def _spend_and_hat(costs: Sequence[int]) -> tuple[int, int]:
 
 
 def spending_profile(
-    bundles: Sequence[Iterable[int]], prices: Prices
+    bundles: Sequence[Iterable[int]], prices: Sequence[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
     """Each bundle's price, and its price after dropping its most expensive good.
 
@@ -269,9 +265,143 @@ def spending_profile(
     return spends, hats
 
 
-def hat_profile(bundles: Sequence[Iterable[int]], prices: Prices) -> list[Fraction]:
+def hat_profile(bundles: Sequence[Iterable[int]], prices: Sequence[Fraction]) -> list[Fraction]:
     """Each bundle's drop-one price: the second half of `spending_profile`."""
     return spending_profile(bundles, prices)[1]
+
+
+# ---------------------------------------------------------------------------
+# the trace record
+
+# Rational upper bound on Euler's number as a (numerator, denominator) pair;
+# only used to over-approximate the iteration watchdog, so erring high is safe.
+E_UPPER = (27182818285, 10**10)
+
+
+def _parse_named(obj: dict, key: str) -> Fraction:
+    """`obj[key]` parsed as a rational; a parse error names `key`."""
+    try:
+        return parse_rational(obj[key])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"trace event {key!r}: {exc}") from None
+
+
+def iteration_bound(agent_count: int, total_goods: int) -> int:
+    """Watchdog ceiling ⌊(k-1)·((m+k)/k·e)^k⌋ on rebalancing iterations, for k agents and m goods."""
+    k = agent_count
+    if k <= 1:
+        return 0
+    e_num, e_den = E_UPPER
+    return (k - 1) * ((total_goods + k) * e_num) ** k // (k * e_den) ** k
+
+
+RATES = ("b1", "b2", "b3")
+
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    """The ratio p/q, q > 0, as a pair in lowest terms."""
+    common = gcd(p, q)
+    return p // common, q // common
+
+
+def _text(p: int, q: int) -> str:
+    """`str(Fraction(p, q))`, q > 0, without building the `Fraction`."""
+    p, q = _reduced(p, q)
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
+@dataclass(frozen=True, init=False)
+class TraceEvent:
+    """Snapshot of one iteration, taken just before its step executes.
+
+    `spend`, `hat` and `price` are the numerators over `den` of the minimum spending, the
+    violation level and the minimum price, reduced jointly on construction, so equal events
+    have equal fields.  A price rise holds its rates b1, b2 and b3 in `rates`, each a reduced
+    integer pair (p, q) for p/q or None when infinite, and the label of the smallest in
+    `chosen`; a transfer holds None in both, and its path and cut indices in `path`, `a`, `b`.
+    `b1` stops when a new best-ratio edge would appear out of the reachable set, `b2` when a
+    reachable agent would become a maximum violator, `b3` when the newcomer's spending would
+    reach the violation level.
+    """
+
+    k: int
+    step: int
+    kind: str
+    rates: tuple[tuple[int, int] | None, ...] | None
+    chosen: str | None
+    path: tuple[int, ...] | None
+    a: int | None
+    b: int | None
+    potential: tuple[int, ...]
+    spend: int
+    hat: int
+    price: int
+    den: int
+
+    def __init__(self, k, step, kind, rates, chosen, path, a, b, potential, spend, hat, price, den) -> None:
+        # One dict update: a frozen dataclass's `__init__` calls `object.__setattr__` per field.
+        if rates is not None:
+            rates = tuple(r if r is None else _reduced(*r) for r in rates)
+        if (common := gcd(spend, hat, price, den)) > 1:
+            spend, hat, price, den = spend // common, hat // common, price // common, den // common
+        vars(self).update(k=k, step=step, kind=kind, rates=rates, chosen=chosen, path=path, a=a, b=b,
+                          potential=potential, spend=spend, hat=hat, price=price, den=den)
+
+    def to_json_dict(self) -> dict:
+        """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
+        rates = None if self.rates is None else (r if r is None else _text(*r) for r in self.rates)
+        return {
+            "a": self.a,
+            "b": self.b,
+            "beta": None if rates is None else dict(zip(RATES, rates), chosen=self.chosen),
+            "k": self.k,
+            "kind": self.kind,
+            "max_hat": _text(self.hat, self.den),
+            "min_price": _text(self.price, self.den),
+            "min_spend": _text(self.spend, self.den),
+            "path": None if self.path is None else list(self.path),
+            "potential": list(self.potential),
+            "step": self.step,
+        }
+
+    @classmethod
+    def from_json_dict(cls, obj: object) -> "TraceEvent":
+        """The event `to_json_dict` wrote; raises `InvalidInputError` on any other record.
+
+        Checks the record's shape only; `audit_trace` checks what its values mean.
+        """
+        names = ["k", "step", "kind", "beta", "path", "a", "b", "potential", "min_spend", "max_hat", "min_price"]
+        if not isinstance(obj, dict) or obj.keys() != set(names):
+            raise InvalidInputError(f"a trace event needs exactly the keys {', '.join(names)}")
+        shapes = dict(k=int, step=int, a=int, b=int, kind=str, path=list, potential=list)
+        for key, shape in shapes.items():
+            value = obj[key]
+            # The type itself, so a bool is not an int; `a`, `b` and `path` may be null.
+            ok = type(value) is shape and (shape is not list or all(type(x) is int for x in value))
+            if not ok and not (value is None and key in ("a", "b", "path")):
+                what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
+                raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
+        nums, den = _common_denominator(_parse_named(obj, key) for key in names[8:])
+        rates = chosen = None
+        if (beta := obj["beta"]) is not None:
+            if not isinstance(beta, dict) or beta.keys() != {*RATES, "chosen"} or beta["chosen"] not in RATES:
+                raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(beta))}")
+            # `is None`, not truthiness, so a rate of 0 is parsed (and kept) too.
+            rates = tuple(None if beta[n] is None else _parse_named(beta, n).as_integer_ratio() for n in RATES)
+            chosen = beta["chosen"]
+        path = None if obj["path"] is None else tuple(obj["path"])
+        kind, potential = obj["kind"], tuple(obj["potential"])
+        return cls(obj["k"], obj["step"], kind, rates, chosen, path, obj["a"], obj["b"], potential, *nums, den)
+
+
+class SolveTrace:
+    """Complete event log of a solve run; the rebalancing call of k agents is its events with that `k`."""
+
+    def __init__(self) -> None:
+        self.events: list[TraceEvent] = []
+
+    def iter_json_dicts(self) -> Iterable[dict]:
+        return map(TraceEvent.to_json_dict, self.events)
 
 
 # ---------------------------------------------------------------------------

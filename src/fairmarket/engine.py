@@ -16,27 +16,30 @@ re-validates its own invariants after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .core import (
+    RATES,
     Allocation,
     HallViolationError,
     Instance,
     InternalInvariantError,
     InvalidInputError,
     Solution,
-    _brief,
+    SolveTrace,
+    TraceEvent,
     _common_denominator,
+    _reduced,
     _spend_and_hat,
+    _text,
     check_hall,
     denormalize,
     hat_profile,  # unused here, like spending_profile; perfbench's span table names both
+    iteration_bound,
     normalize_instance,
-    parse_rational,
     spending_profile,
 )
 from .market import (
@@ -46,136 +49,6 @@ from .market import (
     shortest_violator_path,
     split_valuations,
 )
-
-# Rational upper bound on Euler's number as a (numerator, denominator) pair;
-# only used to over-approximate the iteration watchdog, so erring high is safe.
-E_UPPER = (27182818285, 10**10)
-
-
-def _parse_named(obj: dict, key: str) -> Fraction:
-    """`obj[key]` parsed as a rational; a parse error names `key`."""
-    try:
-        return parse_rational(obj[key])
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"trace event {key!r}: {exc}") from None
-
-
-def iteration_bound(agent_count: int, total_goods: int) -> int:
-    """Watchdog ceiling ⌊(k-1)·((m+k)/k·e)^k⌋ on rebalancing iterations, for k agents and m goods."""
-    k = agent_count
-    if k <= 1:
-        return 0
-    e_num, e_den = E_UPPER
-    return (k - 1) * ((total_goods + k) * e_num) ** k // (k * e_den) ** k
-
-
-RATES = ("b1", "b2", "b3")
-
-
-def _reduced(p: int, q: int) -> tuple[int, int]:
-    """The ratio p/q, q > 0, as a pair in lowest terms."""
-    common = gcd(p, q)
-    return p // common, q // common
-
-
-def _text(p: int, q: int) -> str:
-    """`str(Fraction(p, q))`, q > 0, without building the `Fraction`."""
-    p, q = _reduced(p, q)
-    return str(p) if q == 1 else f"{p}/{q}"
-
-
-@dataclass(frozen=True, init=False)
-class TraceEvent:
-    """Snapshot of one iteration, taken just before its step executes.
-
-    `spend`, `hat` and `price` are the numerators over `den` of the minimum spending, the
-    violation level and the minimum price, reduced jointly on construction, so equal events
-    have equal fields.  A price rise holds its rates b1, b2 and b3 in `rates`, each a reduced
-    integer pair (p, q) for p/q or None when infinite, and the label of the smallest in
-    `chosen`; a transfer holds None in both, and its path and cut indices in `path`, `a`, `b`.
-    `b1` stops when a new best-ratio edge would appear out of the reachable set, `b2` when a
-    reachable agent would become a maximum violator, `b3` when the newcomer's spending would
-    reach the violation level.
-    """
-
-    k: int
-    step: int
-    kind: str
-    rates: tuple[tuple[int, int] | None, ...] | None
-    chosen: str | None
-    path: tuple[int, ...] | None
-    a: int | None
-    b: int | None
-    potential: tuple[int, ...]
-    spend: int
-    hat: int
-    price: int
-    den: int
-
-    def __init__(self, k, step, kind, rates, chosen, path, a, b, potential, spend, hat, price, den) -> None:
-        # One dict update: a frozen dataclass's `__init__` calls `object.__setattr__` per field.
-        if rates is not None:
-            rates = tuple(r if r is None else _reduced(*r) for r in rates)
-        if (common := gcd(spend, hat, price, den)) > 1:
-            spend, hat, price, den = spend // common, hat // common, price // common, den // common
-        vars(self).update(k=k, step=step, kind=kind, rates=rates, chosen=chosen, path=path, a=a, b=b,
-                          potential=potential, spend=spend, hat=hat, price=price, den=den)
-
-    def to_json_dict(self) -> dict:
-        """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
-        rates = None if self.rates is None else (r if r is None else _text(*r) for r in self.rates)
-        return {
-            "a": self.a,
-            "b": self.b,
-            "beta": None if rates is None else dict(zip(RATES, rates), chosen=self.chosen),
-            "k": self.k,
-            "kind": self.kind,
-            "max_hat": _text(self.hat, self.den),
-            "min_price": _text(self.price, self.den),
-            "min_spend": _text(self.spend, self.den),
-            "path": None if self.path is None else list(self.path),
-            "potential": list(self.potential),
-            "step": self.step,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: object) -> "TraceEvent":
-        """The event `to_json_dict` wrote; raises `InvalidInputError` on any other record.
-
-        Checks the record's shape only; `audit_trace` checks what its values mean.
-        """
-        names = ["k", "step", "kind", "beta", "path", "a", "b", "potential", "min_spend", "max_hat", "min_price"]
-        if not isinstance(obj, dict) or obj.keys() != set(names):
-            raise InvalidInputError(f"a trace event needs exactly the keys {', '.join(names)}")
-        shapes = dict(k=int, step=int, a=int, b=int, kind=str, path=list, potential=list)
-        for key, shape in shapes.items():
-            value = obj[key]
-            # The type itself, so a bool is not an int; `a`, `b` and `path` may be null.
-            ok = type(value) is shape and (shape is not list or all(type(x) is int for x in value))
-            if not ok and not (value is None and key in ("a", "b", "path")):
-                what = {int: "an integer", str: "a string", list: "a list of integers"}[shape]
-                raise InvalidInputError(f"trace event {key!r} must be {what}, got {_brief(repr(value))}")
-        nums, den = _common_denominator(_parse_named(obj, key) for key in names[8:])
-        rates = chosen = None
-        if (beta := obj["beta"]) is not None:
-            if not isinstance(beta, dict) or beta.keys() != {*RATES, "chosen"} or beta["chosen"] not in RATES:
-                raise InvalidInputError(f"rates need b1, b2, b3 and a chosen label, got {_brief(repr(beta))}")
-            # `is None`, not truthiness, so a rate of 0 is parsed (and kept) too.
-            rates = tuple(None if beta[n] is None else _parse_named(beta, n).as_integer_ratio() for n in RATES)
-            chosen = beta["chosen"]
-        path = None if obj["path"] is None else tuple(obj["path"])
-        kind, potential = obj["kind"], tuple(obj["potential"])
-        return cls(obj["k"], obj["step"], kind, rates, chosen, path, obj["a"], obj["b"], potential, *nums, den)
-
-
-class SolveTrace:
-    """Complete event log of a solve run; the rebalancing call of k agents is its events with that `k`."""
-
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
-
-    def iter_json_dicts(self) -> Iterable[dict]:
-        return map(TraceEvent.to_json_dict, self.events)
 
 
 class EngineState:
@@ -235,7 +108,7 @@ class EngineState:
         `prices` holds one positive price per good, indexed by good.
         """
         sol = Solution(Allocation.from_lists(bundles), tuple(prices))
-        sol.validate(inst)
+        sol.allocation.validate_partition(inst.m, inst.n)
         if any(p <= 0 for p in sol.prices):
             raise InvalidInputError("active goods must have positive prices")
         state = cls(inst, check)
@@ -573,31 +446,19 @@ def find_solution(state: EngineState) -> EngineState:
 # the full pipeline
 
 
-def solve(
-    inst: Instance, *, order: Sequence[int] | None = None, check: bool = True
-) -> tuple[Solution, SolveTrace]:
+def solve(inst: Instance, *, check: bool = True) -> tuple[Solution, SolveTrace]:
     """Compute an EF1 and fractionally Pareto optimal solution for `inst`.
 
     Normalizes away worthless goods and indifferent agents, requires the
-    core instance to satisfy the matching condition, adds agents in
-    `order` (input order by default), rebalances after each addition, and
-    re-embeds the result into the original index space.  Returns the
-    solution and the event trace.
+    core instance to satisfy the matching condition, adds agents in input
+    order, rebalances after each addition, and re-embeds the result into
+    the original index space.  Returns the solution and the event trace.
     """
-    if order is not None:
-        order = list(order)
-        if sorted(order) != list(range(inst.n)):
-            raise InvalidInputError(f"order must be a permutation of 0..{inst.n - 1}")
     core, rec = normalize_instance(inst)
     if core is None:
         return denormalize(Solution(Allocation(()), ()), rec), SolveTrace()
     if not check_hall(core):
         raise HallViolationError("some agent set values fewer goods than its size; instance rejected")
-    if order is not None:
-        # Add the kept agents in `order`: reorder the core and the record that re-embeds it.
-        rows = dict(zip(rec.kept_agents, core.valuations))
-        kept = tuple(i for i in order if i in rows)
-        core, rec = Instance(tuple(rows[i] for i in kept)), replace(rec, kept_agents=kept)
     state = EngineState(core, check=check)
     for _ in range(core.n):
         add_agent(state)

@@ -10,13 +10,13 @@ shortest alternating paths over that graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
     InternalInvariantError,
     InvalidInputError,
-    Prices,
     _common_denominator,
 )
 
@@ -77,7 +77,7 @@ class MbbGraph:
         cls,
         inst: Instance,
         bundles: Sequence[Iterable[int]],
-        prices: Prices,
+        prices: Sequence[Fraction],
         agents: Sequence[int],
         goods: Sequence[int],
     ) -> "MbbGraph":

@@ -22,14 +22,16 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .core import (
+    RATES,
     Allocation,
     Instance,
     InternalInvariantError,
     InvalidInputError,
     Solution,
+    TraceEvent,
+    iteration_bound,
     normalize_instance,  # unused here; perfbench's span table names it (core.normalize)
 )
-from .engine import RATES, TraceEvent, iteration_bound
 
 DEFAULT_BRUTE_CAP = 10_000_000
 

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 
 from fairmarket import Instance, Solution, check_hall, normalize_instance, solve
 from fairmarket.cli import build_parser, generate_instance, main
-from fairmarket.engine import iteration_bound
+from fairmarket.core import iteration_bound
 
 DEMO = {
     "agents": 3,
     "goods": 5,
     "valuations": [[6, 5, 0, 0, 0], [0, 1, 7, 3, 0], [2, 3, 6, 3, 4]],
 }
+# The demo's agents 2, 0, 1 as rows 0, 1, 2: permuting the rows chooses the insertion order.
+DEMO_201 = dict(DEMO, valuations=[DEMO["valuations"][i] for i in (2, 0, 1)])
 
 def write_demo(tmp_path, name="inst.json", obj=None):
     path = tmp_path / name
@@ -61,7 +63,7 @@ def test_solve_demo_file(tmp_path):
     code = main(["solve", inst_path, "-o", str(out_path), "--trace", str(trace_path)])
     assert code == 0
     sol = Solution.from_json_dict(json.loads(out_path.read_text()))
-    sol.validate(Instance.from_json_dict(DEMO))
+    sol.allocation.validate_partition(DEMO["goods"], DEMO["agents"])
     lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert lines and all("kind" in ev for ev in lines)
 
@@ -166,18 +168,19 @@ def test_solve_exit_two_on_matching_failure(tmp_path):
     obj = {"agents": 2, "goods": 1, "valuations": [[1], [1]]}
     assert main(["solve", write_demo(tmp_path, obj=obj)]) == 2
 
-def test_solve_with_order_flag(tmp_path):
-    inst_path = write_demo(tmp_path)
-    out = tmp_path / "sol.json"
-    assert main(["solve", inst_path, "--order", "2,1,0", "-o", str(out)]) == 0
-    assert main(["solve", inst_path, "--order", "2,2,0", "-o", str(out)]) == 1
-    assert main(["solve", inst_path, "--order", "2,x,0", "-o", str(out)]) == 1
+def test_order_flag_is_gone(tmp_path, capsys):
+    # Permuting the instance's rows chooses the insertion order; argparse rejects the old flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", write_demo(tmp_path), "--order", "2,0,1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --order" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        solve(Instance.from_json_dict(DEMO), order=[2, 0, 1])
 
 def test_solve_trace_file_holds_each_record_with_sorted_keys(tmp_path):
     # The demo in this order takes both transfers and price rises.
-    inst_path, trace_path = write_demo(tmp_path), tmp_path / "trace.jsonl"
-    assert main(["solve", inst_path, "--order", "2,0,1", "--trace", str(trace_path)]) == 0
-    _, trace = solve(Instance.from_json_dict(DEMO), order=[2, 0, 1])
+    inst_path, trace_path = write_demo(tmp_path, obj=DEMO_201), tmp_path / "trace.jsonl"
+    assert main(["solve", inst_path, "--trace", str(trace_path)]) == 0
+    _, trace = solve(Instance.from_json_dict(DEMO_201))
     assert {ev.kind for ev in trace.events} == {"transfer", "price_rise"}
     expected = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
     assert trace_path.read_text() == expected
@@ -212,7 +215,7 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
     assert build_parser() is build_parser()
     inst_path, trace_path = write_demo(tmp_path), tmp_path / "trace.jsonl"
     calls = [
-        ["solve", inst_path, "--order", "2,0,1", "--trace", str(trace_path)],
+        ["solve", write_demo(tmp_path, "201.json", DEMO_201), "--trace", str(trace_path)],
         ["solve", inst_path],
         ["solve", write_demo(tmp_path, "bad.json", {"agents": 1})],
         ["solve", inst_path],
@@ -229,7 +232,7 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
         build_parser.cache_clear()
         first.append(run(argv))
     assert [code for code, *_ in first] == [0, 0, 1, 0]
-    assert first[0][1] != first[1][1]  # the order changes the solution, so a kept order shows
+    assert first[0][1] != first[1][1]  # the row order changes the solution, so a kept input shows
     assert [run(argv) for argv in calls] == first
 
 def run_module(*args, env=None, **kwargs) -> subprocess.CompletedProcess:

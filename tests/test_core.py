@@ -256,7 +256,7 @@ def test_allocation_partition_validation():
 def test_solution_json_round_trip(demo_state_solution, demo_instance):
     obj = demo_state_solution.to_json_dict()
     back = Solution.from_json_dict(obj)
-    back.validate(demo_instance)
+    back.allocation.validate_partition(demo_instance.m, demo_instance.n)
     assert back == demo_state_solution
 
 
@@ -299,7 +299,7 @@ def test_denormalize_reembeds_dropped_good_and_agent():
     assert full.allocation[0] == frozenset()          # dropped agent: empty bundle
     assert full.allocation[1] == frozenset({0, 1, 2})  # worthless good 1 parked here
     assert full.prices == (F(1), F(0), F(2))
-    full.validate(inst)
+    full.allocation.validate_partition(inst.m, inst.n)
 
 
 def test_denormalize_embedding_preserves_surviving_indices():

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import random
 from collections import Counter
@@ -22,9 +23,8 @@ from fairmarket import (
     is_pef1,
     solve,
 )
-from fairmarket.core import spending_profile
+from fairmarket.core import RATES, iteration_bound, spending_profile
 from fairmarket.engine import (
-    RATES,
     EngineState,
     add_agent,
     apply_price_rise,
@@ -32,7 +32,6 @@ from fairmarket.engine import (
     compute_potential,
     find_solution,
     initial_prices_for_agent,
-    iteration_bound,
     transfer,
 )
 from fairmarket.market import Reachability, reach_from, shortest_violator_path
@@ -553,54 +552,55 @@ def test_solve_rejects_hall_violation():
         solve(Instance.from_values([[1, 0], [1, 0]]))
 
 
-def test_solve_respects_insertion_order(demo_instance):
+def test_no_row_order_gets_a_hall_violation_past_solve():
+    # Rows 0 and 2 value only good 0, in whichever rows they sit.
+    rows = [[1, 0, 0], [0, 1, 1], [1, 0, 0]]
+    for order in itertools.permutations(range(3)):
+        with pytest.raises(HallViolationError):
+            solve(Instance.from_values([rows[i] for i in order]))
+
+
+def test_solve_gives_an_instance_nobody_values_to_agent_0():
+    # Normalization keeps no agent, so no agent joins and every good is re-embedded at price 0.
+    sol, trace = solve(Instance.from_values([[0, 0], [0, 0]]))
+    assert sol.allocation.bundles == (frozenset({0, 1}), frozenset())
+    assert sol.prices == (0, 0)
+    assert list(trace.events) == []
+
+
+def test_permuting_rows_chooses_the_insertion_order(demo_instance):
+    # The demo's agents 2, 1, 0 as rows 0, 1, 2: any order yields a valid solution.
+    permuted = Instance(demo_instance.valuations[::-1])
     default, _ = solve(demo_instance)
-    permuted, _ = solve(demo_instance, order=[2, 1, 0])
-    # bundles are reported in original agent indices regardless of order
-    for sol in (default, permuted):
-        sol.validate(demo_instance)
-        assert check_ef1(demo_instance, sol.allocation)
-    assert default.allocation != permuted.allocation or default.prices != permuted.prices
+    reordered, _ = solve(permuted)
+    for inst, sol in ((demo_instance, default), (permuted, reordered)):
+        assert check_ef1(inst, sol.allocation)
+    mapped_back = Allocation(reordered.allocation.bundles[::-1])
+    assert default.allocation != mapped_back or default.prices != reordered.prices
 
 
-def test_solve_order_must_be_permutation(demo_instance):
-    from fairmarket import InvalidInputError
-
-    with pytest.raises(InvalidInputError):
-        solve(demo_instance, order=[0, 0, 1])
-
-
-@pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[1, 0], [1, 0]]])
-def test_solve_checks_the_order_before_the_instance(rows):
-    # Normalization keeps no agent of the first; the second fails the matching condition.
-    from fairmarket import InvalidInputError
-
-    with pytest.raises(InvalidInputError, match="permutation"):
-        solve(Instance.from_values(rows), order=[7, 7])
-
-
-def test_solve_order_skips_dropped_agents():
-    inst = Instance.from_values([[0, 0, 0], [1, 2, 0], [0, 1, 3]])
-    sol, _ = solve(inst, order=[2, 0, 1])  # agent 0 values nothing and is skipped
-    sol.validate(inst)
-    assert sol.allocation[0] == frozenset()
+def test_solve_skips_a_dropped_agent_in_any_row():
+    inst = Instance.from_values([[0, 1, 3], [0, 0, 0], [1, 2, 0]])  # row 1 values nothing
+    sol, _ = solve(inst)
+    sol.allocation.validate_partition(inst.m, inst.n)
+    assert sol.allocation[1] == frozenset()
     assert check_ef1(inst, sol.allocation)
 
 
 def test_solve_handles_dropped_goods_and_agents():
     inst = Instance.from_values([[0, 2, 0], [0, 0, 0]])
     sol, _ = solve(inst)
-    sol.validate(inst)
+    sol.allocation.validate_partition(inst.m, inst.n)
     assert sol.allocation[1] == frozenset()
     assert sol.allocation[0] == frozenset({0, 1, 2})
     assert sol.prices[0] == 0 and sol.prices[2] == 0
 
 
-def test_solve_order_reembeds_worthless_goods_on_the_lowest_kept_agent():
-    # Agent 0 values nothing and good 2 is worthless; agents 2 and 1 join in that order.
-    inst = Instance.from_values([[0, 0, 0], [1, 2, 0], [2, 1, 0]])
-    sol, _ = solve(inst, order=[2, 1, 0])
-    sol.validate(inst)
+def test_permuted_rows_reembed_worthless_goods_on_the_lowest_kept_row():
+    # Agent 0 values nothing and good 2 is worthless; the agents of rows 1 and 2 join in that order.
+    inst = Instance.from_values([[0, 0, 0], [2, 1, 0], [1, 2, 0]])
+    sol, _ = solve(inst)
+    sol.allocation.validate_partition(inst.m, inst.n)
     assert 2 in sol.allocation[1] and sol.prices[2] == 0
     assert sol.allocation[0] == frozenset()
     assert check_ef1(inst, sol.allocation)

@@ -1,8 +1,10 @@
 """Golden digests: solutions and traces must stay byte-identical across refactors.
 
 Each case is a seeded `generate_instance(n, m, 100, 11)` solved with the
-online checks on and off.  The digests are sha256 of the solution JSON and
-of the trace JSONL, both serialized as `fairmarket solve` writes them.
+online checks on and off, its agents added in input order or in the order
+the case names (by `solve_in_order`).  The digests are sha256 of the
+solution JSON and of the trace JSONL, both serialized as `fairmarket
+solve` writes them.
 Recorded before the engine kept its market state incrementally.
 
 `RATIONAL_GOLDEN` holds the same digests for rational valuations, which
@@ -142,6 +144,15 @@ def rational_instance(m: int, over: str, seed: int = 0) -> Instance:
     )
 
 
+def solve_in_order(inst: Instance, order: tuple[int, ...] | None, **kwargs):
+    """`solve` adding agent `order[j]` j-th: solve the rows permuted to `order`, then map
+    the bundles back to the input's agents."""
+    order = order or range(inst.n)
+    sol, trace = solve(Instance(tuple(inst.valuations[i] for i in order)), **kwargs)
+    bundles = dict(zip(order, sol.allocation))
+    return Solution(Allocation(tuple(bundles[i] for i in range(inst.n))), sol.prices), trace
+
+
 def digests(sol, trace) -> tuple[str, str]:
     solution_text = json.dumps(sol.to_json_dict(), sort_keys=True)
     trace_text = "".join(json.dumps(ev, sort_keys=True) + "\n" for ev in trace.iter_json_dicts())
@@ -160,7 +171,7 @@ def report_digest(inst: Instance, sol: Solution) -> str:
 @pytest.mark.parametrize("case", sorted(GOLDEN, key=str), ids=str)
 def test_golden_digests(case, check):
     n, m, order = case
-    sol, trace = solve(generate_instance(n, m, 100, 11), order=order, check=check)
+    sol, trace = solve_in_order(generate_instance(n, m, 100, 11), order, check=check)
     assert digests(sol, trace) == GOLDEN[case]
 
 
@@ -176,7 +187,7 @@ def test_rational_golden_digests(case, check):
 def test_report_golden_digests(case):
     n, m, order = case
     inst = generate_instance(n, m, 100, 11)
-    sol, _ = solve(inst, order=order)
+    sol, _ = solve_in_order(inst, order)
     assert report_digest(inst, sol) == REPORT_GOLDEN[case]
 
 

@@ -49,9 +49,10 @@ def test_every_insertion_order_is_certified():
     for n in (2, 3, 4):
         for _ in range(3):
             inst = random_instance(rng, n, rng.randint(n, n + 3))
-            for order in itertools.permutations(range(n)):
-                solution, trace = solve(inst, order=order)
-                assert verify(inst, solution).ok
+            for rows in itertools.permutations(inst.valuations):  # each row order is an insertion order
+                permuted = Instance(rows)
+                solution, trace = solve(permuted)
+                assert verify(permuted, solution).ok
                 assert audit_trace(trace.events, inst.m) == []
 
 

@@ -16,6 +16,7 @@ from fairmarket import (
     Instance,
     InvalidInputError,
     Solution,
+    TraceEvent,
     audit_trace,
     brute_force_mnw,
     brute_force_po,
@@ -26,7 +27,6 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.engine import TraceEvent
 from fairmarket.oracles import NSW_FLOOR
 
 from reference import (

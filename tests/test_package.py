@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fairmarket
-from fairmarket import core, market, oracles
+from fairmarket import core, engine, market, oracles
 
 import reference
 
@@ -64,3 +64,43 @@ def test_oracles_use_no_engine_kernel():
     used = _names_used(oracles.__file__)
     kernels = {"best_ratios", "MbbGraph", "split_valuations", "spending_profile", "_spend_and_hat", "_common_denominator"}
     assert not used & kernels
+
+
+def _package_imports(module) -> set[str]:
+    """The package modules `module` imports from, as written: ".core", "fairmarket.engine", ..."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return {name for name in names if name.startswith(".") or name.split(".")[0] == "fairmarket"}
+
+
+def test_oracles_import_only_core_and_core_imports_no_sibling():
+    # The oracles load without the engine or the market they certify; `core` sits below both.
+    assert _package_imports(oracles) == {".core"}
+    assert _package_imports(core) == set()
+
+
+def _top_level_names(module) -> set[str]:
+    """The names `module`'s source defines at its top level."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_the_trace_record_lives_in_core():
+    record = {"E_UPPER", "iteration_bound", "RATES", "_reduced", "_text", "_parse_named", "TraceEvent", "SolveTrace"}
+    assert record <= _top_level_names(core)
+    assert not record & _top_level_names(engine)
+    assert fairmarket.TraceEvent is core.TraceEvent and fairmarket.SolveTrace is core.SolveTrace
+
+
+def test_the_validate_wrapper_and_the_prices_alias_are_gone():
+    assert not hasattr(fairmarket.Solution, "validate")
+    assert not hasattr(core, "Prices") and not hasattr(market, "Prices")
