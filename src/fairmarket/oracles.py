@@ -73,13 +73,42 @@ class _View:
             self.market = bundles if sum(map(len, bundles)) == len(valued) else None
 
     @cached_property
+    def best(self) -> list[tuple[int, int]]:
+        """Each agent's best ratio row[h] / costs[h] over `goods` as a pair (v, c); (0, 1) if none."""
+        costs, pairs = self.costs, []
+        for row in self.rows:
+            v, c = 0, 1
+            for h in self.goods:
+                if row[h] * c > v * costs[h]:
+                    v, c = row[h], costs[h]
+            pairs.append((v, c))
+        return pairs
+
+    @cached_property
+    def certified(self) -> bool:
+        """Whether the prices certify the allocation: each good of `goods` has a positive price and
+        is held by an agent of `agents` at that agent's best ratio."""
+        if self.prices is None or self.market is None or not all(self.costs[g] for g in self.goods):
+            return False
+        best, rows, costs = self.best, self.rows, self.costs
+        held = ((i, g) for i, bundle in zip(self.agents, self.market) for g in bundle)
+        return all(rows[i][g] * best[i][1] == best[i][0] * costs[g] for i, g in held)
+
+    @cached_property
     def shares(self) -> tuple[list[list[int]], int]:
-        """Each agent's values scaled to the lcm of all totals (a zero total counts as 1), and the
-        denominator that takes a product of shares, one per agent, to one of values.  The searches
-        only compare an agent with itself or multiply values, so a factor per agent changes nothing."""
-        totals = [sum(row) or 1 for row in self.rows]
-        scale = math.lcm(*totals)
-        factors = [scale // t for t in totals]
+        """Each agent's values times a positive factor L * c / v, L being the lcm of the v's, and the
+        denominator that takes a product of shares, one per agent, to one of values.  Under a
+        certificate v / c is the agent's best ratio, so each share is at most L times the good's
+        price and equal to it on the goods the allocation gives: no allocation's shares sum to more
+        than its own.  Otherwise v is the agent's total (0 counts as 1) and c is 1.  The searches
+        compare an agent only with itself and multiply one sum per agent, so any positive factors
+        (from right prices or wrong ones) give the same answers; the factors move only the cuts."""
+        if self.certified:
+            pairs = [(v or 1, c) for v, c in self.best]
+        else:
+            pairs = [(sum(row) or 1, 1) for row in self.rows]
+        scale = math.lcm(*(v for v, _ in pairs))
+        factors = [scale // v * c for v, c in pairs]
         shares = [[v * f for v in row] for row, f in zip(self.rows, factors)]
         return shares, math.prod(d * f for d, f in zip(self.dens, factors))
 
@@ -145,19 +174,7 @@ def check_mbb_consistency(inst: Instance, sol: Solution) -> bool:
     valued good fails it, as does a valued good at price 0; goods nobody
     values are ignored.
     """
-    view = _view(inst, sol.allocation, sol.prices)
-    costs = view.costs
-    if view.market is None or not all(costs[g] for g in view.goods):
-        return False
-    for i, bundle in zip(view.agents, view.market):
-        row = view.rows[i]
-        v, p = 0, 1  # agent i's best ratio row[h] / costs[h], as a pair
-        for h in view.goods:
-            if row[h] * p > v * costs[h]:
-                v, p = row[h], costs[h]
-        if any(row[g] * p != v * costs[g] for g in bundle):
-            return False
-    return True
+    return _view(inst, sol.allocation, sol.prices).certified
 
 
 # ---------------------------------------------------------------------------
@@ -199,19 +216,22 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
     n, m = inst.n, inst.m
     if n**m > cap:
         return None
-    # Assign high-impact goods first; goods worthless to everyone need no branching.
     vals, _ = view.shares
-    order = sorted(range(m), key=lambda g: (-sum(row[g] for row in vals), g))
     target = [sum(vals[i][g] for g in alloc[i]) for i in range(n)]
     goal = sum(target)
+    # A dominating allocation's shares sum past `goal`, and none sum past the column maxima's.
+    if sum(map(max, zip(*vals))) <= goal:
+        return True
+    # Assign high-impact goods first; goods worthless to everyone need no branching.
+    order = sorted(range(m), key=lambda g: (-sum(row[g] for row in vals), g))
     choices, suffix, most = _branches(vals, order)
 
     # Depth-first over the goods in `order` with an explicit stack; the empty
-    # assignment dominates nothing, so the search starts at the first good.
+    # assignment dominates nothing, so the search starts at the first good (m > 0 here).
     current = [0] * n
     held = [0] * m  # held[j]: the agent given good order[j] on this branch
     untried: list = [None] * m  # untried[j]: the agents left for order[j], once entered
-    j = 0 if m else -1
+    j = 0
     while j >= 0:
         g, agents = order[j], untried[j]
         if agents is None:
@@ -226,8 +246,9 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
             untried[j] = None
             j -= 1
             continue
-        # Prune when one agent cannot catch up alone, or when the agents'
-        # summed shortfall exceeds every share the remaining goods can add.
+        # Prune when one agent cannot catch up alone, when the agents' summed
+        # shortfall exceeds every share the remaining goods can add, or when
+        # those shares cannot lift the summed shares above `goal`.
         shortfall = 0
         for t in range(n):
             gap = target[t] - current[t]
@@ -236,9 +257,10 @@ def brute_force_po(inst: Instance, alloc: Allocation, cap: int | None = None) ->
                     break
                 shortfall += gap
         else:
-            if shortfall > most[j + 1]:
+            have = sum(current)
+            if shortfall > most[j + 1] or have + most[j + 1] <= goal:
                 continue
-            if not shortfall and sum(current) > goal:
+            if not shortfall and have > goal:
                 return False  # every target met, one beaten; remaining goods only add value
             if j + 1 < m:
                 j += 1
@@ -285,6 +307,7 @@ def brute_force_mnw(
     best_product = -1
     if incumbent is not None:
         best_product = math.prod(sum(vals[i][g] for g in incumbent[i]) for i in range(n)) - 1
+    bar = best_product * spread  # the AM-GM cut's right-hand side, kept with best_product
     best_assignment: list[int] | None = None
     g = 0
     while g >= 0:
@@ -293,7 +316,7 @@ def brute_force_mnw(
             for c in current:
                 product *= c
             if product > best_product:
-                best_product = product
+                best_product, bar = product, product * spread
                 best_assignment = assignment.copy()
             g -= 1
             continue
@@ -302,7 +325,7 @@ def brute_force_mnw(
             # Cut when no product below this node can strictly beat the
             # incumbent: by AM-GM it is at most (summed shares / n)**n, and
             # at most the product of each agent's value plus every remaining good.
-            if (have + most[g]) ** n <= best_product * spread:
+            if (have + most[g]) ** n <= bar:
                 g -= 1
                 continue
             ceiling = 1

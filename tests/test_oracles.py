@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, astuple, fields, replace
 from fractions import Fraction
@@ -26,6 +28,7 @@ from fairmarket import (
     solve,
     verify,
 )
+from fairmarket import oracles
 from fairmarket.cli import generate_instance
 from fairmarket.oracles import NSW_FLOOR
 
@@ -329,6 +332,135 @@ def test_brute_force_oracles_on_rational_values():
         assert product == best
         assert winner == next(other for p, other in products if p == best)
     assert seen == ALL_FEATURES
+
+
+def _priced_case(rng):
+    """A random instance with up to 4 agents and 6 goods, of integer or rational values,
+    sometimes with a zero row or column, and a solution of it: the engine's, a random
+    allocation at random positive prices, or one that random positive prices certify (each
+    good goes to an agent of largest weighted value, priced at that value); also the kind of
+    solution and which of those features the case has."""
+    n, m = rng.randint(1, 4), rng.randint(0, 6)
+    rational = rng.random() < 0.5
+    rows = [
+        [F(rng.randint(0, 6), rng.choice([1, 2, 3, 5, 7]) if rational else 1) for _ in range(m)]
+        for _ in range(n)
+    ]
+    if m and rng.random() < 0.2:
+        rows[rng.randrange(n)] = [F(0)] * m
+    if m and rng.random() < 0.2:
+        dead = rng.randrange(m)
+        for row in rows:
+            row[dead] = F(0)
+    inst = Instance(tuple(map(tuple, rows)))
+    features = {
+        "rational" if rational else "integer",
+        "zero row" if any(not any(row) for row in rows) else None,
+        "zero column" if any(not any(column) for column in zip(*rows)) else None,
+    }
+    kind = rng.choice(["engine", "random prices", "certifying prices"])
+    if kind == "engine":
+        try:
+            return inst, solve(inst)[0], kind, features - {None}
+        except HallViolationError:
+            kind = "random prices"
+    prices = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(m)]
+    weights = [F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)]
+    bundles = [[] for _ in range(n)]
+    for g in range(m):
+        if kind == "random prices":
+            bundles[rng.randrange(n)].append(g)
+        else:  # v_i(h) / p_h <= 1 / w_i for every good h, with equality on agent i's own goods
+            weighted = [w * row[g] for w, row in zip(weights, rows)]
+            top = max(weighted)
+            prices[g] = top or prices[g]
+            bundles[rng.choice([i for i in range(n) if weighted[i] == top])].append(g)
+    return inst, Solution(Allocation.from_lists(bundles), tuple(prices)), kind, features - {None}
+
+
+def test_searches_weighted_by_prices_match_plain_enumeration():
+    """Inside `verify` the searches scale each agent by the solution's prices when they
+    certify it, and by its total otherwise; either way `verify`'s Pareto verdict and
+    optimum, and the first maximizer the welfare search finds through `verify`'s view,
+    are those of the standalone oracles and of plain enumeration."""
+    rng = random.Random(2027)
+    seen, certified = set(), 0
+    for _ in range(2000):
+        inst, sol, kind, features = _priced_case(rng)
+        alloc = sol.allocation
+        # Plain enumeration in `_every_allocation`'s order, on integers over one denominator
+        # for the whole instance; every agent's value of every bundle (a bit mask) taken once.
+        n, m = inst.n, inst.m
+        den = math.lcm(*(v.denominator for row in inst.valuations for v in row))
+        rows = [[int(v * den) for v in row] for row in inst.valuations]
+        values = [
+            [sum(row[g] for g in range(m) if mask >> g & 1) for mask in range(1 << m)] for row in rows
+        ]
+        assignments = list(itertools.product(range(n), repeat=m))
+        table = []
+        for assignment in assignments:
+            masks = [0] * n
+            for g, i in enumerate(assignment):
+                masks[i] |= 1 << g
+            table.append(tuple(map(list.__getitem__, values, masks)))
+        mine = tuple(values[i][sum(1 << g for g in alloc[i])] for i in range(n))
+        po = not any(
+            all(o >= v for o, v in zip(other, mine)) and other != mine for other in table
+        )
+        products = [math.prod(other) for other in table]
+        best = max(products)
+        first = assignments[products.index(best)]
+        first = Allocation.from_lists([[g for g, i in enumerate(first) if i == a] for a in range(n)])
+        best = F(best, den**n)
+
+        report = verify(inst, sol)
+        token = oracles._ACTIVE.set(oracles._View(inst, alloc, sol.prices))
+        try:
+            through_view = brute_force_mnw(inst, None, alloc)
+        finally:
+            oracles._ACTIVE.reset(token)
+        assert report.mbb_consistent == mbb_certificate_literal(inst, sol)
+        assert report.brute_po == brute_force_po(inst, alloc) == po
+        assert report.mnw_product == best
+        assert through_view == brute_force_mnw(inst) == (best, first)
+        certified += report.mbb_consistent
+        seen |= features | {kind, f"certified={report.mbb_consistent}", f"po={po}"}
+    assert seen == {
+        "integer", "rational", "zero row", "zero column",
+        "engine", "random prices", "certifying prices",
+        "certified=True", "certified=False", "po=True", "po=False",
+    }
+    assert certified >= 1000
+
+
+def test_a_certified_solution_settles_the_pareto_search_at_its_root(monkeypatch):
+    """On a certified engine output `brute_force_po` answers before its search starts: no
+    allocation's price-weighted shares sum past the solution's own.  When the certificate
+    fails, it searches on shares that scale every agent to one common total, as it does
+    when called alone."""
+    callers = []
+
+    def spy(shares, order):
+        callers.append((sys._getframe(1).f_code.co_name, [sum(row) for row in shares if any(row)]))
+        return branches(shares, order)
+
+    branches = oracles._branches
+    monkeypatch.setattr(oracles, "_branches", spy)
+    for seed in range(40):
+        inst = generate_instance(3, 5, 6, seed)
+        sol = solve(inst)[0]
+        callers.clear()
+        assert verify(inst, sol).ok
+        assert [name for name, _ in callers] == ["brute_force_mnw"]
+
+    # Agent 0 holds good 0 at the price of good 1, which it values twice as much.
+    inst = Instance.from_values([[1, 2, 2], [2, 1, 1]])
+    sol = Solution(Allocation.from_lists([[0, 2], [1]]), (F(1), F(1), F(1)))
+    callers.clear()
+    report = verify(inst, sol)
+    assert (report.mbb_consistent, report.brute_po) == (False, False)
+    (name, sums), *_ = callers
+    assert name == "brute_force_po" and len(set(sums)) == 1
 
 
 # ---------------------------------------------------------------------------
