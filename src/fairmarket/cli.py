@@ -115,7 +115,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise InternalInvariantError(f"self-verification failed: {report.to_json_dict()}")
         _write_text(args.output, json.dumps(solution.to_json_dict(), sort_keys=True))
         if args.trace is not None:
-            _write_text(args.trace, "".join(json.dumps(ev) + "\n" for ev in trace.iter_json_dicts()))
+            _write_text(args.trace, "\n".join(ev.to_json_line() for ev in trace.events))
     return EXIT_OK
 
 

@@ -15,10 +15,12 @@ in the JSON file formats.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from json.encoder import encode_basestring_ascii as _json_string  # what `json.dumps` does to a str
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -306,8 +308,13 @@ def _reduced(p: int, q: int) -> tuple[int, int]:
 
 def _text(p: int, q: int) -> str:
     """`str(Fraction(p, q))`, q > 0, without building the `Fraction`."""
-    p, q = _reduced(p, q)
-    return str(p) if q == 1 else f"{p}/{q}"
+    common = gcd(p, q)
+    return str(p // common) if q == common else f"{p // common}/{q // common}"
+
+
+def _rate_json(rate: tuple[int, int] | None) -> str:
+    """A stored rate, a reduced pair (p, q) or None, as its JSON value: no second gcd."""
+    return "null" if rate is None else f'"{rate[0]}"' if rate[1] == 1 else f'"{rate[0]}/{rate[1]}"'
 
 
 @dataclass(frozen=True, init=False)
@@ -347,22 +354,23 @@ class TraceEvent:
         vars(self).update(k=k, step=step, kind=kind, rates=rates, chosen=chosen, path=path, a=a, b=b,
                           potential=potential, spend=spend, hat=hat, price=price, den=den)
 
+    def to_json_line(self) -> str:
+        """The event as one trace line: the JSON record with its keys, and those of `beta`, in
+        sorted order, as `json.dumps` writes it, formatted from the stored integers."""
+        beta = "null"
+        if (rates := self.rates) is not None:
+            b1, b2, b3 = map(_rate_json, rates)
+            beta = f'{{"b1": {b1}, "b2": {b2}, "b3": {b3}, "chosen": "{self.chosen}"}}'
+        a, b, den = "null" if self.a is None else self.a, "null" if self.b is None else self.b, self.den
+        path = "null" if self.path is None else list(self.path)  # a list of ints prints as JSON
+        return (f'{{"a": {a}, "b": {b}, "beta": {beta}, "k": {self.k}, "kind": {_json_string(self.kind)}, '
+                f'"max_hat": "{_text(self.hat, den)}", "min_price": "{_text(self.price, den)}", '
+                f'"min_spend": "{_text(self.spend, den)}", "path": {path}, '
+                f'"potential": {list(self.potential)}, "step": {self.step}}}')
+
     def to_json_dict(self) -> dict:
-        """The event as a JSON record; its keys, and those of `beta`, come in sorted order."""
-        rates = None if self.rates is None else (r if r is None else _text(*r) for r in self.rates)
-        return {
-            "a": self.a,
-            "b": self.b,
-            "beta": None if rates is None else dict(zip(RATES, rates), chosen=self.chosen),
-            "k": self.k,
-            "kind": self.kind,
-            "max_hat": _text(self.hat, self.den),
-            "min_price": _text(self.price, self.den),
-            "min_spend": _text(self.spend, self.den),
-            "path": None if self.path is None else list(self.path),
-            "potential": list(self.potential),
-            "step": self.step,
-        }
+        """The event as a JSON record: the parse of `to_json_line`."""
+        return json.loads(self.to_json_line())
 
     @classmethod
     def from_json_dict(cls, obj: object) -> "TraceEvent":

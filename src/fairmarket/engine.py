@@ -201,7 +201,8 @@ def compute_betas(state: EngineState, reach: Reachability) -> tuple[tuple, str, 
     # its best ratio outside the reach, attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
     b1: tuple[int, int] | None = None
     new_edges: list[tuple[int, int]] = []
-    outside = [g for g in state.joined if g not in reach.goods]
+    # Every joined good is owned, and the reach holds exactly its agents' bundles.
+    outside = [g for i in state.agents if i not in reach.agents for g in state.bundles[i]]
     agents = sorted(reach.agents)
     for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
         if v_h:

@@ -4,7 +4,8 @@ Each function is written from its definition, on `Fraction`s only, and
 uses none of the package's integer kernels (`best_ratios`,
 `_common_denominator`, `_spend_and_hat`, `spending_profile`): a test that
 compares a kernel with this module does not compare it with itself.
-Agent and good indices are 0-based, as in the package.
+Agent and good indices are 0-based, as in the package.  The trace record
+is written from `str(Fraction)`, not from the package's writer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from fairmarket import Allocation, Instance, InternalInvariantError, Solution
+from fairmarket import Allocation, Instance, InternalInvariantError, Solution, TraceEvent
 
 
 def bang_per_buck(value: Fraction, price: Fraction) -> Fraction:
@@ -129,3 +130,24 @@ def mbb_certificate_literal(inst: Instance, sol: Solution) -> bool:
         for i in agents
         for g in sol.allocation[i] & goods
     )
+
+
+def trace_record_literal(event: TraceEvent) -> dict:
+    """The JSON record of a trace event, each number over `den`, and each rate, as `str(Fraction)`."""
+    beta = None
+    if event.rates is not None:
+        beta = {name: None if r is None else str(Fraction(*r)) for name, r in zip(("b1", "b2", "b3"), event.rates)}
+        beta["chosen"] = event.chosen
+    return {
+        "a": event.a,
+        "b": event.b,
+        "beta": beta,
+        "k": event.k,
+        "kind": event.kind,
+        "max_hat": str(Fraction(event.hat, event.den)),
+        "min_price": str(Fraction(event.price, event.den)),
+        "min_spend": str(Fraction(event.spend, event.den)),
+        "path": None if event.path is None else list(event.path),
+        "potential": list(event.potential),
+        "step": event.step,
+    }

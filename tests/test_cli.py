@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmarket import Instance, Solution, check_hall, normalize_instance, solve
+from fairmarket import Instance, Solution, TraceEvent, check_hall, normalize_instance, solve
 from fairmarket.cli import build_parser, generate_instance, main
 from fairmarket.core import iteration_bound
+
+from reference import trace_record_literal
 
 DEMO = {
     "agents": 3,
@@ -139,15 +141,18 @@ def test_exponent_strings_are_rejected_before_solving(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
 
-def test_outputs_past_the_int_digit_limit_are_written(tmp_path, capsys):
-    # Accepted input (2500-digit denominators) whose solution and trace hold
-    # integers far past CPython's 4300-digit limit on int/str conversion.
+def huge_denominators() -> dict:
+    """Accepted input (2500-digit denominators) whose solution and trace hold
+    integers far past CPython's 4300-digit limit on int/str conversion."""
     rng = random.Random(0)
     values = [
         [f"{rng.randint(1, 9)}/{10**2499 + 7 + rng.randint(0, 50)}" for _ in range(6)]
         for _ in range(3)
     ]
-    inst_path = write_demo(tmp_path, obj={"agents": 3, "goods": 6, "valuations": values})
+    return {"agents": 3, "goods": 6, "valuations": values}
+
+def test_outputs_past_the_int_digit_limit_are_written(tmp_path, capsys):
+    inst_path = write_demo(tmp_path, obj=huge_denominators())
     sol, trace = tmp_path / "sol.json", tmp_path / "trace.jsonl"
     limit = sys.get_int_max_str_digits()
     assert main(["solve", inst_path, "-o", str(sol), "--trace", str(trace)]) == 0
@@ -163,6 +168,20 @@ def test_outputs_past_the_int_digit_limit_are_written(tmp_path, capsys):
         err = err.strip().splitlines()
         assert code == 1 and len(err) == 1 and json.loads(err[0])["error"] == "invalid-input"
     assert sys.get_int_max_str_digits() == limit
+
+def test_trace_lines_past_the_int_digit_limit_are_their_literal_records(tmp_path):
+    inst_path, trace_path = write_demo(tmp_path, obj=huge_denominators()), tmp_path / "trace.jsonl"
+    assert main(["solve", inst_path, "-o", str(tmp_path / "sol.json"), "--trace", str(trace_path)]) == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        events = [TraceEvent.from_json_dict(json.loads(line)) for line in lines]
+        assert max(map(len, lines)) > 4300
+        assert [json.dumps(trace_record_literal(ev), sort_keys=True) for ev in events] == lines
+        assert [ev.to_json_line() for ev in events] == lines
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 def test_solve_exit_two_on_matching_failure(tmp_path):
     obj = {"agents": 2, "goods": 1, "valuations": [[1], [1]]}

@@ -849,6 +849,8 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
         )
         reach = reach_from(state, [state.k])
         assert reach == reach_from(graph, [state.k])
+        # b1 reads the goods outside the reach from the unreached agents' bundles
+        assert reach.goods == set().union(*(state.bundles[i] for i in reach.agents))
         others = [i for i in state.agents if i != state.k]
         assert shortest_violator_path(state, reach, others) == shortest_violator_path(
             graph, reach, others

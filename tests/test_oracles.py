@@ -39,6 +39,7 @@ from reference import (
     check_ef1_literal,
     mbb_certificate_literal,
     pef1_literal,
+    trace_record_literal,
 )
 
 F = Fraction
@@ -919,13 +920,29 @@ def test_trace_events_store_reduced_integers(spend, hat, price, den, rate, scale
 
 
 def test_trace_records_emit_their_keys_sorted():
-    # The CLI writes each record with a plain `json.dumps`, so this order is the file's.
+    # `to_json_dict` parses the line the CLI writes, so this order is the file's.
     for seed in range(5):
         _, trace = solve(generate_instance(4, 10, 9, seed))
         for ev in trace.events:
             record = ev.to_json_dict()
             for keys in (record, record["beta"] or ()):
                 assert list(keys) == sorted(keys)
+
+
+def test_each_trace_line_is_the_json_of_its_literal_record():
+    # Engine events of every kind, then the edge cases the engine does not write.
+    events = [ev for seed in range(5) for ev in solve(generate_instance(4, 10, 9, seed))[1].events]
+    record = next(ev for ev in events if ev.rates is not None).to_json_dict()
+    record["beta"].update(b1="0", b2="-3/2", b3="5")
+    parsed = TraceEvent.from_json_dict(record)
+    assert parsed.rates == ((0, 1), (-3, 2), (5, 1))
+    events += [
+        integer_event(0, 3, 1, 2, (7, 4)),  # a rise whose b1 and b3 are null
+        parsed,
+        replace(events[0], kind='a "quoted" \\ kind, café'),
+    ]
+    for ev in events:
+        assert ev.to_json_line() == json.dumps(trace_record_literal(ev), sort_keys=True)
 
 
 # Tampers applied to the typed events with `dataclasses.replace`, each breaking
