@@ -49,6 +49,7 @@ from .market import (
     shortest_violator_path,
     split_valuations,
 )
+from .oracles import _over_lcm
 
 
 class EngineState:
@@ -76,7 +77,7 @@ class EngineState:
         self.hats: list[int] = []
         self.rows = split_valuations(inst)
         self.ceiling = 0
-        # The last audit's price part, keyed by a copy of (num_agents, den, nums).
+        # The last audit's price part and its integer rows, keyed by a copy of (num_agents, den, nums).
         self._price_audit: tuple | None = None
 
     @property
@@ -236,17 +237,20 @@ def apply_price_rise(
     (agent, good) edges `new_edges`, those attaining b1 at rate b1.
     Unreachable agents lose their edges into the reachable goods.  With the
     rate p/q, `den` and the other numerators multiply by q, the reachable
-    ones by p, and their one gcd reduces them.
+    ones by p, and their one gcd, gcd(q * gcd(den, *others), p * gcd(*reachable))
+    from the unscaled numbers, reduces them in the same pass, into a new list.
     """
     up, down = rate
     if up <= down:
         raise InternalInvariantError(f"price-rise rate must exceed 1, got {_text(up, down)}")
-    nums, den = state.nums, state.den
-    scaled = [num * down for num in nums]
-    for g in reach.goods:
-        scaled[g] = nums[g] * up
-    common = gcd(den * down, *scaled)
-    state.nums = [num // common for num in scaled] if common > 1 else scaled
+    nums, den, goods = state.nums, state.den, reach.goods
+    others = nums.copy()  # the numerators outside the reach, with zeros, which no gcd counts
+    for g in goods:
+        others[g] = 0
+    a, b = gcd(den, *others), gcd(*[nums[g] for g in goods])
+    common = gcd(down * a, up * b)
+    f_out, f_in = down * a // common, up * b // common
+    state.nums = [num // b * f_in if g in goods else num // a * f_out for g, num in enumerate(nums)]
     state.den = den * down // common
     stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
@@ -283,8 +287,8 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     ):
         raise InvalidInputError("path allocation edges do not match the allocation")
 
-    spends, nums = state.spends, state.nums
-    max_hat = max(state.hats)
+    spends, hats, nums, bundles = state.spends, state.hats, state.nums, state.bundles
+    max_hat = max(hats)
 
     a = next(
         (c for c in range(1, length + 1) if spends[agents_on[c]] - nums[goods_on[c - 1]] >= max_hat),
@@ -301,30 +305,30 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
         0,
     )
 
-    for c in range(b + 1, a + 1):
-        g = goods_on[c - 1]
-        giver = agents_on[c]
-        taker = agents_on[c - 1]
-        state.bundles[giver].discard(g)
-        state.bundles[taker].add(g)
-    for i in agents_on[b : a + 1]:
-        spends[i], state.hats[i] = _spend_and_hat([nums[g] for g in state.bundles[i]])
+    for c in range(b + 1, a + 1):  # a bundle's top price is its spend less its hat
+        g, giver, taker = goods_on[c - 1], agents_on[c], agents_on[c - 1]
+        price = nums[g]
+        bundles[giver].discard(g)
+        bundles[taker].add(g)
+        if price == spends[giver] - hats[giver]:  # the giver's top good leaves: rescan the rest
+            hats[giver] = spends[giver] - price - max((nums[h] for h in bundles[giver]), default=0)
+        else:
+            hats[giver] -= price
+        spends[giver] -= price
+        hats[taker] = min(hats[taker] + price, spends[taker])  # drop the old top or the new good
+        spends[taker] += price
     return a, b
 
 
 def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...]:
-    """Count goods by their owner's level and append the violator count.
+    """The goods counted by their owner's level, as `reach` counted them, and the violator count.
 
     Potentials compare lexicographically.
     """
-    na = state.num_agents
-    counts = [0] * (na + 1)
-    for i in range(na):
-        counts[reach.levels[i]] += len(state.bundles[i])
+    counts = reach.goods_per_level
     if sum(counts) != len(state.nums) - state.nums.count(0):
         raise InternalInvariantError("level counts do not partition the goods")
-    max_hat = max(state.hats)
-    return (*counts, state.hats.count(max_hat))
+    return (*counts, state.hats.count(max(state.hats)))
 
 
 def _open_steps(state: EngineState) -> int:
@@ -333,32 +337,48 @@ def _open_steps(state: EngineState) -> int:
     return events[-1].step if events and events[-1].k == state.num_agents else 0
 
 
+def _audit_prices(state: EngineState, rows: list[list[int]]) -> tuple:
+    """The audit's price part, keyed by (num_agents, den, nums), rebuilt from the definitions:
+    `rows[i]` holds agent i's values over their lcm, so its ratios compare by cross-multiplying."""
+    nums, den, agents = state.nums, state.den, state.agents
+    joined, stray = range(len(nums)), None
+    if 0 in nums:  # the goods not yet joined, and an agent valuing one
+        joined, unjoined = state.joined, [g for g, num in enumerate(nums) if not num]
+        stray = next(((i, g) for i in agents for g in unjoined if rows[i][g]), None)
+    mbb = []
+    for row in rows[: state.num_agents]:
+        v, c, best = 0, 1, set()
+        for g in joined:
+            lhs, rhs = row[g] * c, v * nums[g]
+            if lhs > rhs:
+                v, c, best = row[g], nums[g], {g}
+            elif lhs == rhs:
+                best.add(g)
+        mbb.append(best)
+    priced = set(joined) if min(nums, default=0) >= 0 else None  # None if a price is negative
+    return (state.num_agents, den, list(nums)), rows, priced, den >= 1 and gcd(den, *nums) == 1, stray, mbb
+
+
 def _check_state(state: EngineState) -> None:
     """Audit the state and the last step of the newest agent's call, read from its event.
 
     The owned goods are exactly those with a nonzero numerator, each
     positive; `den` is reduced; no active agent values a good that has not
-    joined; the maintained edges, spends and hats equal a rebuild.  The
-    price part is rebuilt only when the agent count or the prices differ in
-    value from the last audit's, so not after a transfer.  The step's event
-    holds the level it started from: a rise keeps it, a transfer does not
-    raise it, and every agent but the newest spends at least it, so no
-    other agent spends least while the state is unfair.  While unfair, 1 to
-    n-1 agents are maximum violators: the rebuild runs the same drop-one
-    kernel, so only this count catches one that prices a hat above its
-    spend.  The potential grew over the call's previous event.
+    joined; the maintained edges, spends and hats equal a rebuild from the
+    definitions, by no engine kernel.  The price part is rebuilt only when
+    the agent count or the prices differ in value from the last audit's, so
+    not after a transfer.  The step's event holds the level it started
+    from: a rise keeps it, a transfer does not raise it, and every agent
+    but the newest spends at least it, so no other agent spends least while
+    the state is unfair.  While unfair, 1 to n-1 agents are maximum
+    violators, as rebuilt hats imply: a second line of defence.  The
+    potential grew over the call's previous event.
     """
     nums, den, hats = state.nums, state.den, state.hats
     if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
-        joined, unjoined = state.joined, [g for g, num in enumerate(nums) if not num]
-        audit = state._price_audit = (
-            (state.num_agents, den, list(nums)),
-            set(joined) if min(nums, default=0) >= 0 else None,  # None if a price is negative
-            den >= 1 and gcd(den, *nums) == 1,
-            next(((i, g) for i in state.agents for g in unjoined if state.rows[i][g][0]), None),
-            [set(edges) for _, _, edges in best_ratios(state.rows, state.agents, joined, nums)],
-        )
-    _, priced, reduced, stray, mbb = audit
+        rows = audit[1] if audit else [_over_lcm(row)[0] for row in state.inst.valuations]
+        audit = state._price_audit = _audit_prices(state, rows)
+    _, _, priced, reduced, stray, mbb = audit
     covered: set[int] = set()
     for bundle in state.bundles:
         if covered & bundle:
@@ -373,11 +393,12 @@ def _check_state(state: EngineState) -> None:
     for i, bundle in enumerate(state.bundles):
         for g in bundle - mbb[i]:
             raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
-    pairs = [_spend_and_hat([nums[g] for g in bundle]) for bundle in state.bundles]
-    if (mbb, pairs) != (state.mbb, list(zip(state.spends, state.hats))):
+    costs = [[nums[g] for g in bundle] for bundle in state.bundles]
+    spends = [sum(c) for c in costs]  # each bundle's price, and its price without its dearest good
+    if (mbb, spends, [s - max(c, default=0) for s, c in zip(spends, costs)]) != (state.mbb, state.spends, hats):
         raise InternalInvariantError("maintained market state differs from a rebuild")
     events, steps = state.trace.events, _open_steps(state)  # `step` records each step before its audit
-    spends, k, min_spend, max_hat = state.spends, state.k, min(state.spends), max(hats)
+    k, min_spend, max_hat = state.k, min(spends), max(hats)
     level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
     if steps:
         level, scale = events[-1].hat, events[-1].den  # the level the step started from
@@ -412,8 +433,8 @@ def step(state: EngineState) -> TraceEvent | None:
 
     violators = [i for i in range(na) if hats[i] == max_hat]
     reach = reach_from(state, [state.k])
-    potential = compute_potential(state, reach)
-    min_price = min(filter(None, state.nums))
+    potential = compute_potential(state, reach)  # it counts every good once all have joined
+    min_price = min(state.nums) if sum(potential[:-1]) == len(state.nums) else min(filter(None, state.nums))
     rates = chosen = a = b = None
     if (path := shortest_violator_path(state, reach, violators)) is not None:
         a, b = transfer(state, path)

@@ -95,12 +95,14 @@ class Reachability:
 
     `levels` maps every graph agent to its breadth-first depth in agent
     layers (half the edge count of a shortest path); agents that cannot be
-    reached carry the sentinel level `len(graph.agents)`.
+    reached carry the sentinel level `len(graph.agents)`.  `goods_per_level`
+    counts the goods held at each level, the sentinel's last.
     """
 
     agents: frozenset[int]
     goods: frozenset[int]
     levels: dict[int, int]
+    goods_per_level: tuple[int, ...] = ()
 
 
 def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
@@ -121,7 +123,7 @@ def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
         raise InvalidInputError(f"reachability needs sources among the graph's agents, got {frontier}")
     unreached = set(levels)
     seen_goods: set[int] = set()
-    depth = 0
+    depth, counts = 0, [0] * (len(levels) + 1)
     while frontier:
         unreached.difference_update(frontier)
         fresh: set[int] = set()
@@ -134,9 +136,11 @@ def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
         # are often all that is new; then the search ends without reading a bundle.
         for i in frontier:
             fresh -= graph.bundles[i]
+            counts[depth] += len(graph.bundles[i])
         depth += 1
         frontier = [j for j in unreached if not fresh.isdisjoint(graph.bundles[j])] if fresh else []
-    return Reachability(frozenset(levels.keys() - unreached), frozenset(seen_goods), levels)
+    counts[-1] = sum(len(graph.bundles[j]) for j in unreached)
+    return Reachability(frozenset(levels.keys() - unreached), frozenset(seen_goods), levels, tuple(counts))
 
 
 def shortest_violator_path(

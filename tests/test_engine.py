@@ -263,6 +263,28 @@ def test_transfer_cut_at_one_only_touches_endpoints():
     assert changed == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "prices, taker_goods, good",
+    [
+        ((3, 1, 1), (), 0),  # the giver's unique top-priced good leaves
+        ((2, 2, 1), (), 0),  # it ties with good 1 for the giver's top price
+        ((4, 2, 1, 1), (3,), 1),  # it becomes the taker's top-priced good
+    ],
+    ids=["unique giver top", "tied giver top", "new taker top"],
+)
+def test_transfer_moves_numerators_like_a_re_sum(prices, taker_goods, good):
+    """Agent 1 hands `good` to agent 0; the moved spends and hats equal each bundle re-summed."""
+    m = len(prices)
+    bundles = [list(taker_goods), [g for g in range(m) if g not in taker_goods]]
+    inst = Instance.from_values([[1] * m] * 2)
+    state = EngineState.from_solution(inst, bundles, [F(p) for p in prices], check=False)
+    assert transfer(state, (0, good, 1)) == (1, 0)
+    assert good in state.bundles[0] and good not in state.bundles[1]
+    costs = [[state.nums[g] for g in bundle] for bundle in state.bundles]
+    assert state.spends == [sum(c) for c in costs]
+    assert state.hats == [sum(c) - max(c) for c in costs]
+
+
 def test_transfer_bundle_size_deltas():
     # replay seeded runs step by step, diffing bundle sizes around transfers
     from fairmarket.engine import step
@@ -657,26 +679,49 @@ def test_online_audit_runs_once_per_step(monkeypatch):
 
 
 def test_online_audit_rebuilds_its_price_part_once_per_price_vector(monkeypatch):
-    import sys
-
     from fairmarket import engine
     from fairmarket.cli import generate_instance
 
     rebuilds = []
-    ratios = engine.best_ratios
+    rebuild = engine._audit_prices
 
     def spy(*args):
-        if sys._getframe(1).f_code.co_name == "_check_state":
-            rebuilds.append(args)
-        return ratios(*args)
+        rebuilds.append(args)
+        return rebuild(*args)
 
-    monkeypatch.setattr(engine, "best_ratios", spy)
+    monkeypatch.setattr(engine, "_audit_prices", spy)
     inst = generate_instance(3, 8, 10, 0)
     _, trace = solve(inst)
     kinds = [e.kind for e in trace.events]
     assert kinds.count("transfer") > 0
     # a rebuild for each new agent and after each price rise; none after a transfer
     assert len(rebuilds) == inst.n + kinds.count("price_rise")
+
+
+def test_a_checked_solve_is_certified_under_a_ratio_kernel_that_drops_denominators(monkeypatch):
+    """Under an engine `best_ratios` that prices each good at its numerator alone, `solve(check=True)`
+    raises or returns a solution `verify` accepts: the audit rebuilds best ratios by itself."""
+    from fairmarket import engine, verify
+
+    ratios = engine.best_ratios
+
+    def drops_denominators(rows, agents, goods, nums):
+        return ratios([[(v, 1) for v, _ in row] for row in rows], agents, goods, nums)
+
+    monkeypatch.setattr(engine, "best_ratios", drops_denominators)
+    raised = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 4)
+        m = rng.randint(n, 8)
+        inst = Instance(tuple(tuple(F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m)) for _ in range(n)))
+        try:
+            sol, _ = solve(inst, check=True)
+        except InternalInvariantError:
+            raised += 1
+            continue
+        assert verify(inst, sol, brute_cap=0).ok, seed
+    assert raised > 300  # the mutant is live: most solves go wrong, and the audit says so
 
 
 # Each corruption after a transfer, and the audit failure it must raise.
@@ -764,10 +809,11 @@ def test_online_checks_catch_every_agent_at_the_violation_level(monkeypatch):
     from fairmarket import engine
 
     # A drop-one kernel that prices every hat at 2 makes both agents maximum violators
-    # while the newcomer spends nothing; the rebuild agrees, as it runs the same kernel.
+    # while the newcomer spends nothing.  The audit sums hats from the definition, so it
+    # finds agent 0's hat of 2 against its rebuilt 1 before it counts the violators.
     monkeypatch.setattr(engine, "_spend_and_hat", lambda nums: (sum(nums), 2))
     state = uniform_state([[0, 1], []])
-    with pytest.raises(InternalInvariantError, match="violator count 2 out of range"):
+    with pytest.raises(InternalInvariantError, match="differs from a rebuild"):
         find_solution(state)
 
 

@@ -66,6 +66,34 @@ def test_oracles_use_no_engine_kernel():
     assert not used & kernels
 
 
+def test_online_audit_uses_no_engine_kernel():
+    # The audit checks the state those kernels maintain, so a fault in one must not reach it.
+    # It is read with every package function it names and every `state` member it reads.
+    trees = [ast.parse(Path(m.__file__).read_text(encoding="utf-8")) for m in (core, market, engine, oracles)]
+    functions = {node.name: node for tree in trees for node in tree.body if isinstance(node, ast.FunctionDef)}
+    members = {
+        node.name: node
+        for cls in trees[2].body if isinstance(cls, ast.ClassDef) and cls.name == "EngineState"
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+    }
+    used, read, todo = set(), set(), [functions["_check_state"]]
+    while todo:
+        for node in ast.walk(todo.pop()):
+            if isinstance(node, ast.Name):
+                name, callee = node.id, functions.get(node.id)
+            elif isinstance(node, ast.Attribute):
+                is_state = isinstance(node.value, ast.Name) and node.value.id in ("state", "self")
+                name, callee = node.attr, members.get(node.attr) if is_state else None
+            else:
+                continue
+            used.add(name)
+            if callee is not None and callee not in read:
+                read.add(callee)
+                todo.append(callee)
+    assert {"_audit_prices", "_over_lcm", "joined"} <= used  # the helpers it calls are read too
+    assert not used & {"best_ratios", "split_valuations", "_spend_and_hat", "_common_denominator"}
+
+
 def _package_imports(module) -> set[str]:
     """The package modules `module` imports from, as written: ".core", "fairmarket.engine", ..."""
     names = set()
