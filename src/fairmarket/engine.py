@@ -191,39 +191,38 @@ def compute_betas(state: EngineState, reach: Reachability) -> tuple[tuple, str, 
     Returns the `rates` and `chosen` of the rise's `TraceEvent`, and the (agent, good)
     best-ratio edges the rise adds: those attaining b1 when b1 is chosen.
     """
-    k, rows, nums, hats = state.k, state.rows, state.nums, state.hats
-    max_hat = max(hats)
+    rows, nums, hats, reached = state.rows, state.nums, state.hats, reach.agents
+    max_hat, spend = max(hats), state.spends[state.k]
 
-    # Each rate is a ratio of two numbers over `den`: an integer pair (p, q).
-    def below(x: tuple[int, int] | None, y: tuple[int, int] | None) -> bool:
-        return x is not None and (y is None or x[0] * y[1] < y[0] * x[1])  # None is infinite
-
-    # Agent j's b1 rate is its best ratio, that of any good g in its `mbb`, over
-    # its best ratio outside the reach, attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
+    # Each rate is a ratio of two numbers over `den`: an integer pair (p, q), None
+    # when infinite, compared by cross-multiplying.  Agent j's b1 rate is its best
+    # ratio, that of any good g in its `mbb`, over its best ratio outside the reach,
+    # attained by h: v_jg*d_jh*num_h / (d_jg*num_g*v_jh).
     b1: tuple[int, int] | None = None
     new_edges: list[tuple[int, int]] = []
     # Every joined good is owned, and the reach holds exactly its agents' bundles.
-    outside = [g for i in state.agents if i not in reach.agents for g in state.bundles[i]]
-    agents = sorted(reach.agents)
+    outside = [g for i in range(state.num_agents) if i not in reached for g in state.bundles[i]]
+    agents = sorted(reached)
     for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
         if v_h:
             g = next(iter(state.mbb[j]))
-            rate = (rows[j][g][0] * p_h, rows[j][g][1] * nums[g] * v_h)
-            if below(rate, b1):
-                b1, new_edges = rate, []
-            if not below(b1, rate):
-                new_edges.extend((j, h) for h in attaining)
+            p, q = rows[j][g][0] * p_h, rows[j][g][1] * nums[g] * v_h
+            if b1 is None or p * b1[1] < b1[0] * q:
+                b1, new_edges = (p, q), [(j, h) for h in attaining]
+            elif p * b1[1] == b1[0] * q:
+                new_edges += [(j, h) for h in attaining]
 
-    reach_hat = max((hats[j] for j in reach.agents), default=0)
-    b2 = (max_hat, reach_hat) if reach_hat > 0 else None
-    b3 = (max_hat, state.spends[k]) if state.spends[k] > 0 else None
+    reach_hat = max(map(hats.__getitem__, reached), default=0)
+    b1 = b1 and _reduced(*b1)
+    b2 = _reduced(max_hat, reach_hat) if reach_hat > 0 else None
+    b3 = _reduced(max_hat, spend) if spend > 0 else None
     chosen, beta = "", None  # the smallest finite rate, b3 and then b2 first on ties
     for name, rate in (("b3", b3), ("b2", b2), ("b1", b1)):
-        if below(rate, beta):
+        if rate is not None and (beta is None or rate[0] * beta[1] < beta[0] * rate[1]):
             chosen, beta = name, rate
     if beta is None:
         raise InternalInvariantError("no finite price-rise rate exists")
-    return (b1, b2, b3), chosen, () if below(beta, b1) else tuple(new_edges)
+    return (b1, b2, b3), chosen, tuple(new_edges) if b1 == beta else ()  # reduced pairs: equal values
 
 
 def apply_price_rise(
@@ -281,29 +280,24 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     if len(path) < 3 or len(path) % 2 == 0:
         raise InvalidInputError("path must alternate agent, good, ..., agent")
     agents_on, goods_on = path[0::2], path[1::2]
-    length = len(goods_on)
-    if not all(i in state.agents for i in agents_on) or any(
-        g not in state.bundles[i] for g, i in zip(goods_on, agents_on[1:])
-    ):
+    spends, hats, nums, bundles = state.spends, state.hats, state.nums, state.bundles
+    matched = 0 <= min(agents_on) and max(agents_on) < state.num_agents
+    for g, i in zip(goods_on, agents_on[1:]):
+        matched = matched and g in bundles[i]
+    if not matched:
         raise InvalidInputError("path allocation edges do not match the allocation")
 
-    spends, hats, nums, bundles = state.spends, state.hats, state.nums, state.bundles
     max_hat = max(hats)
-
-    a = next(
-        (c for c in range(1, length + 1) if spends[agents_on[c]] - nums[goods_on[c - 1]] >= max_hat),
-        None,
-    )
-    if a is None:
+    for a in range(1, len(goods_on) + 1):
+        if spends[agents_on[a]] - nums[goods_on[a - 1]] >= max_hat:
+            break
+    else:
         raise InternalInvariantError("no agent on the path can release its good")
-    b = next(
-        (
-            c
-            for c in range(a - 1, 0, -1)
-            if max_hat >= spends[agents_on[c]] + nums[goods_on[c]] - nums[goods_on[c - 1]]
-        ),
-        0,
-    )
+    for b in range(a - 1, 0, -1):
+        if max_hat >= spends[agents_on[b]] + nums[goods_on[b]] - nums[goods_on[b - 1]]:
+            break
+    else:
+        b = 0
 
     for c in range(b + 1, a + 1):  # a bundle's top price is its spend less its hat
         g, giver, taker = goods_on[c - 1], agents_on[c], agents_on[c - 1]
@@ -329,12 +323,6 @@ def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...
     if sum(counts) != len(state.nums) - state.nums.count(0):
         raise InternalInvariantError("level counts do not partition the goods")
     return (*counts, state.hats.count(max(state.hats)))
-
-
-def _open_steps(state: EngineState) -> int:
-    """The steps recorded so far in the newest agent's rebalancing call: its last event's `step`."""
-    events = state.trace.events
-    return events[-1].step if events and events[-1].k == state.num_agents else 0
 
 
 def _audit_prices(state: EngineState, rows: list[list[int]]) -> tuple:
@@ -374,30 +362,32 @@ def _check_state(state: EngineState) -> None:
     violators, as rebuilt hats imply: a second line of defence.  The
     potential grew over the call's previous event.
     """
-    nums, den, hats = state.nums, state.den, state.hats
+    nums, den, hats, bundles = state.nums, state.den, state.hats, state.bundles
     if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
         rows = audit[1] if audit else [_over_lcm(row)[0] for row in state.inst.valuations]
         audit = state._price_audit = _audit_prices(state, rows)
     _, _, priced, reduced, stray, mbb = audit
-    covered: set[int] = set()
-    for bundle in state.bundles:
-        if covered & bundle:
-            raise InternalInvariantError("bundles overlap")
-        covered |= bundle
+    covered = set().union(*bundles)
+    if len(covered) != sum(map(len, bundles)):
+        raise InternalInvariantError("bundles overlap")
     if covered != priced:
         raise InternalInvariantError("the owned goods are not exactly the goods with a positive price")
     if not reduced:
         raise InternalInvariantError(f"price denominator {den} is not reduced")
     if stray:
         raise InternalInvariantError("agent {} values good {}, which has not joined".format(*stray))
-    for i, bundle in enumerate(state.bundles):
-        for g in bundle - mbb[i]:
-            raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
-    costs = [[nums[g] for g in bundle] for bundle in state.bundles]
-    spends = [sum(c) for c in costs]  # each bundle's price, and its price without its dearest good
-    if (mbb, spends, [s - max(c, default=0) for s, c in zip(spends, costs)]) != (state.mbb, state.spends, hats):
+    spends, drops = [], []  # each bundle's price, and its price without its dearest good
+    for i, bundle in enumerate(bundles):
+        if not bundle <= mbb[i]:
+            for g in bundle - mbb[i]:
+                raise InternalInvariantError(f"agent {i} owns good {g} outside its best-ratio set")
+        costs = list(map(nums.__getitem__, bundle))
+        spends.append(spend := sum(costs))
+        drops.append(spend - max(costs, default=0))
+    if mbb != state.mbb or spends != state.spends or drops != hats:
         raise InternalInvariantError("maintained market state differs from a rebuild")
-    events, steps = state.trace.events, _open_steps(state)  # `step` records each step before its audit
+    events = state.trace.events  # the newest agent's open call: `step` records each step before its audit
+    steps = events[-1].step if events and events[-1].k == state.num_agents else 0
     k, min_spend, max_hat = state.k, min(spends), max(hats)
     level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
     if steps:
@@ -428,11 +418,12 @@ def step(state: EngineState) -> TraceEvent | None:
     if min_spend >= max_hat:
         return None
 
-    if (steps := _open_steps(state)) >= state.ceiling:
+    events = state.trace.events  # the newest agent's open call counts its steps in its events
+    if (steps := events[-1].step if events and events[-1].k == na else 0) >= state.ceiling:
         raise InternalInvariantError(f"rebalancing exceeded its iteration ceiling {state.ceiling}")
 
     violators = [i for i in range(na) if hats[i] == max_hat]
-    reach = reach_from(state, [state.k])
+    reach = reach_from(state, [na - 1])
     potential = compute_potential(state, reach)  # it counts every good once all have joined
     min_price = min(state.nums) if sum(potential[:-1]) == len(state.nums) else min(filter(None, state.nums))
     rates = chosen = a = b = None
@@ -447,7 +438,7 @@ def step(state: EngineState) -> TraceEvent | None:
         rates=rates, chosen=chosen, path=path, a=a, b=b, potential=potential,
         spend=min_spend, hat=max_hat, price=min_price, den=den,
     )
-    state.trace.events.append(event)
+    events.append(event)
     if state.check:
         _check_state(state)
     return event

@@ -89,7 +89,7 @@ class MbbGraph:
         return cls(agents, mbb, {i: frozenset(bundles[i]) for i in agents})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Reachability:
     """Closure of the alternating-edge walk from a set of source agents.
 
@@ -104,43 +104,44 @@ class Reachability:
     levels: dict[int, int]
     goods_per_level: tuple[int, ...] = ()
 
+    def __init__(self, agents, goods, levels, goods_per_level=()) -> None:
+        # One dict update, as for `TraceEvent`: no `object.__setattr__` per field.
+        vars(self).update(agents=agents, goods=goods, levels=levels, goods_per_level=goods_per_level)
+
 
 def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
     """Breadth-first reachability from `sources`, with each agent's level.
 
     Alternates best-ratio edges (agent to good) with allocation edges (good
     to the agent holding it): the next level is every unreached agent whose
-    bundle meets the goods newly seen from the current one.  Besides an
-    `MbbGraph`, `graph` may be any object with the same `agents` and
-    agent-indexed `mbb` and `bundles` (sets), such as the engine's
-    maintained state.  Levels do not depend on the order of the sources or
-    of any edge set.  Unreachable agents get level `len(graph.agents)`.
-    The sources must be one or more of the graph's agents.
+    bundle meets the goods seen so far, as one that met an earlier level's
+    goods would have been reached then.  Besides an `MbbGraph`, `graph` may
+    be any object with the same `agents` and agent-indexed `mbb` (any
+    iterables) and `bundles` (sets), such as the engine's maintained state.
+    Levels do not depend on the order of the sources or of any edge set.
+    Unreachable agents get level `len(graph.agents)`.  The sources must be
+    one or more of the graph's agents.
     """
-    levels = dict.fromkeys(graph.agents, len(graph.agents))
-    frontier = set(sources)
-    if not frontier or not frontier <= levels.keys():
-        raise InvalidInputError(f"reachability needs sources among the graph's agents, got {frontier}")
-    unreached = set(levels)
-    seen_goods: set[int] = set()
+    mbb, bundles, agents = graph.mbb, graph.bundles, graph.agents
+    levels = dict.fromkeys(agents, len(agents))
+    sources = set(sources)
+    if not sources or not sources <= levels.keys():
+        raise InvalidInputError(f"reachability needs sources among the graph's agents, got {sources}")
+    frontier, unreached = list(sources), [j for j in levels if j not in sources]
+    seen: set[int] = set()
     depth, counts = 0, [0] * (len(levels) + 1)
     while frontier:
-        unreached.difference_update(frontier)
-        fresh: set[int] = set()
         for i in frontier:
             levels[i] = depth
-            fresh.update(graph.mbb[i])
-        fresh -= seen_goods
-        seen_goods |= fresh
-        # A bundle lies in its holder's best-ratio set, so the frontier's own goods
-        # are often all that is new; then the search ends without reading a bundle.
-        for i in frontier:
-            fresh -= graph.bundles[i]
-            counts[depth] += len(graph.bundles[i])
+            seen.update(mbb[i])
+            counts[depth] += len(bundles[i])
         depth += 1
-        frontier = [j for j in unreached if not fresh.isdisjoint(graph.bundles[j])] if fresh else []
-    counts[-1] = sum(len(graph.bundles[j]) for j in unreached)
-    return Reachability(frozenset(levels.keys() - unreached), frozenset(seen_goods), levels, tuple(counts))
+        frontier, rest = [], []
+        for j in unreached:
+            (rest if seen.isdisjoint(bundles[j]) else frontier).append(j)
+        unreached = rest
+    counts[-1] = sum([len(bundles[j]) for j in unreached])
+    return Reachability(frozenset(levels).difference(unreached), frozenset(seen), levels, tuple(counts))
 
 
 def shortest_violator_path(
@@ -156,37 +157,37 @@ def shortest_violator_path(
     flat tuple (agent, good, agent, ..., good, agent).
     """
     levels = reach.levels
-    targets = sorted(set(violators) & reach.agents)
-    if any(levels[v] == 0 for v in targets):
-        raise InvalidInputError("source agent must not itself be a violator")
-    if not targets:
+    if not (targets := sorted(set(violators) & reach.agents)):
         return None
-    depth = min(levels[v] for v in targets)
-    target = min(v for v in targets if levels[v] == depth)
+    target = min(targets, key=levels.__getitem__)  # the first, so the smallest, of the nearest
+    if not (depth := levels[target]):
+        raise InvalidInputError("source agent must not itself be a violator")
 
-    # Mark the agents on some shortest path to the target, outermost level
-    # first: such an agent has a best-ratio good in the bundle of a marked
-    # agent one level out.
-    marked: dict[int, list[int]] = {depth: [target]}  # level -> marked agents
+    # Mark the agents on some shortest path to the target, one level at a time
+    # from the outermost: such an agent has a best-ratio good in the bundle of a
+    # marked agent one level out.
+    mbb, bundles = graph.mbb, graph.bundles
+    marked = [[] for _ in range(depth)] + [[target]]  # by level: its agents, then its marked ones
+    for i in reach.agents:
+        if levels[i] < depth:
+            marked[levels[i]].append(i)
+    for d in range(depth - 1, -1, -1):
+        level, marked[d] = marked[d], []
+        for i in level:
+            for j in marked[d + 1]:
+                if not bundles[j].isdisjoint(mbb[i]):
+                    marked[d].append(i)
+                    break
 
-    def steps(i: int) -> list[tuple[int, int]]:
-        """The (good, agent) steps from agent i onto a marked agent one level out."""
-        out = marked.get(levels[i] + 1, ())
-        return [(g, j) for j in out for g in graph.mbb[i] if g in graph.bundles[j]]
-
-    for i in sorted(reach.agents, key=levels.__getitem__, reverse=True):
-        if steps(i):
-            marked.setdefault(levels[i], []).append(i)
-
-    # Greedy walk from the smallest marked source: take the smallest good
-    # that steps onto the trail; `depth` steps out, the one marked agent is
-    # the target.  No step means `reach` does not describe `graph`.
+    # Greedy walk from the smallest marked source: take the smallest good that
+    # steps onto the trail; `depth` steps out, the one marked agent is the
+    # target.  No marked source means `reach` does not describe `graph`.
     try:
-        current = min(marked.get(0, ()))
-        path: list[int] = [current]
-        for _ in range(depth):
-            g, current = min(steps(current))
-            path.extend((g, current))
+        current = min(marked[0])
     except ValueError:
         raise InternalInvariantError("shortest-path walk lost the trail") from None
+    path = [current]
+    for out in marked[1:]:
+        g, current = min((min(shared), j) for j in out if (shared := bundles[j].intersection(mbb[current])))
+        path += g, current
     return tuple(path)

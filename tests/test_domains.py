@@ -15,13 +15,16 @@ with sorted keys and a newline, then its trace text as `fairmarket solve
 not depend on `check`, so hashing the checked solves holds the unchecked
 ones too.  The two tier-1 digests over {0, 1, 2} were recorded before
 trace lines were written by `TraceEvent.to_json_line`, with the
-`json.dumps` writer it replaced; the rational and larger domains' ones
-before a price rise rescaled in one pass and a transfer moved numerators
-instead of re-summing bundles.
+`json.dumps` writer it replaced; the rational domain's and those of 4×3
+over {0, 1, 2} and 2×5 over {0, 1, 3} before a price rise rescaled in
+one pass and a transfer moved numerators instead of re-summing bundles;
+that of 3×4 over {0, 1, 2} before the search kept agent lists and marked
+the path one level at a time.
 
-The larger domains in `LARGER` take half a minute or more each, too long
-for tier-1; `python tests/test_domains.py` runs them and exits 1 if any
-count or digest differs.
+The larger domains in `LARGER` take half a minute to a few minutes each
+(3×4 over {0, 1, 2} the longest), too long for tier-1; `python
+tests/test_domains.py` runs them and exits 1 if any count or digest
+differs.
 """
 
 import hashlib
@@ -44,6 +47,7 @@ DOMAINS = {
 LARGER = {
     (4, 3, (0, 1, 2)): (464824, "0b55854c296ba0a3be9e5f5e6e8d232eea87a8e0b63dff19c88d94ee1a4e679f"),
     (2, 5, (0, 1, 3)): (20, "3cceca1d3490923b18e783346d6f0e8a83b722c9800087093a84d2f6f21f4217"),
+    (3, 4, (0, 1, 2)): (5936, "ecbdd59685aaf206c09e5a056c8f091ea6cb2cc99da8b690dc73bd5a620e06d8"),
 }
 
 

@@ -152,6 +152,25 @@ def test_rate_one_invariant_under_uniform_price_scaling(demo_instance):
     assert as_fractions(compute_betas(scaled, r2)[0])[0] == as_fractions(base)[0]
 
 
+def test_rates_come_in_lowest_terms_on_a_seeded_solve(monkeypatch):
+    """Every rate `compute_betas` returns, and so the one each rise applies, is a reduced pair."""
+    from fairmarket import engine
+    from fairmarket.cli import generate_instance
+
+    returned = []
+    betas = engine.compute_betas
+
+    def spy(state, reach):
+        result = betas(state, reach)
+        returned.append(result[0])
+        return result
+
+    monkeypatch.setattr(engine, "compute_betas", spy)
+    solve(generate_instance(3, 12, 1000, 0))
+    rates = [rate for rates in returned for rate in rates if rate is not None]
+    assert len(returned) > 5 and {gcd(*rate) for rate in rates} == {1}
+
+
 def test_price_rise_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])

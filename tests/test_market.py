@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from fairmarket import (
     reach_from,
 )
 from fairmarket.core import _common_denominator
-from fairmarket.market import best_ratios, shortest_violator_path, split_valuations
+from fairmarket.market import Reachability, best_ratios, shortest_violator_path, split_valuations
 
 import reference
 
@@ -144,6 +145,15 @@ def test_reach_rejects_sources_outside_the_graph(demo_instance, demo_state_solut
         assert reach_from(graph, [2]).agents == frozenset({1, 2})
         with pytest.raises(InvalidInputError, match="sources among the graph's agents"):
             reach_from(graph, sources)
+
+
+def test_reachability_is_a_frozen_record():
+    args = (frozenset({1, 2}), frozenset({2, 3, 4}), {0: 3, 1: 1, 2: 0}, (3, 0, 0, 2))
+    reach = Reachability(*args)
+    assert reach == Reachability(agents=args[0], goods=args[1], levels=args[2], goods_per_level=args[3])
+    assert Reachability(*args[:3]) == Reachability(*args[:3], ()) != reach
+    with pytest.raises(FrozenInstanceError):
+        reach.agents = frozenset()
 
 
 def test_reach_monotone_in_sources(demo_state):
@@ -340,6 +350,11 @@ def test_search_matches_backward_search_reference():
         violators = rng.sample(pool, min(len(pool), rng.randint(0, 2)))
         reach = reach_from(graph, sources)
         assert (reach.agents, reach.goods, reach.levels) == expected
+        # The goods held at each level, by the reference's levels; unreached agents sit at n, last.
+        counts = [0] * (n + 1)
+        for j in owner.values():
+            counts[expected[2][j]] += 1
+        assert reach.goods_per_level == tuple(counts)
         path = _outcome(lambda: shortest_violator_path(graph, reach, violators))
         assert path == _outcome(lambda: _reference_path(graph, expected, violators))
         lengths[len(path) if isinstance(path, tuple) else path] += 1
