@@ -348,7 +348,8 @@ class TraceEvent:
     def __init__(self, k, step, kind, rates, chosen, path, a, b, potential, spend, hat, price, den) -> None:
         # One dict update: a frozen dataclass's `__init__` calls `object.__setattr__` per field.
         if rates is not None:
-            rates = tuple(r if r is None else _reduced(*r) for r in rates)
+            b1, b2, b3 = rates
+            rates = (b1 and _reduced(*b1), b2 and _reduced(*b2), b3 and _reduced(*b3))
         if (common := gcd(spend, hat, price, den)) > 1:
             spend, hat, price, den = spend // common, hat // common, price // common, den // common
         vars(self).update(k=k, step=step, kind=kind, rates=rates, chosen=chosen, path=path, a=a, b=b,
@@ -440,7 +441,8 @@ def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRe
     """Strip goods nobody values and agents who value nothing.
 
     Returns the core instance (or None when no agent survives) and the
-    record needed to re-embed a core solution via `denormalize`.
+    record needed to re-embed a core solution via `denormalize`.  With
+    nothing to strip, the core is `inst` itself.
     """
     # `Instance` rejects negative values, so a nonzero value is a positive one.
     kept_agents = tuple(i for i, row in enumerate(inst.valuations) if any(row))
@@ -448,6 +450,8 @@ def normalize_instance(inst: Instance) -> tuple[Instance | None, NormalizationRe
     rec = NormalizationRecord(inst.n, inst.m, kept_agents, kept_goods)
     if not kept_agents:
         return None, rec
+    if len(kept_agents) == inst.n and len(kept_goods) == inst.m:
+        return inst, rec  # nothing to strip: the instance is frozen, so it is its own core
     core = Instance(
         tuple(tuple(inst.valuations[i][g] for g in kept_goods) for i in kept_agents)
     )
@@ -460,13 +464,17 @@ def denormalize(sol: Solution, rec: NormalizationRecord) -> Solution:
     Dropped agents receive empty bundles.  Dropped goods are appended to
     the bundle of the lowest-index surviving agent at price 0; they are
     worthless to every agent, so value-level fairness and efficiency are
-    unaffected.
+    unaffected.  A record that keeps every agent and every good, in order,
+    gives back `sol` itself.
     """
     if len(sol.allocation) != len(rec.kept_agents):
         raise InvalidInputError("solution does not match the record's agent count")
     if len(sol.prices) != len(rec.kept_goods):
         raise InvalidInputError("solution does not match the record's good count")
-    bundles: list[set[int]] = [set() for _ in range(rec.original_agent_count)]
+    n, m = rec.original_agent_count, rec.original_good_count
+    if rec.kept_agents == tuple(range(n)) and rec.kept_goods == tuple(range(m)):
+        return sol  # nothing to re-embed: the solution is frozen, so it serves as it is
+    bundles: list[set[int]] = [set() for _ in range(n)]
     for ci, bundle in enumerate(sol.allocation):
         bundles[rec.kept_agents[ci]] = {rec.kept_goods[g] for g in bundle}
     dropped = rec.dropped_goods
@@ -474,7 +482,7 @@ def denormalize(sol: Solution, rec: NormalizationRecord) -> Solution:
         # No surviving agent only happens when every good was dropped too;
         # park the worthless goods on agent 0 in that degenerate case.
         bundles[min(rec.kept_agents, default=0)].update(dropped)
-    prices = [Fraction(0)] * rec.original_good_count
+    prices = [Fraction(0)] * m
     for ci, g in enumerate(rec.kept_goods):
         prices[g] = sol.prices[ci]
     return Solution(Allocation(tuple(frozenset(b) for b in bundles)), tuple(prices))

@@ -12,6 +12,7 @@ from fairmarket import (
     EngineState,
     Instance,
     InvalidInputError,
+    NormalizationRecord,
     Solution,
     check_hall,
     denormalize,
@@ -267,6 +268,7 @@ def test_solution_json_round_trip(demo_state_solution, demo_instance):
 def test_normalize_keeps_demo_instance(demo_instance):
     core, rec = normalize_instance(demo_instance)
     assert core == demo_instance
+    assert core is demo_instance  # nothing to strip: the instance is its own core, not a copy
     assert rec.kept_agents == (0, 1, 2) and rec.kept_goods == (0, 1, 2, 3, 4)
     assert rec.dropped_goods == ()
 
@@ -276,6 +278,7 @@ def test_normalize_drops_worthless_good():
     core, rec = normalize_instance(inst)
     assert rec.dropped_goods == (1,)
     assert core.m == 2 and core.n == 2
+    assert isinstance(core, Instance) and core is not inst
 
 
 def test_normalize_drops_indifferent_agent():
@@ -283,11 +286,20 @@ def test_normalize_drops_indifferent_agent():
     core, rec = normalize_instance(inst)
     assert rec.kept_agents == (0,)
     assert core.n == 1
+    assert isinstance(core, Instance) and core is not inst and core.m == inst.m
 
 
 def test_denormalize_identity(demo_instance, demo_state_solution):
     _, rec = normalize_instance(demo_instance)
     assert denormalize(demo_state_solution, rec) == demo_state_solution
+    assert denormalize(demo_state_solution, rec) is demo_state_solution  # returned as built
+
+
+def test_denormalize_follows_a_record_that_reorders():
+    # Keeping every index is not enough to hand the solution back: the order counts too.
+    sol = Solution(Allocation.from_lists([[0], [1]]), (F(1), F(2)))
+    assert denormalize(sol, NormalizationRecord(2, 2, (1, 0), (0, 1))).allocation.as_sorted_lists() == [[1], [0]]
+    assert denormalize(sol, NormalizationRecord(2, 2, (0, 1), (1, 0))).prices == (F(2), F(1))
 
 
 def test_denormalize_reembeds_dropped_good_and_agent():

@@ -85,3 +85,40 @@ def test_padding_what_normalization_strips_leaves_the_certificate_alone():
                 assert getattr(after, check) == getattr(before, check)
         padded_inst, padded = pad(rng, inst, solved)
         assert is_pef1(padded_inst, padded) and check_mbb_consistency(padded_inst, padded)
+
+
+def test_solving_a_padded_instance_re_embeds_the_unpadded_solution():
+    # Normalization strips what padding adds, so the trace, which counts and indexes the core,
+    # is unchanged, and the solution is the unpadded one re-embedded as `denormalize` documents.
+    rng = random.Random(53)
+    for case in range(150):
+        n = rng.randint(1, 5)
+        inst = random_instance(rng, n, rng.randint(n, 3 * n + 2))
+        if case % 2:  # rational values: each over a small denominator
+            inst = Instance(tuple(tuple(v / rng.randint(1, 7) for v in row) for row in inst.valuations))
+        goods, agents = rng.choice([(1, 0), (0, 1), (1, 1), (2, 2)])
+        m = inst.m + goods
+        good_at = sorted(rng.sample(range(m), inst.m))  # padded index of each original good
+        agent_at = sorted(rng.sample(range(n + agents), n))  # and of each original agent
+        rows = [(Fraction(0),) * m for _ in range(n + agents)]
+        for i, row in zip(agent_at, inst.valuations):
+            padded_row = [Fraction(0)] * m
+            for g, v in zip(good_at, row):
+                padded_row[g] = v
+            rows[i] = tuple(padded_row)
+        padded = Instance(tuple(rows))
+        for check in (True, False):
+            solution, trace = solve(inst, check=check)
+            padded_solution, padded_trace = solve(padded, check=check)
+            # The trace file `fairmarket solve --trace` writes, byte for byte.
+            assert [ev.to_json_line() for ev in padded_trace.events] == [ev.to_json_line() for ev in trace.events]
+            bundles = [set() for _ in range(n + agents)]
+            for i, bundle in zip(agent_at, solution.allocation):
+                bundles[i] = {good_at[g] for g in bundle}
+            # The padded goods go to the lowest-index agent who values something, at price 0.
+            owner = min(i for i, row in zip(agent_at, inst.valuations) if any(row))
+            bundles[owner] |= set(range(m)) - set(good_at)
+            prices = [Fraction(0)] * m
+            for g, p in zip(good_at, solution.prices):
+                prices[g] = p
+            assert padded_solution == Solution(Allocation.from_lists(bundles), tuple(prices))
