@@ -106,7 +106,11 @@ class EngineState:
     ) -> "EngineState":
         """State with every agent active, for driving the rebalancer directly.
 
-        `prices` holds one positive price per good, indexed by good.
+        `prices` holds one positive price per good, indexed by good.  Raises
+        `InvalidInputError` unless the state is a start the rebalancer takes,
+        as `solve` builds it: every agent values some good, every held good
+        attains its holder's best ratio, and every agent but the newest spends
+        at least the violation level, the largest drop-one bundle price.
         """
         sol = Solution(Allocation.from_lists(bundles), tuple(prices))
         sol.allocation.validate_partition(inst.m, inst.n)
@@ -117,6 +121,15 @@ class EngineState:
         state.nums, state.den = _common_denominator(sol.prices)
         state.bundles = [set(b) for b in sol.allocation]
         state.track_new_agents()
+        for i, bundle in enumerate(state.bundles):
+            if not any(inst.valuations[i]):
+                raise InvalidInputError(f"agent {i} values nothing")
+            for g in bundle - state.mbb[i]:
+                raise InvalidInputError(f"agent {i} holds good {g} outside its best-ratio set")
+        level = max(state.hats)
+        for i in range(state.k):
+            if state.spends[i] < level:
+                raise InvalidInputError(f"agent {i} spends below the violation level")
         return state
 
     def track_new_agents(self) -> None:
@@ -234,8 +247,9 @@ def apply_price_rise(
     move.  Reachable agents own and point only into reachable goods, so their
     edges stay and their spends and hats grow by the rate; they gain the
     (agent, good) edges `new_edges`, those attaining b1 at rate b1.
-    Unreachable agents lose their edges into the reachable goods.  With the
-    rate p/q, `den` and the other numerators multiply by q, the reachable
+    Unreachable agents lose their edges into the reachable goods but keep
+    those into their own bundles, none empty: each spends at least the
+    violation level, above 0 while the state is unfair.  With the rate p/q, `den` and the other numerators multiply by q, the reachable
     ones by p, and their one gcd, gcd(q * gcd(den, *others), p * gcd(*reachable))
     from the unscaled numbers, reduces them in the same pass, into a new list.
     """
@@ -251,18 +265,12 @@ def apply_price_rise(
     f_out, f_in = down * a // common, up * b // common
     state.nums = [num // b * f_in if g in goods else num // a * f_out for g, num in enumerate(nums)]
     state.den = den * down // common
-    stranded = []  # unreachable agents whose every edge went into the reach
     for i in range(state.num_agents):
         factor = up if i in reach.agents else down
         state.spends[i] = state.spends[i] * factor // common
         state.hats[i] = state.hats[i] * factor // common
         if i not in reach.agents:
             state.mbb[i] -= reach.goods
-            if not state.mbb[i]:
-                stranded.append(i)
-    if stranded:  # list the joined goods only for agents whose edges need a rebuild
-        for i, (_, _, edges) in zip(stranded, best_ratios(state.rows, stranded, state.joined, state.nums)):
-            state.mbb[i] = set(edges)
     for j, g in new_edges:
         state.mbb[j].add(g)
 
@@ -276,17 +284,10 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
     agent can absorb the next path good without crossing that level (0,
     meaning the path's first agent, when none qualifies).  Goods g_{b+1}..g_a
     then each move one agent towards the start of the path.  Returns (a, b).
+    The path is `shortest_violator_path`'s over this state, not re-checked.
     """
-    if len(path) < 3 or len(path) % 2 == 0:
-        raise InvalidInputError("path must alternate agent, good, ..., agent")
     agents_on, goods_on = path[0::2], path[1::2]
     spends, hats, nums, bundles = state.spends, state.hats, state.nums, state.bundles
-    matched = 0 <= min(agents_on) and max(agents_on) < state.num_agents
-    for g, i in zip(goods_on, agents_on[1:]):
-        matched = matched and g in bundles[i]
-    if not matched:
-        raise InvalidInputError("path allocation edges do not match the allocation")
-
     max_hat = max(hats)
     for a in range(1, len(goods_on) + 1):
         if spends[agents_on[a]] - nums[goods_on[a - 1]] >= max_hat:

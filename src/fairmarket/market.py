@@ -38,8 +38,7 @@ def best_ratios(
     good g costs `nums[g]` over a denominator common to every price, which
     the comparisons leave out: they cross-multiply integers.  Yields
     (v, p, attaining), the best ratio being v/p times that denominator.
-    A zero value over a zero price counts as ratio 0; a positive value over
-    a zero price is a bug.
+    Every good in `goods` has a positive price.
     """
     for i in agents:
         row = rows[i]
@@ -47,10 +46,6 @@ def best_ratios(
         for g in goods:
             v, d = row[g]
             p = d * nums[g]
-            if not p:
-                if v:
-                    raise InternalInvariantError("positive value over zero price")
-                p = 1  # 0/0 counts as a zero ratio
             lhs, rhs = v * best_p, best_v * p
             if lhs > rhs:
                 best_v, best_p, attaining = v, p, [g]
@@ -81,10 +76,12 @@ class MbbGraph:
         agents: Sequence[int],
         goods: Sequence[int],
     ) -> "MbbGraph":
-        """Graph of a state whose bundles partition `goods`, all priced (not re-checked)."""
-        agents = tuple(sorted(agents))
+        """Graph of a state whose bundles partition `goods` (not re-checked), each priced above 0."""
+        agents, goods = tuple(sorted(agents)), sorted(goods)
+        if any(prices[g] <= 0 for g in goods):
+            raise InvalidInputError("graph goods must have positive prices")
         scaled, _ = _common_denominator(prices)
-        ratios = best_ratios(split_valuations(inst), agents, sorted(goods), scaled)
+        ratios = best_ratios(split_valuations(inst), agents, goods, scaled)
         mbb = {i: tuple(attaining) for i, (_, _, attaining) in zip(agents, ratios)}
         return cls(agents, mbb, {i: frozenset(bundles[i]) for i in agents})
 

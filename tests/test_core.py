@@ -100,7 +100,7 @@ def test_price_ops_reject_a_price_dict():
     prices = {0: F(2), 1: F(3)}
     with pytest.raises(InvalidInputError, match="list or tuple"):
         Solution(Allocation.from_lists([[0], [1]]), prices)
-    assert EngineState.from_solution(inst, [[0], [1]], tuple(prices.values())).mbb == [{1}, {0}]
+    assert EngineState.from_solution(inst, [[1], [0]], tuple(prices.values())).mbb == [{1}, {0}]
 
 
 def test_solution_prices_are_kept_as_a_tuple():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmarket import (
@@ -22,8 +22,9 @@ from fairmarket import (
     check_mbb_consistency,
     is_pef1,
     solve,
+    verify,
 )
-from fairmarket.core import RATES, iteration_bound, spending_profile
+from fairmarket.core import RATES, _common_denominator, _spend_and_hat, iteration_bound, spending_profile
 from fairmarket.engine import (
     EngineState,
     add_agent,
@@ -57,6 +58,16 @@ def demo_engine_state(demo_instance) -> EngineState:
         [[0, 1], [2, 3], [4]],
         [F(6), F(5), F(7), F(3), F(4)],
     )
+
+
+def unchecked_state(inst: Instance, bundles, prices) -> EngineState:
+    """The state `from_solution` builds, without its entry checks: for kernels that take any partition."""
+    state = EngineState(inst, check=False)
+    state.num_agents = inst.n
+    state.nums, state.den = _common_denominator(prices)
+    state.bundles = [set(b) for b in bundles]
+    state.track_new_agents()
+    return state
 
 
 def test_a_new_state_takes_only_an_instance_and_check(demo_instance):
@@ -193,16 +204,6 @@ def test_price_rise_rejects_rate_at_most_one(demo_instance):
         apply_price_rise(state, reach, (2, 2), edges)
 
 
-def test_price_rise_rederives_an_unreachable_agent_whose_edges_all_rise():
-    # Agent 1 owns nothing, so it stays outside the reach while its only edge goes into it.
-    inst = Instance.from_values([[1, 1], [1, 2], [0, 1]])
-    state = EngineState.from_solution(inst, [[0], [], [1]], [F(1), F(1)])
-    reach = reach_from(state, [2])
-    assert (reach.agents, reach.goods, state.mbb[1]) == ({2}, {1}, {1})
-    apply_price_rise(state, reach, (3, 1), ())
-    assert state.mbb == [{0}, {0}, {1}]
-
-
 # Numbers sharing small primes, so the common factors of a rise are not trivial.
 shared_factors = st.builds(
     lambda twos, threes, fives, rest: 2**twos * 3**threes * 5**fives * rest,
@@ -254,25 +255,6 @@ def test_transfer_two_agent_hoard():
     assert state.bundles == [{1, 2}, {0}]
 
 
-@pytest.mark.parametrize(
-    "bundles, path",
-    [
-        ([[0, 1, 2], []], (0, 0, 1)),  # good 0 is not in agent 1's bundle
-        ([[0], [1], [2]], (2, 1, 1, 2, 0)),  # the first edge holds, the second does not
-        ([[0, 1, 2], []], (1, 0, -2)),  # no agent -2, though bundles[-2] holds good 0
-        ([[0, 1, 2], []], (1, 0, 2)),  # no agent 2
-        ([[0], [1, 2], []], (-1, 1, 1)),  # no agent -1, though bundles[-1] would take good 1
-        ([[0], [1, 2], []], (7, 1, 1)),  # no agent 7 to take good 1
-    ],
-)
-def test_transfer_rejects_a_path_off_the_allocation(bundles, path):
-    inst = Instance.from_values([[1, 1, 1]] * len(bundles))
-    state = EngineState.from_solution(inst, bundles, [F(1), F(1), F(1)])
-    with pytest.raises(InvalidInputError, match="do not match the allocation"):
-        transfer(state, path)
-    assert state.bundles == [set(b) for b in bundles]
-
-
 def test_transfer_cut_at_one_only_touches_endpoints():
     state = hoard_state()
     before = [set(b) for b in state.bundles]
@@ -292,13 +274,13 @@ def test_transfer_cut_at_one_only_touches_endpoints():
     ids=["unique giver top", "tied giver top", "new taker top"],
 )
 def test_transfer_moves_numerators_like_a_re_sum(prices, taker_goods, good):
-    """Agent 1 hands `good` to agent 0; the moved spends and hats equal each bundle re-summed."""
+    """Agent 0 hands `good` to the newcomer, agent 1; the moved spends and hats equal each bundle re-summed."""
     m = len(prices)
-    bundles = [list(taker_goods), [g for g in range(m) if g not in taker_goods]]
-    inst = Instance.from_values([[1] * m] * 2)
+    bundles = [[g for g in range(m) if g not in taker_goods], list(taker_goods)]
+    inst = Instance.from_values([prices] * 2)  # values equal to prices: every good is a best-ratio good
     state = EngineState.from_solution(inst, bundles, [F(p) for p in prices], check=False)
-    assert transfer(state, (0, good, 1)) == (1, 0)
-    assert good in state.bundles[0] and good not in state.bundles[1]
+    assert transfer(state, (1, good, 0)) == (1, 0)
+    assert good in state.bundles[1] and good not in state.bundles[0]
     costs = [[state.nums[g] for g in bundle] for bundle in state.bundles]
     assert state.spends == [sum(c) for c in costs]
     assert state.hats == [sum(c) - max(c) for c in costs]
@@ -380,6 +362,66 @@ def test_rebalance_single_agent_never_iterates():
     assert len(state.trace.events) == 0
 
 
+@st.composite
+def custom_states(draw) -> tuple[Instance, list[list[int]], list[Fraction]]:
+    """Random states; half of them hand each good to an agent attaining its best ratio on it, where one
+    does, so that they pass the price certificate."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n, 7))
+    row = st.lists(st.integers(0, 5), min_size=m, max_size=m)
+    inst = Instance.from_values(draw(st.lists(row, min_size=n, max_size=n)))
+    prices = [F(p) for p in draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))]
+    best = reference.mbb(inst, prices, range(n), range(m)) if draw(st.booleans()) else [set()] * n
+    bundles = [[] for _ in range(n)]
+    for g in range(m):
+        attainers = [i for i in range(n) if g in best[i]]
+        bundles[draw(st.sampled_from(attainers) if attainers else st.integers(0, n - 1))].append(g)
+    return inst, bundles, prices
+
+
+@pytest.mark.parametrize("check", [True, False])
+@settings(max_examples=300)
+@given(custom=custom_states())
+def test_a_custom_state_is_rejected_at_entry_or_rebalanced_to_a_certified_solution(check, custom):
+    """Caller input never reaches the engine's invariant errors, and never comes back uncertified."""
+    inst, bundles, prices = custom
+    try:
+        state = EngineState.from_solution(inst, bundles, prices, check=check)
+    except InvalidInputError:
+        return
+    find_solution(state)
+    assert verify(inst, state.to_solution(), brute_cap=0).ok
+
+
+@pytest.mark.parametrize("check", [True, False])
+@pytest.mark.parametrize(
+    "values, bundles, prices, message",
+    [
+        ([[1, 2, 3], [3, 2, 1]], [[0, 1, 2], []], [1, 1, 1], "agent 0 holds good 0 outside its best-ratio set"),
+        # Every good is a best-ratio good of everyone, so only the spends break the start.
+        ([[1] * 4] * 2, [[0], [1, 2, 3]], [1] * 4, "agent 0 spends below the violation level"),
+        ([[1, 1], [0, 0]], [[0, 1], []], [1, 1], "agent 1 values nothing"),
+        ([[1, 1], [1, 1]], [[0], [1]], [1, 0], "active goods must have positive prices"),
+    ],
+    ids=["stray good", "below the level", "values nothing", "unpriced good"],
+)
+def test_from_solution_names_the_broken_precondition(check, values, bundles, prices, message):
+    """The entry checks hold whether or not the online audit is on."""
+    inst = Instance.from_values(values)
+    with pytest.raises(InvalidInputError, match=message):
+        EngineState.from_solution(inst, bundles, [F(p) for p in prices], check=check)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_from_solution_lets_the_newcomer_alone_spend_below_the_level(check):
+    """That is what the newcomer's call rebalances; swapping the bundles puts agent 0 below it."""
+    uniform = Instance.from_values([[1] * 4] * 2)
+    state = EngineState.from_solution(uniform, [[1, 2, 3], [0]], [F(1)] * 4, check=check)
+    assert (state.spends, state.hats) == ([3, 1], [2, 0])
+    find_solution(state)
+    assert verify(uniform, state.to_solution(), brute_cap=0).ok
+
+
 def test_potential_on_demo_state(demo_instance):
     state = demo_engine_state(demo_instance)
     reach = reach_from(state, [2])
@@ -402,10 +444,7 @@ def test_potential_counts_sum_to_goods():
         bundles = [[] for _ in range(n)]
         for g in range(m):
             bundles[rng.randrange(n)].append(g)
-        try:
-            state = EngineState.from_solution(inst, bundles, prices)
-        except Exception:
-            continue
+        state = unchecked_state(inst, bundles, prices)
         reach = reach_from(state, [n - 1])
         pot = compute_potential(state, reach)
         assert sum(pot[:-1]) == m
@@ -413,9 +452,9 @@ def test_potential_counts_sum_to_goods():
 
 def test_potential_all_goods_at_level_zero():
     inst = Instance.from_values([[1, 1], [2, 2]])
-    # the newest agent holds everything, so every good sits at level 0
-    state = EngineState.from_solution(inst, [[], [0, 1]], [F(1), F(1)])
-    reach = reach_from(state, [1])
+    # every agent is a source, so every good sits at level 0
+    state = EngineState.from_solution(inst, [[0], [1]], [F(1), F(1)])
+    reach = reach_from(state, [0, 1])
     pot = compute_potential(state, reach)
     assert pot[0] == 2
     assert sum(pot[:-1]) == 2
@@ -720,7 +759,7 @@ def test_online_audit_rebuilds_its_price_part_once_per_price_vector(monkeypatch)
 def test_a_checked_solve_is_certified_under_a_ratio_kernel_that_drops_denominators(monkeypatch):
     """Under an engine `best_ratios` that prices each good at its numerator alone, `solve(check=True)`
     raises or returns a solution `verify` accepts: the audit rebuilds best ratios by itself."""
-    from fairmarket import engine, verify
+    from fairmarket import engine
 
     ratios = engine.best_ratios
 
@@ -810,16 +849,26 @@ def test_online_checks_catch_overlapping_bundles():
         find_solution(state)
 
 
+def handed_on(state: EngineState, good: int, taker: int) -> EngineState:
+    """`state` after `good` moves to `taker` past the entry checks, with every spend and hat re-summed."""
+    for bundle in state.bundles:
+        bundle.discard(good)
+    state.bundles[taker].add(good)
+    for i, bundle in enumerate(state.bundles):
+        state.spends[i], state.hats[i] = _spend_and_hat([state.nums[g] for g in bundle])
+    return state
+
+
 def test_online_checks_catch_an_agent_below_the_violation_level():
     # Agent 0 spends 1 under agent 1's drop-one price 2; only the newcomer spends less.
-    state = uniform_state([[0], [1, 2, 3], []])
+    state = handed_on(uniform_state([[0, 1], [2, 3], []]), 1, 1)
     with pytest.raises(InternalInvariantError, match="agent 0 fell below the violation level"):
         find_solution(state)
 
 
 def test_online_checks_catch_a_lowest_spender_besides_the_newcomer():
     # Agents 0 and 2 both spend 1; any lowest spender but the newcomer is under the level.
-    state = uniform_state([[0], [1, 2, 3], [4]])
+    state = handed_on(uniform_state([[0, 1], [2, 3], [4]]), 1, 1)
     with pytest.raises(InternalInvariantError, match="agent 0 fell below the violation level"):
         find_solution(state)
 
@@ -838,7 +887,6 @@ def test_online_checks_catch_every_agent_at_the_violation_level(monkeypatch):
 
 def test_online_checks_catch_a_transfer_that_raises_the_violation_level(monkeypatch):
     from fairmarket import engine
-    from fairmarket.core import _spend_and_hat
 
     def overfill(state, path):
         # The transfer, then the newcomer's goods handed on to agent 1, past the level.

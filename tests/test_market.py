@@ -50,8 +50,8 @@ def test_uniform_everything_gives_complete_mbb_edges():
 
 def test_price_raise_removes_mbb_edge():
     inst = Instance.from_values([[1, 1]])
-    assert EngineState.from_solution(inst, [[0, 1]], [F(1), F(1)]).mbb == [{0, 1}]
-    assert EngineState.from_solution(inst, [[0, 1]], [F(1), F(2)]).mbb == [{0}]
+    assert MbbGraph.from_state(inst, [[0, 1]], [F(1), F(1)], [0], [0, 1]).mbb == {0: (0, 1)}
+    assert MbbGraph.from_state(inst, [[0, 1]], [F(1), F(2)], [0], [0, 1]).mbb == {0: (0,)}
 
 
 @pytest.mark.parametrize(
@@ -78,11 +78,8 @@ def test_best_ratio_matches_bang_per_buck(data):
     """The integer kernel against the literal `Fraction` definition: same maximum, same goods."""
     row_of_four = st.lists(small_rationals, min_size=4, max_size=4)
     rows = data.draw(st.lists(row_of_four, min_size=1, max_size=3))
-    # Zero prices only where every value is zero: positive value over zero price is checked below.
-    prices = [
-        data.draw(small_rationals.filter(bool) if any(row[g] for row in rows) else small_rationals)
-        for g in range(4)
-    ]
+    # Positive prices only: the kernel is handed joined goods alone.
+    prices = [data.draw(small_rationals.filter(bool)) for _ in range(4)]
     goods = sorted(data.draw(st.sets(st.integers(0, 3), min_size=1)))
     agents = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
     inst = Instance(tuple(tuple(row) for row in rows))
@@ -96,11 +93,14 @@ def test_best_ratio_matches_bang_per_buck(data):
         assert attaining == sorted(best)
 
 
-def test_best_ratio_rejects_positive_value_over_zero_price():
-    rows = split_valuations(Instance.from_values([[0, 3]]))
-    with pytest.raises(InternalInvariantError):
-        list(best_ratios(rows, [0], [0, 1], [0, 0]))
-    assert list(best_ratios(rows, [0], [0], [0])) == [(0, 1, [0])]  # 0/0 counts as ratio 0
+def test_graph_rejects_a_good_priced_at_zero():
+    """The graph takes its prices from outside, so it checks that its goods are priced; the kernel does not."""
+    inst = Instance.from_values([[0, 3]])
+    for prices in ([F(0), F(1)], [F(1), F(0)], [F(-1), F(1)]):
+        with pytest.raises(InvalidInputError, match="positive prices"):
+            MbbGraph.from_state(inst, [[0, 1]], prices, [0], [0, 1])
+    # A good outside the graph's goods may go unpriced.
+    assert MbbGraph.from_state(inst, [[1]], [F(0), F(1)], [0], [1]).mbb == {0: (1,)}
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_path_alternates_and_respects_edges():
         bundles = [[] for _ in range(n)]
         for g in range(m):
             bundles[rng.randrange(n)].append(g)
-        graph = EngineState.from_solution(inst, bundles, prices)
+        graph = MbbGraph.from_state(inst, bundles, prices, range(n), range(m))
         source = 0
         targets = [i for i in range(1, n)]
         reach = reach_from(graph, [source])

@@ -1,6 +1,8 @@
 """The package's public surface, and the independence of the tests' reference."""
 
 import ast
+import contextlib
+import io
 import itertools
 import re
 from pathlib import Path
@@ -29,6 +31,17 @@ def test_readme_library_lists_exactly_the_exported_names():
     assert len(fairmarket.__all__) == len(set(fairmarket.__all__)) == 28
     for name in fairmarket.__all__:
         assert getattr(fairmarket, name) is not None
+
+
+def test_readme_library_examples_run():
+    """The solve example certifies its solution, and the custom-state one is refused where it enters."""
+    blocks = re.findall(r"```python\n(.*?)```", _library_section(), re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(block, {})
+    assert len(blocks) == 2
+    assert out.getvalue() == "agent 0 holds good 0 outside its best-ratio set\n"
 
 
 @pytest.mark.parametrize(
