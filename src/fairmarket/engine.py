@@ -64,8 +64,9 @@ class EngineState:
     event updates the goods attaining its best ratio (`mbb`), the bundle
     price (`spends`) and the drop-one bundle price (`hats`, both numerators
     over `den`) in place, and `ceiling` is the active agents'
-    `iteration_bound`.  A single state is strictly sequential; run separate
-    states for parallel solves.
+    `iteration_bound`.  `reach_from` and `shortest_violator_path` search the
+    state as the graph of its `mbb` and `bundles` edges.  A single state is
+    strictly sequential; run separate states for parallel solves.
     """
 
     def __init__(self, inst: Instance, check: bool = True) -> None:
@@ -84,11 +85,6 @@ class EngineState:
     def k(self) -> int:
         """Index of the most recently added agent."""
         return self.num_agents - 1
-
-    @property
-    def agents(self) -> range:
-        """The active agents, so the state can be searched like an `MbbGraph`."""
-        return range(self.num_agents)
 
     @property
     def joined(self) -> list[int]:
@@ -215,8 +211,7 @@ def compute_betas(state: EngineState, reach: Reachability) -> tuple[tuple, str, 
     new_edges: list[tuple[int, int]] = []
     # Every joined good is owned, and the reach holds exactly its agents' bundles.
     outside = [g for i in range(state.num_agents) if i not in reached for g in state.bundles[i]]
-    agents = sorted(reached)
-    for j, (v_h, p_h, attaining) in zip(agents, best_ratios(rows, agents, outside, nums)):
+    for j, (v_h, p_h, attaining) in zip(reached, best_ratios(rows, reached, outside, nums)):
         if v_h:
             g = next(iter(state.mbb[j]))
             p, q = rows[j][g][0] * p_h, rows[j][g][1] * nums[g] * v_h
@@ -249,9 +244,11 @@ def apply_price_rise(
     (agent, good) edges `new_edges`, those attaining b1 at rate b1.
     Unreachable agents lose their edges into the reachable goods but keep
     those into their own bundles, none empty: each spends at least the
-    violation level, above 0 while the state is unfair.  With the rate p/q, `den` and the other numerators multiply by q, the reachable
-    ones by p, and their one gcd, gcd(q * gcd(den, *others), p * gcd(*reachable))
-    from the unscaled numbers, reduces them in the same pass, into a new list.
+    violation level, above 0 while the state is unfair.
+    With the rate p/q, `den` and the other numerators multiply by q, the
+    reachable ones by p, and their one gcd from the unscaled numbers,
+    gcd(q * gcd(den, *others), p * gcd(*reachable)), reduces them in the
+    same pass, into a new list.
     """
     up, down = rate
     if up <= down:
@@ -318,22 +315,20 @@ def transfer(state: EngineState, path: tuple[int, ...]) -> tuple[int, int]:
 def compute_potential(state: EngineState, reach: Reachability) -> tuple[int, ...]:
     """The goods counted by their owner's level, as `reach` counted them, and the violator count.
 
-    Potentials compare lexicographically.
+    Potentials compare lexicographically.  With checks on, the step's audit
+    holds the counts to the priced goods.
     """
-    counts = reach.goods_per_level
-    if sum(counts) != len(state.nums) - state.nums.count(0):
-        raise InternalInvariantError("level counts do not partition the goods")
-    return (*counts, state.hats.count(max(state.hats)))
+    return (*reach.goods_per_level, state.hats.count(max(state.hats)))
 
 
 def _audit_prices(state: EngineState, rows: list[list[int]]) -> tuple:
     """The audit's price part, keyed by (num_agents, den, nums), rebuilt from the definitions:
     `rows[i]` holds agent i's values over their lcm, so its ratios compare by cross-multiplying."""
-    nums, den, agents = state.nums, state.den, state.agents
+    nums, den = state.nums, state.den
     joined, stray = range(len(nums)), None
     if 0 in nums:  # the goods not yet joined, and an agent valuing one
         joined, unjoined = state.joined, [g for g, num in enumerate(nums) if not num]
-        stray = next(((i, g) for i in agents for g in unjoined if rows[i][g]), None)
+        stray = next(((i, g) for i in range(state.num_agents) for g in unjoined if rows[i][g]), None)
     mbb = []
     for row in rows[: state.num_agents]:
         v, c, best = 0, 1, set()
@@ -360,8 +355,9 @@ def _check_state(state: EngineState) -> None:
     from: a rise keeps it, a transfer does not raise it, and every agent
     but the newest spends at least it, so no other agent spends least while
     the state is unfair.  While unfair, 1 to n-1 agents are maximum
-    violators, as rebuilt hats imply: a second line of defence.  The
-    potential grew over the call's previous event.
+    violators, as rebuilt hats imply: a second line of defence.  The step's
+    potential counts exactly the priced goods, which no step changes, and
+    grew over the call's previous event.
     """
     nums, den, hats, bundles = state.nums, state.den, state.hats, state.bundles
     if (audit := state._price_audit) is None or audit[0] != (state.num_agents, den, nums):
@@ -393,6 +389,8 @@ def _check_state(state: EngineState) -> None:
     level, scale = max_hat, den  # the violation level as a (numerator, denominator) pair
     if steps:
         level, scale = events[-1].hat, events[-1].den  # the level the step started from
+        if sum(events[-1].potential[:-1]) != len(priced):
+            raise InternalInvariantError("level counts do not partition the goods")
         if events[-1].kind == "price_rise" and max_hat * scale != level * den:
             raise InternalInvariantError(
                 f"price rise moved the violation level: {_text(level, scale)} -> {_text(max_hat, den)}"

@@ -1,17 +1,17 @@
 """Bang-per-buck structure over a priced instance.
 
-Builds the directed bipartite graph whose agent-to-good edges mark goods
-attaining an agent's best value-per-price ratio and whose good-to-agent
-edges point from each good to the agent whose bundle holds it, plus
-breadth-first reachability (with per-agent levels) and deterministic
-shortest alternating paths over that graph.
+The engine state is the directed bipartite graph whose agent-to-good edges
+mark goods attaining an agent's best value-per-price ratio and whose
+good-to-agent edges point from each good to the agent holding it.  This
+module searches it, by breadth-first reachability (with per-agent levels)
+and deterministic shortest alternating paths; `MbbGraph` builds the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import (
     Instance,
@@ -19,6 +19,9 @@ from .core import (
     InvalidInputError,
     _common_denominator,
 )
+
+if TYPE_CHECKING:
+    from .engine import EngineState
 
 
 def split_valuations(inst: Instance) -> list[list[tuple[int, int]]]:
@@ -90,10 +93,10 @@ class MbbGraph:
 class Reachability:
     """Closure of the alternating-edge walk from a set of source agents.
 
-    `levels` maps every graph agent to its breadth-first depth in agent
-    layers (half the edge count of a shortest path); agents that cannot be
-    reached carry the sentinel level `len(graph.agents)`.  `goods_per_level`
-    counts the goods held at each level, the sentinel's last.
+    `levels` maps every active agent of the searched engine state to its
+    breadth-first depth in agent layers (half the edge count of a shortest
+    path); agents that cannot be reached carry the sentinel level `num_agents`.
+    `goods_per_level` counts the goods held at each level, the sentinel's last.
     """
 
     agents: frozenset[int]
@@ -106,27 +109,25 @@ class Reachability:
         vars(self).update(agents=agents, goods=goods, levels=levels, goods_per_level=goods_per_level)
 
 
-def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
-    """Breadth-first reachability from `sources`, with each agent's level.
+def reach_from(state: EngineState, sources: Iterable[int]) -> Reachability:
+    """Breadth-first reachability from `sources` over the engine state, with each agent's level.
 
-    Alternates best-ratio edges (agent to good) with allocation edges (good
-    to the agent holding it): the next level is every unreached agent whose
-    bundle meets the goods seen so far, as one that met an earlier level's
-    goods would have been reached then.  Besides an `MbbGraph`, `graph` may
-    be any object with the same `agents` and agent-indexed `mbb` (any
-    iterables) and `bundles` (sets), such as the engine's maintained state.
-    Levels do not depend on the order of the sources or of any edge set.
-    Unreachable agents get level `len(graph.agents)`.  The sources must be
-    one or more of the graph's agents.
+    Alternates best-ratio edges (agent to good, `state.mbb`) with allocation
+    edges (good to the agent holding it, `state.bundles`) among the state's
+    active agents: the next level is every unreached agent whose bundle
+    meets the goods seen so far, as one that met an earlier level's goods
+    would have been reached then.  Levels do not depend on the order of the
+    sources or of any edge set.  Unreachable agents get level
+    `state.num_agents`.  The sources must be one or more active agents.
     """
-    mbb, bundles, agents = graph.mbb, graph.bundles, graph.agents
-    levels = dict.fromkeys(agents, len(agents))
+    mbb, bundles, n = state.mbb, state.bundles, state.num_agents
+    levels = dict.fromkeys(range(n), n)
     sources = set(sources)
     if not sources or not sources <= levels.keys():
         raise InvalidInputError(f"reachability needs sources among the graph's agents, got {sources}")
     frontier, unreached = list(sources), [j for j in levels if j not in sources]
     seen: set[int] = set()
-    depth, counts = 0, [0] * (len(levels) + 1)
+    depth, counts = 0, [0] * (n + 1)
     while frontier:
         for i in frontier:
             levels[i] = depth
@@ -142,11 +143,11 @@ def reach_from(graph: MbbGraph, sources: Iterable[int]) -> Reachability:
 
 
 def shortest_violator_path(
-    graph: MbbGraph, reach: Reachability, violators: Iterable[int]
+    state: EngineState, reach: Reachability, violators: Iterable[int]
 ) -> tuple[int, ...] | None:
     """Shortest alternating path from the sources of `reach` to any violator, or None.
 
-    `reach` is `reach_from` over the same graph; its levels are all the
+    `reach` is `reach_from` over the same state; its levels are all the
     search needs, as each step of a shortest path moves one level out.
     Ties are broken deterministically: the nearest violator with the
     smallest index is targeted, and among equal-length paths the
@@ -163,7 +164,7 @@ def shortest_violator_path(
     # Mark the agents on some shortest path to the target, one level at a time
     # from the outermost: such an agent has a best-ratio good in the bundle of a
     # marked agent one level out.
-    mbb, bundles = graph.mbb, graph.bundles
+    mbb, bundles = state.mbb, state.bundles
     marked = [[] for _ in range(depth)] + [[target]]  # by level: its agents, then its marked ones
     for i in reach.agents:
         if levels[i] < depth:
@@ -178,7 +179,7 @@ def shortest_violator_path(
 
     # Greedy walk from the smallest marked source: take the smallest good that
     # steps onto the trail; `depth` steps out, the one marked agent is the
-    # target.  No marked source means `reach` does not describe `graph`.
+    # target.  No marked source means `reach` does not describe `state`.
     try:
         current = min(marked[0])
     except ValueError:

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from fairmarket import Allocation, Instance, Solution
+from fairmarket import Allocation, EngineState, Instance, Solution
+from fairmarket.core import _common_denominator
 
 settings.register_profile("suite", deadline=None, max_examples=100)
 settings.load_profile("suite")
@@ -32,3 +33,16 @@ def demo_state_solution(demo_instance) -> Solution:
         Allocation.from_lists(DEMO_BUNDLES),
         tuple(Fraction(p) for p in DEMO_PRICES),
     )
+
+
+def unchecked_state(inst: Instance, bundles, prices) -> EngineState:
+    """The state `from_solution` builds, without its entry checks: for kernels that take any partition.
+
+    Agents 0..len(bundles)-1 are active; a good priced 0 has not joined.
+    """
+    state = EngineState(inst, check=False)
+    state.num_agents = len(bundles)
+    state.nums, state.den = _common_denominator(prices)
+    state.bundles = [set(b) for b in bundles]
+    state.track_new_agents()
+    return state

@@ -16,7 +16,6 @@ from fairmarket import (
     Instance,
     InternalInvariantError,
     InvalidInputError,
-    MbbGraph,
     Solution,
     check_ef1,
     check_mbb_consistency,
@@ -24,7 +23,7 @@ from fairmarket import (
     solve,
     verify,
 )
-from fairmarket.core import RATES, _common_denominator, _spend_and_hat, iteration_bound, spending_profile
+from fairmarket.core import RATES, _spend_and_hat, iteration_bound, spending_profile
 from fairmarket.engine import (
     EngineState,
     add_agent,
@@ -38,6 +37,7 @@ from fairmarket.engine import (
 from fairmarket.market import Reachability, reach_from, shortest_violator_path
 
 import reference
+from conftest import unchecked_state
 
 F = Fraction
 
@@ -58,16 +58,6 @@ def demo_engine_state(demo_instance) -> EngineState:
         [[0, 1], [2, 3], [4]],
         [F(6), F(5), F(7), F(3), F(4)],
     )
-
-
-def unchecked_state(inst: Instance, bundles, prices) -> EngineState:
-    """The state `from_solution` builds, without its entry checks: for kernels that take any partition."""
-    state = EngineState(inst, check=False)
-    state.num_agents = inst.n
-    state.nums, state.den = _common_denominator(prices)
-    state.bundles = [set(b) for b in bundles]
-    state.track_new_agents()
-    return state
 
 
 def test_a_new_state_takes_only_an_instance_and_check(demo_instance):
@@ -712,7 +702,7 @@ def test_engine_invariants_hold_after_every_event():
                 if step(state) is None:
                     break
                 prices = prices_of(state)
-                alphas = reference.alphas(inst, prices, state.agents, state.joined)
+                alphas = reference.alphas(inst, prices, range(state.num_agents), state.joined)
                 for i in range(state.num_agents):
                     for g in state.bundles[i]:
                         ratio = inst.valuations[i][g] / prices[g]
@@ -917,6 +907,25 @@ def test_online_checks_catch_a_valued_good_that_has_not_joined(demo_instance, mo
         solve(demo_instance)
 
 
+def test_online_checks_catch_level_counts_that_miss_a_good(demo_instance, monkeypatch):
+    """The step's audit holds its recorded potential to the priced goods; with checks off nothing does."""
+    from fairmarket import engine
+
+    expected, _ = solve(demo_instance)
+
+    def short(state, sources):
+        # The true reach, with one good dropped from its first nonempty level.
+        reach = reach_from(state, sources)
+        counts = list(reach.goods_per_level)
+        counts[next(d for d, count in enumerate(counts) if count)] -= 1
+        return Reachability(reach.agents, reach.goods, reach.levels, tuple(counts))
+
+    monkeypatch.setattr(engine, "reach_from", short)
+    assert solve(demo_instance, check=False)[0] == expected
+    with pytest.raises(InternalInvariantError, match="level counts do not partition the goods"):
+        solve(demo_instance)
+
+
 # ---------------------------------------------------------------------------
 # maintained market state
 
@@ -925,7 +934,7 @@ def rebuilt_market(state: EngineState) -> tuple:
     """The state's edges, spends and hats from their literal `Fraction` definitions."""
     prices = prices_of(state)
     return (
-        reference.mbb(state.inst, prices, state.agents, state.joined),
+        reference.mbb(state.inst, prices, range(state.num_agents), state.joined),
         [reference.bundle_price(prices, b) for b in state.bundles],
         [reference.hat_price(prices, b) for b in state.bundles],
     )
@@ -956,22 +965,42 @@ def test_maintained_market_state_matches_rebuild_after_every_event():
         assert state.den >= 1 and gcd(state.den, *state.nums) == 1
         spends, hats = ([F(x, state.den) for x in xs] for xs in (state.spends, state.hats))
         assert (state.mbb, spends, hats) == rebuilt_market(state)
-        # searching the maintained state finds what searching a rebuilt graph finds
-        graph = MbbGraph.from_state(
-            state.inst, state.bundles, prices_of(state), state.agents, state.joined
-        )
+        # searching the maintained state finds what searching a state rebuilt from its prices finds
+        rebuilt = unchecked_state(state.inst, state.bundles, prices_of(state))
         reach = reach_from(state, [state.k])
-        assert reach == reach_from(graph, [state.k])
+        assert reach == reach_from(rebuilt, [state.k])
         # b1 reads the goods outside the reach from the unreached agents' bundles
         assert reach.goods == set().union(*(state.bundles[i] for i in reach.agents))
-        others = [i for i in state.agents if i != state.k]
+        others = [i for i in range(state.num_agents) if i != state.k]
         assert shortest_violator_path(state, reach, others) == shortest_violator_path(
-            graph, reach, others
+            rebuilt, reach, others
         )
         if state.trace.events:
             kinds.add(state.trace.events[-1].kind)
             kinds.add(state.trace.events[-1].chosen)
     assert {"transfer", "price_rise", "b1", "b2", "b3"} <= kinds
+
+
+def test_each_event_records_the_numbers_its_step_started_from():
+    """The least spend, the largest drop-one price and the least joined price over `den`, and the joined count."""
+    pending, kinds = None, Counter()
+    for state in stepped_states(seed=43, count=40, check=False):
+        events = state.trace.events
+        if pending is not None and pending[0] is state and len(events) > pending[1]:
+            event, literal, joined = events[-1], pending[2], pending[3]
+            recorded = (event.spend, event.hat, event.price)
+            assert [x * value.denominator for x, value in zip(recorded, literal)] == [
+                value.numerator * event.den for value in literal
+            ]
+            assert sum(event.potential[:-1]) == joined
+            kinds[event.kind] += 1
+        # The numbers before the next step, from the literal definitions.
+        prices = prices_of(state)
+        spends = [reference.bundle_price(prices, bundle) for bundle in state.bundles]
+        hats = [reference.hat_price(prices, bundle) for bundle in state.bundles]
+        priced = [price for price in prices if price]
+        pending = (state, len(events), (min(spends), max(hats), min(priced)), len(priced))
+    assert kinds["transfer"] > 100 and kinds["price_rise"] > 100
 
 
 @pytest.mark.parametrize("target", ["edge", "spend", "hat"])

@@ -20,6 +20,7 @@ from fairmarket.core import _common_denominator
 from fairmarket.market import Reachability, best_ratios, shortest_violator_path, split_valuations
 
 import reference
+from conftest import unchecked_state
 
 F = Fraction
 
@@ -129,22 +130,27 @@ def test_reach_without_edges_returns_sources():
 
 
 def test_reach_degenerate_graph_without_ratio_edges():
-    bare = MbbGraph(agents=(0, 1), mbb={0: (), 1: ()}, bundles={0: frozenset(), 1: frozenset()})
+    # Two active agents and no good joined yet: no edge of either kind.
+    bare = unchecked_state(Instance.from_values([[1, 2], [2, 1]]), [[], []], [F(0), F(0)])
+    assert bare.mbb == [set(), set()]
     r = reach_from(bare, [1])
     assert r.agents == frozenset({1})
     assert r.goods == frozenset()
     assert r.levels == {0: 2, 1: 0}
+    assert r.goods_per_level == (0, 0, 0)
 
 
 @pytest.mark.parametrize("sources", [[], [-1], [3], [2, 3], ["2"]])
 def test_reach_rejects_sources_outside_the_graph(demo_instance, demo_state_solution, demo_state, sources):
-    # -1 would alias agent 2 and 3 is past the last agent, on either graph shape.
+    # -1 would alias agent 2 and 3 is past the last agent, on the checked state and on a
+    # state rebuilt from its prices.
     sol = demo_state_solution
-    rebuilt = MbbGraph.from_state(demo_instance, sol.allocation.bundles, sol.prices, range(3), range(5))
-    for graph in (rebuilt, demo_state):
-        assert reach_from(graph, [2]).agents == frozenset({1, 2})
+    rebuilt = unchecked_state(demo_instance, sol.allocation.bundles, sol.prices)
+    assert reach_from(rebuilt, [2]) == reach_from(demo_state, [2])
+    for state in (rebuilt, demo_state):
+        assert reach_from(state, [2]).agents == frozenset({1, 2})
         with pytest.raises(InvalidInputError, match="sources among the graph's agents"):
-            reach_from(graph, sources)
+            reach_from(state, sources)
 
 
 def test_reachability_is_a_frozen_record():
@@ -223,19 +229,20 @@ def test_path_alternates_and_respects_edges():
         bundles = [[] for _ in range(n)]
         for g in range(m):
             bundles[rng.randrange(n)].append(g)
-        graph = MbbGraph.from_state(inst, bundles, prices, range(n), range(m))
+        state = unchecked_state(inst, bundles, prices)
         source = 0
         targets = [i for i in range(1, n)]
-        reach = reach_from(graph, [source])
-        path = shortest_violator_path(graph, reach, targets)
+        reach = reach_from(state, [source])
+        path = shortest_violator_path(state, reach, targets)
         if path is None:
             continue
         assert path[0] == source and path[-1] in targets
         assert len(path) % 2 == 1
         agents, goods = path[0::2], path[1::2]
+        mbb = reference.mbb(inst, prices, range(n), range(m))
         for idx, g in enumerate(goods):
-            assert g in graph.mbb[agents[idx]]      # ratio edge out of the agent
-            assert g in graph.bundles[agents[idx + 1]]  # allocation edge into the next
+            assert g in mbb[agents[idx]]      # ratio edge out of the agent, by the literal definition
+            assert g in bundles[agents[idx + 1]]  # allocation edge into the next
         # breadth-first levels agree with path positions (shortest => level r at hop r)
         for r, agent in enumerate(agents):
             assert reach.levels[agent] == r
@@ -250,7 +257,7 @@ def _reference_reach(graph, sources, agent_count):
     source_list = sorted(set(sources))
     if not source_list:
         raise InvalidInputError("reachability needs at least one source agent")
-    levels = {i: agent_count for i in graph.agents}
+    levels = {i: agent_count for i in range(graph.num_agents)}
     reached = set(source_list)
     seen_goods = set()
     for s in source_list:
@@ -343,7 +350,7 @@ def test_search_matches_backward_search_reference():
         density = rng.random()
         mbb = {i: [g for g in rng.sample(range(m), m) if rng.random() < density] for i in range(n)}
         bundles = {i: {g for g, j in owner.items() if j == i} for i in range(n)}
-        graph = SimpleNamespace(agents=tuple(range(n)), mbb=mbb, bundles=bundles, owner=owner)
+        graph = SimpleNamespace(num_agents=n, mbb=mbb, bundles=bundles, owner=owner)  # an engine state's fields
         sources = rng.sample(range(n), rng.randint(1, min(n, 2)))
         expected = _reference_reach(graph, sources, n)
         pool = [i for i in range(n) if i in expected[0] and i not in sources or rng.random() < 0.1]
