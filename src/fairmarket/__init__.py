@@ -21,8 +21,8 @@ from .core import (
     denormalize,
     normalize_instance,
 )
-from .engine import EngineState, find_solution, solve
-from .market import MbbGraph, Reachability, reach_from
+from .engine import EngineState, Reachability, find_solution, reach_from, solve
+from .market import MbbGraph
 from .oracles import (
     VerificationReport,
     audit_trace,

@@ -28,11 +28,10 @@ from fairmarket import (
     verify,
 )
 from fairmarket.cli import generate_instance
-from fairmarket.core import spending_profile
 from fairmarket.engine import EngineState, find_solution
 from fairmarket.oracles import NSW_FLOOR
 
-from reference import alphas, bang_per_buck, check_ef1_literal, max_violators, min_spenders
+from reference import alphas, bang_per_buck, bundle_price, check_ef1_literal, hat_price, max_violators, min_spenders
 
 F = Fraction
 
@@ -68,7 +67,8 @@ def test_criterion_1_reference_state_quantities():
     started = time.perf_counter()
     inst = Instance.from_values(DEMO_VALUES)
     sol = Solution(Allocation.from_lists(DEMO_BUNDLES), tuple(DEMO_PRICES))
-    spends, hats = spending_profile(sol.allocation.bundles, sol.prices)
+    spends = [bundle_price(sol.prices, bundle) for bundle in sol.allocation.bundles]
+    hats = [hat_price(sol.prices, bundle) for bundle in sol.allocation.bundles]
     ok = (
         min_spenders(sol) == (2,)
         and max_violators(sol) == (0,)

@@ -23,18 +23,20 @@ from fairmarket import (
     solve,
     verify,
 )
-from fairmarket.core import RATES, _spend_and_hat, iteration_bound, spending_profile
+from fairmarket.core import RATES, _spend_and_hat, iteration_bound
 from fairmarket.engine import (
     EngineState,
+    Reachability,
     add_agent,
     apply_price_rise,
     compute_betas,
     compute_potential,
     find_solution,
     initial_prices_for_agent,
+    reach_from,
+    shortest_violator_path,
     transfer,
 )
-from fairmarket.market import Reachability, reach_from, shortest_violator_path
 
 import reference
 from conftest import unchecked_state
@@ -692,7 +694,9 @@ def test_engine_invariants_hold_after_every_event():
         for _ in range(inst.n):
             add_agent(state)
             while True:
-                spends, hats = spending_profile(state.bundles, prices_of(state))
+                prices = prices_of(state)
+                spends = [reference.bundle_price(prices, bundle) for bundle in state.bundles]
+                hats = [reference.hat_price(prices, bundle) for bundle in state.bundles]
                 if state.num_agents > 1:
                     level = max(hats)
                     assert all(

@@ -17,7 +17,7 @@ from fairmarket import (
     reach_from,
 )
 from fairmarket.core import _common_denominator
-from fairmarket.market import Reachability, best_ratios, shortest_violator_path, split_valuations
+from fairmarket.engine import Reachability, best_ratios, shortest_violator_path, split_valuations
 
 import reference
 from conftest import unchecked_state

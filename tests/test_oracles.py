@@ -149,14 +149,14 @@ def test_certificate_requires_positive_prices_on_valued_goods(demo_instance):
 
 def test_certificate_reads_no_engine_kernel(monkeypatch):
     """A ratio kernel of the engine's that drops value denominators does not reach `verify`."""
-    from fairmarket import market
+    from fairmarket import engine
 
-    ratios = market.best_ratios
+    ratios = engine.best_ratios
 
     def drops_denominators(rows, agents, goods, nums):  # prices each good at nums[g] alone
         return ratios([[(v, 1) for v, _ in row] for row in rows], agents, goods, nums)
 
-    monkeypatch.setattr(market, "best_ratios", drops_denominators)
+    monkeypatch.setattr(engine, "best_ratios", drops_denominators)
     # Agent 0 gets 1/2 per unit of price from good 0 and 1 from good 1: it holds the wrong one.
     inst = Instance.from_values([["1/2", 1], [1, 1]])
     sol = Solution(Allocation.from_lists([[0], [1]]), (F(1), F(1)))

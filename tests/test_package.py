@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fairmarket
-from fairmarket import core, engine, market, oracles
+from fairmarket import cli, core, engine, market, oracles
 
 import reference
 
@@ -140,6 +140,14 @@ def test_the_trace_record_lives_in_core():
     assert record <= _top_level_names(core)
     assert not record & _top_level_names(engine)
     assert fairmarket.TraceEvent is core.TraceEvent and fairmarket.SolveTrace is core.SolveTrace
+
+
+def test_the_engine_owns_the_search_and_market_keeps_only_the_graph():
+    # One module knows the state's layout: the search and its kernels sit beside `EngineState`.
+    assert _package_imports(engine) == {".core", ".oracles"}
+    assert _package_imports(market) == {".core", ".engine"}
+    assert _top_level_names(market) == {"MbbGraph"}
+    assert not any("TYPE_CHECKING" in _names_used(m.__file__) for m in (core, engine, market, oracles, cli))
 
 
 def test_the_validate_wrapper_and_the_prices_alias_are_gone():
